@@ -161,9 +161,12 @@ def _verdict_json(v):
 def _parse_dims(raw):
     lo, _, hi = raw.partition(":")
     try:
-        return (int(lo), int(hi or lo))
+        lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise TropError(f"bad dimension range {raw!r} (expected lo:hi)") from None
+    if not 1 <= lo <= hi:
+        raise TropError(f"bad dimension range {raw!r} (expected 1 <= lo <= hi)")
+    return lo, hi
 
 
 def cmd_check(args):

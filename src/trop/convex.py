@@ -9,15 +9,21 @@ T-span when scaling by +inf is allowed.
 
 from .errors import DomainError, ShapeError
 from .linalg import (
+    COL,
     NEG_INF,
+    TropMatrix,
     TropVector,
     ZERO,
-    bracket,
+    basis_indices,
+    mat_mul,
+    pack,
+    residuate,
     scale,
+    unpack,
     vec_oplus,
     zero_vector,
 )
-from .semiring import Domain, domain_of, oplus
+from .semiring import oplus
 
 
 class ConvexSpan:
@@ -25,9 +31,10 @@ class ConvexSpan:
 
     The generator list may be empty (the zero span, containing only the
     all -inf vector) provided dim and orientation are given explicitly.
+    The generators are packed once, for the loops in ``linalg``.
     """
 
-    __slots__ = ("generators", "dim", "orientation", "domain", "_basis")
+    __slots__ = ("generators", "dim", "orientation", "_packed", "_basis")
 
     def __init__(self, generators, dim=None, orientation=None):
         generators = tuple(generators)
@@ -42,9 +49,7 @@ class ConvexSpan:
         self.generators = generators
         self.dim = dim
         self.orientation = orientation
-        self.domain = Domain(
-            max((domain_of(e) for g in generators for e in g.entries), default=Domain.T)
-        )
+        self._packed = pack(g.entries for g in generators)
         self._basis = None
 
     def __len__(self):
@@ -67,30 +72,31 @@ class ConvexSpan:
         The combination they produce is always <= a, and dominates every
         other coefficient vector whose combination is <= a.
         """
-        self._check_vector(a)
-        return tuple(bracket(g, a) for g in self.generators)
+        return self.membership(a)[1]
 
     def combine(self, coeffs) -> TropVector:
         """Evaluate the linear combination max_i coeffs_i * r_i."""
         if len(coeffs) != len(self.generators):
             raise ShapeError(f"expected {len(self.generators)} coefficients")
-        acc = zero_vector(self.dim, self.orientation)
-        for c, g in zip(coeffs, self.generators):
-            acc = vec_oplus(acc, scale(c, g))
-        return acc
+        if not self.generators:
+            return zero_vector(self.dim, self.orientation)
+        gens = TropMatrix([g.entries for g in self.generators])
+        return TropVector(mat_mul(TropMatrix([coeffs]), gens).entries[0], self.orientation)
 
     def principal_combination(self, a: TropVector) -> TropVector:
         return self.combine(self.principal_coeffs(a))
 
     def member(self, a: TropVector) -> bool:
-        """Exact span membership."""
-        return self.principal_combination(a) == a
+        """Exact span membership: the principal combination equals a."""
+        self._check_vector(a)
+        return residuate(self._packed, pack((a.entries,)))[1] is None
 
     def membership(self, a: TropVector):
         """(is_member, principal coefficients); the coefficients witness
         membership whenever the verdict is true."""
-        coeffs = self.principal_coeffs(a)
-        return self.combine(coeffs) == a, coeffs
+        self._check_vector(a)
+        coeffs, bad = residuate(self._packed, pack((a.entries,)))
+        return bad is None, unpack(coeffs)[0]
 
     def weak_basis(self) -> "ConvexSpan":
         """Minimal generating sublist, greedy in ascending index order.
@@ -101,16 +107,7 @@ class ConvexSpan:
         back empty.
         """
         if self._basis is None:
-            kept = list(self.generators)
-            i = 0
-            while i < len(kept):
-                others = ConvexSpan(
-                    kept[:i] + kept[i + 1 :], dim=self.dim, orientation=self.orientation
-                )
-                if others.member(kept[i]):
-                    del kept[i]
-                else:
-                    i += 1
+            kept = [self.generators[i] for i in basis_indices(self._packed)]
             basis = ConvexSpan(kept, dim=self.dim, orientation=self.orientation)
             basis._basis = basis
             self._basis = basis
@@ -133,8 +130,9 @@ def span_equal(s1: ConvexSpan, s2: ConvexSpan) -> bool:
     """Mutual membership of generators decides span equality."""
     if s1.dim != s2.dim or s1.orientation != s2.orientation:
         raise ShapeError("spans must share dim and orientation")
-    return all(s2.member(g) for g in s1.generators) and all(
-        s1.member(g) for g in s2.generators
+    return (
+        residuate(s2._packed, s1._packed)[1] is None
+        and residuate(s1._packed, s2._packed)[1] is None
     )
 
 
@@ -143,13 +141,21 @@ def principal_solution(b, c: TropVector) -> TropVector:
 
     B*x equals c for this x iff the system B*x = c is solvable at all.
     """
-    from .linalg import TropMatrix
-
     if not isinstance(b, TropMatrix):
         raise ShapeError("principal_solution expects a matrix")
     if c.dim != b.rows:
         raise ShapeError(f"dimension mismatch: {c.dim} vs {b.rows} rows")
-    return TropVector([bracket(b.col(k), c) for k in range(b.cols)], "col")
+    coeffs, _ = residuate(pack(zip(*b.entries)), pack((c.entries,)))
+    return TropVector(unpack(coeffs)[0], COL)
+
+
+def solve_right(b: TropMatrix, a: TropMatrix):
+    """(X, None) for the principal solution X of B*X = A when it solves
+    it, else (None, j) for the first column j of A outside C(B)."""
+    coeffs, bad = residuate(pack(zip(*b.entries)), pack(zip(*a.entries)))
+    if bad is not None:
+        return None, bad
+    return TropMatrix(list(zip(*unpack(coeffs)))), None
 
 
 class ExtendedPair:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import col_span, row_span, span_equal, principal_solution
+from .convex import col_span, row_span, solve_right, span_equal
 from .duality import IsoDescriptor, descriptor_valid, matrix_from_iso
 from .errors import (
     DomainError,
@@ -76,24 +76,17 @@ def _validate_pair(a: TropMatrix, b: TropMatrix, domain):
     return domain
 
 
-def _solve_right(b: TropMatrix, a: TropMatrix):
-    """Principal solution X of B*X = A, column by column."""
-    cols = [principal_solution(b, a.col(j)) for j in range(a.cols)]
-    return TropMatrix([[c.entries[i] for c in cols] for i in range(b.cols)])
-
-
 def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
     """A <=_R B: every column of A lies in the column space of B.
 
     The witness X is assembled from principal solutions, and the
-    verdict is exactly the statement B*X = A.
+    verdict is exactly the statement B*X = A: each column of B*X is
+    recombined and compared with the column of A.
     """
     dom = _validate_pair(a, b, domain)
-    x = _solve_right(b, a)
-    product = mat_mul(b, x)
-    if product == a:
+    x, bad = solve_right(b, a)
+    if bad is None:
         return GreenVerdict(LEQ_R, True, dom, witnesses=(("X", x),))
-    bad = next(j for j in range(a.cols) if product.col(j) != a.col(j))
     return GreenVerdict(
         LEQ_R,
         False,
@@ -328,8 +321,9 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8,
         raise SizeLimitError(
             f"rel_D guards at n <= {max_n} (got {n}); raise max_n / TROP_MAX_N to override"
         )
+    span_b = col_span(b)  # also checks every bridge below
     basis_a = col_span(a).weak_basis()
-    basis_b = col_span(b).weak_basis()
+    basis_b = span_b.weak_basis()
     k = len(basis_a)
     if k != len(basis_b):
         return GreenVerdict(
@@ -343,7 +337,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8,
             (), (), (), (), source_shape=(n, COL), target_shape=(n, COL)
         )
         bridge = matrix_from_iso(a, iso)
-        if not span_equal(col_span(bridge), col_span(b)):
+        if not span_equal(col_span(bridge), span_b):
             raise VerificationError("rel_D: zero-span bridge failed verification")
         return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)
     if k > max_basis:
@@ -398,7 +392,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8,
                 failures += 1
                 return None
             bridge = matrix_from_iso(a, cand)
-            if not span_equal(col_span(bridge), col_span(b)):
+            if not span_equal(col_span(bridge), span_b):
                 raise VerificationError("rel_D: bridge failed column space check")
             return cand, bridge
 

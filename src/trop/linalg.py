@@ -3,11 +3,24 @@
 Dense, immutable containers plus the residuation bracket, the Hilbert
 projective metric, and projective normalization.  Everything is exact;
 the decision procedures built on top never see rounding.
+
+The arithmetic loops run over a packed form that only this module
+reads: equal-length scalar sequences pack to ``(den, rows)``, with
+``den`` the least common denominator of the finite entries and each row
+a tuple of those entries times ``den`` as Python ints, and the floats
+-inf/+inf as sentinels.  Ints compare exactly with them, so max and
+order need no branch; sums and differences branch on the sentinels,
+never adding a float to an int, and -inf absorbs +inf.  Public functions
+pack their inputs per call and box only their outputs.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import ShapeError
 from .semiring import (
     NEG_INF,
+    POS_INF,
     Domain,
     TropScalar,
     ZERO,
@@ -18,6 +31,10 @@ from .semiring import (
     oplus,
     otimes,
 )
+
+_NEG = float("-inf")  # the only two floats in packed rows, so tested by identity
+_POS = float("inf")
+_INF = {NEG_INF.kind: _NEG, POS_INF.kind: _POS}
 
 ROW = "row"
 COL = "col"
@@ -161,21 +178,102 @@ def zero_vector(dim, orientation=ROW) -> TropVector:
     return TropVector([NEG_INF] * dim, orientation)
 
 
+def pack(seqs):
+    """Pack equal-length scalar sequences as ``(den, rows)``."""
+    seqs = tuple(seqs)
+    den = lcm(*{v.denominator for s in seqs for e in s if (v := e.value).__class__ is Fraction})
+    return den, [
+        tuple([_INF[e.kind] if (v := e.value) is None else v.numerator * (den // v.denominator)
+               for e in s])
+        for s in seqs
+    ]
+
+
+def unpack(packed):
+    """The rows of a packed family as tuples of scalars."""
+    den, rows = packed
+    return [tuple([_box(n, den) for n in row]) for row in rows]
+
+
+def _box(n, den):
+    if n.__class__ is float:
+        return NEG_INF if n < 0 else POS_INF
+    q, r = divmod(n, den)
+    return finite(Fraction(n, den) if r else q)
+
+
+def _align(p, q):
+    """Two packed families over one denominator: (den, rows of p, rows of q)."""
+    den = lcm(p[0], q[0])
+    return den, _rescale(p, den), _rescale(q, den)
+
+
+def _rescale(packed, den):
+    f = den // packed[0]
+    if f == 1:
+        return packed[1]
+    return [tuple([n if n.__class__ is float else n * f for n in row]) for row in packed[1]]
+
+
+def _residual(x, y):
+    """<x|y> = min_i (y_i - x_i), where x_i = -inf or y_i = +inf bounds
+    nothing and, failing that, x_i = +inf or y_i = -inf gives -inf."""
+    best = _POS
+    for p, q in zip(x, y):
+        if p is _NEG or q is _POS:
+            continue
+        if p is _POS or q is _NEG:
+            return _NEG
+        if q - p < best:
+            best = q - p
+    return best
+
+
+def _combine(coeffs, rows, dim):
+    """max_i coeffs_i * rows_i, as a list of length dim."""
+    acc = [_NEG] * dim
+    for c, row in zip(coeffs, rows):
+        if c is _NEG:
+            continue
+        for i, p in enumerate(row):
+            if p is not _NEG:
+                v = _POS if c is _POS or p is _POS else c + p
+                if v > acc[i]:
+                    acc[i] = v
+    return acc
+
+
+def residuate(gens, targets):
+    """``((den, coeff rows), bad)`` for packed generators g and targets a:
+    row t is (<g_1|a_t>, ..., <g_k|a_t>), and bad is the first target
+    those coefficients do not recombine to (rows stop there), or None."""
+    den, grows, trows = _align(gens, targets)
+    coeffs = []
+    for t, a in enumerate(trows):
+        coeffs.append([_residual(g, a) for g in grows])
+        if _combine(coeffs[-1], grows, len(a)) != list(a):
+            return (den, coeffs), t
+    return (den, coeffs), None
+
+
+def basis_indices(gens):
+    """Greedy weak basis of packed generators: each, in ascending order,
+    is dropped iff the others still standing recombine to it."""
+    den, rows = gens
+    kept = list(range(len(rows)))
+    for t in range(len(rows)):
+        if residuate((den, [rows[j] for j in kept if j != t]), (den, [rows[t]]))[1] is None:
+            kept.remove(t)
+    return kept
+
+
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj)."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    for i in range(a.rows):
-        arow = a.entries[i]
-        orow = []
-        for j in range(b.cols):
-            acc = NEG_INF
-            for k in range(a.cols):
-                acc = oplus(acc, otimes(arow[k], b.entries[k][j]))
-            orow.append(acc)
-        out.append(orow)
-    return TropMatrix(out)
+    den, rows = pack(a.entries + b.entries)
+    brows = rows[a.rows :]
+    return TropMatrix(unpack((den, [_combine(arow, brows, b.cols) for arow in rows[: a.rows]])))
 
 
 def transpose(a: TropMatrix) -> TropMatrix:
@@ -184,8 +282,8 @@ def transpose(a: TropMatrix) -> TropMatrix:
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
-    lam = _lift(lam)
-    return TropVector([otimes(lam, e) for e in x.entries], x.orientation)
+    den, (c, xs) = pack(((_lift(lam),), x.entries))
+    return TropVector(unpack((den, [_combine(c, [xs], x.dim)]))[0], x.orientation)
 
 
 def _check_same_shape(x: TropVector, y: TropVector, orientation_too=True):
@@ -221,10 +319,16 @@ def bracket(x: TropVector, y: TropVector) -> TropScalar:
     products involving both infinities.
     """
     _check_same_shape(x, y, orientation_too=False)
-    acc = NEG_INF
-    for a, b in zip(x.entries, y.entries):
-        acc = oplus(acc, otimes(a, neg(b)))
-    return neg(acc)
+    den, (xs, ys) = pack((x.entries, y.entries))
+    return _box(_residual(xs, ys), den)
+
+
+def _normalized(xs):
+    """Packed proj_normalize: the maximum finite entry moved to 0."""
+    top = max(xs)
+    if top.__class__ is float:  # +inf present, or no finite entry
+        return xs
+    return tuple([p if p is _NEG else p - top for p in xs])
 
 
 def proj_normalize(x: TropVector) -> TropVector:
@@ -234,28 +338,19 @@ def proj_normalize(x: TropVector) -> TropVector:
     any vector containing +inf, have no finite canonicalizing scaling
     and are returned unchanged.  Idempotent.
     """
-    if any(e.is_pos_inf for e in x.entries):
-        return x
-    top = None
-    for e in x.entries:
-        if e.is_finite and (top is None or e.value > top):
-            top = e.value
-    if top is None:
-        return x
-    return scale(finite(-top), x)
+    den, (xs,) = pack((x.entries,))
+    normal = _normalized(xs)
+    return x if normal is xs else TropVector(unpack((den, [normal]))[0], x.orientation)
 
 
 def hilbert(x: TropVector, y: TropVector) -> TropScalar:
     """Hilbert projective distance: 0 for finite scalings, else
     -(<x|y> * <y|x>).  Values are nonnegative rationals or +inf."""
     _check_same_shape(x, y, orientation_too=False)
-    if proj_normalize(x) == proj_normalize(y):
+    den, (xs, ys) = pack((x.entries, y.entries))
+    if x.orientation == y.orientation and _normalized(xs) == _normalized(ys):
         return ZERO
-    return neg(otimes(bracket(x, y), bracket(y, x)))
-
-
-def matrix_domain_within(a: TropMatrix, domain: Domain) -> bool:
-    return a.domain() <= domain
+    return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))
 
 
 def map_entries(a: TropMatrix, f) -> TropMatrix:

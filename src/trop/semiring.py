@@ -4,7 +4,9 @@ Scalars are exact rationals extended with -inf and +inf.  Addition is
 maximum (``oplus``), multiplication is ordinary addition (``otimes``).
 The completed semiring TBAR makes +inf absorbing for both operations,
 with the one exceptional product (-inf) * (+inf) = (+inf) * (-inf) = -inf.
-All equality here is decidable, structural equality of reduced fractions.
+A finite scalar's ``value`` is canonical: an ``int`` when integral, a
+reduced ``Fraction`` otherwise.  Vector and matrix loops do not use
+these boxed scalars but ints over a shared denominator (see ``linalg``).
 """
 
 from enum import IntEnum
@@ -32,15 +34,15 @@ class Domain(IntEnum):
 class TropScalar:
     """A rational number, -inf, or +inf, totally ordered.
 
-    Instances are immutable and hashable; rationals are kept in reduced
-    canonical form by ``fractions.Fraction``, so ``==`` is exact.
+    Instances are immutable and hashable; rationals are kept in canonical
+    form (an int, or a reduced ``fractions.Fraction``), so ``==`` is exact.
     """
 
     __slots__ = ("kind", "value")
 
     def __init__(self, kind, value=None):
         self.kind = kind  # _NEG | _FIN | _POS
-        self.value = value  # Fraction when finite, else None
+        self.value = value  # int or non-integral Fraction when finite, else None
 
     @property
     def is_finite(self):
@@ -91,7 +93,12 @@ POS_INF = TropScalar(_POS)
 
 def finite(x) -> TropScalar:
     """Finite scalar from an int, Fraction, or fraction string like '3/2'."""
-    return TropScalar(_FIN, Fraction(x))
+    if x.__class__ is not int:
+        if x.__class__ is not Fraction:
+            x = Fraction(x)
+        if x.denominator == 1:
+            x = x.numerator
+    return TropScalar(_FIN, x)
 
 
 ZERO = finite(0)  # multiplicative identity (tropical "one")
@@ -109,7 +116,7 @@ def otimes(a: TropScalar, b: TropScalar) -> TropScalar:
         return NEG_INF
     if ak == _POS or bk == _POS:
         return POS_INF
-    return TropScalar(_FIN, a.value + b.value)
+    return finite(a.value + b.value)
 
 
 def neg(a: TropScalar) -> TropScalar:
@@ -145,7 +152,7 @@ def parse_scalar(token: str, line=None, column=None) -> TropScalar:
     if token == "inf":
         return POS_INF
     try:
-        return TropScalar(_FIN, Fraction(token))
+        return finite(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad scalar token {token!r}", line, column) from None
 

@@ -1,5 +1,9 @@
 """Spans, membership, weak bases, and the extension calculus."""
 
+import random
+from fractions import Fraction
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +18,7 @@ from trop.convex import (
     welldef_criterion,
 )
 from trop.errors import DomainError, ShapeError
+from trop.greens import leq_R
 from trop.linalg import (
     COL,
     ROW,
@@ -27,7 +32,7 @@ from trop.linalg import (
     vector,
     zero_vector,
 )
-from trop.semiring import NEG_INF, POS_INF, ZERO, finite, leq
+from trop.semiring import NEG_INF, POS_INF, ZERO, finite, leq, neg, oplus, otimes
 
 t_scalars = st.one_of(
     st.just(NEG_INF),
@@ -39,6 +44,71 @@ def t_vectors(dim, orientation=ROW):
     return st.lists(t_scalars, min_size=dim, max_size=dim).map(
         lambda es: TropVector(es, orientation)
     )
+
+
+# Entries far beyond the float range, on huge and small coprime
+# denominators, next to both infinities (see test_linalg).
+BIG = 10**400
+HUGE = (
+    finite(BIG),
+    finite(-BIG),
+    finite(Fraction(BIG, BIG + 1)),
+    finite(Fraction(-BIG - 3, 7)),
+    finite(Fraction(2, 7)),
+    ZERO,
+    NEG_INF,
+    POS_INF,
+)
+
+
+def ref_coeffs(gens, a):
+    """Principal coefficients -(max_i g_i * (-a_i)) from the scalar operations alone."""
+    return [neg(reduce(oplus, (otimes(p, neg(q)) for p, q in zip(g, a)), NEG_INF)) for g in gens]
+
+
+def ref_combine(coeffs, gens, dim):
+    return tuple(
+        reduce(oplus, (otimes(c, g[i]) for c, g in zip(coeffs, gens)), NEG_INF) for i in range(dim)
+    )
+
+
+def ref_member(gens, a):
+    return ref_combine(ref_coeffs(gens, a), gens, a.dim) == a.entries
+
+
+def _huge_cases(seed, count, dim, k):
+    """(generators, vector) pairs; every other vector is a combination of
+    the generators with huge coefficients, so both verdicts occur."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        gens = [TropVector([rng.choice(HUGE) for _ in range(dim)], COL) for _ in range(k)]
+        if i % 2:
+            a = TropVector([rng.choice(HUGE) for _ in range(dim)], COL)
+        else:
+            a = TropVector(ref_combine([rng.choice(HUGE) for _ in gens], gens, dim), COL)
+        cases.append((gens, a))
+    return cases
+
+
+def _huge_green_pairs(seed, count, n):
+    """(A, B) pairs; every other A is B times a matrix of huge entries."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        b = TropMatrix([[rng.choice(HUGE) for _ in range(n)] for _ in range(n)])
+        cols = [
+            ref_combine([rng.choice(HUGE) for _ in range(n)], b.col_vectors(), n)
+            if i % 2 == 0
+            else [rng.choice(HUGE) for _ in range(n)]
+            for _ in range(n)
+        ]
+        pairs.append((TropMatrix(list(zip(*cols))), b))
+    return pairs
+
+
+HUGE_SPANS = _huge_cases(401, 24, 3, 3)
+HUGE_GREEN_PAIRS = _huge_green_pairs(402, 12, 3)
 
 
 def span_00_01():
@@ -238,3 +308,22 @@ def test_weak_basis_size_is_a_span_invariant(data):
     ]
     s1, s2 = ConvexSpan(gens), ConvexSpan(scaled)
     assert len(s1.weak_basis().generators) == len(s2.weak_basis().generators)
+
+
+@pytest.mark.parametrize("gens, a", HUGE_SPANS)
+def test_member_exact_on_huge_entries(gens, a):
+    s = ConvexSpan(gens)
+    assert s.member(a) == ref_member(gens, a)
+    assert s.principal_coeffs(a) == tuple(ref_coeffs(gens, a))
+    assert principal_solution(TropMatrix(list(zip(*gens))), a).entries == s.principal_coeffs(a)
+
+
+@pytest.mark.parametrize("a, b", HUGE_GREEN_PAIRS)
+def test_leq_R_exact_on_huge_entries(a, b):
+    gens = b.col_vectors()
+    coeffs = [ref_coeffs(gens, a.col(j)) for j in range(a.cols)]
+    holds = all(ref_member(gens, a.col(j)) for j in range(a.cols))
+    v = leq_R(a, b)
+    assert v.holds == holds
+    if holds:
+        assert v.witnesses == (("X", TropMatrix(list(zip(*coeffs)))),)

@@ -183,6 +183,13 @@ def test_cli_check_deterministic(capsys):
     assert "failures 0" in first
 
 
+@pytest.mark.parametrize("dims", ["5:2", "0:3", "x:2"])
+def test_cli_check_bad_dims_exit_code(dims, capsys):
+    assert main(["check", "--property", "P1", "--dims", dims, "--trials", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad dimension range") and err.count("\n") == 1
+
+
 def test_cli_check_json(capsys):
     assert main(["check", "--property", "P3", "--trials", "10", "--seed", "3",
                  "--format", "json"]) == 0

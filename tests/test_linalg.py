@@ -1,11 +1,14 @@
 """Vectors, matrices, bracket and Hilbert metric."""
 
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trop.errors import ShapeError
+from trop.harness import bracket_oracle
 from trop.linalg import (
     ROW,
     TropMatrix,
@@ -22,13 +25,78 @@ from trop.linalg import (
     vector,
     zero_vector,
 )
-from trop.semiring import NEG_INF, POS_INF, ZERO, finite
+from trop.semiring import NEG_INF, POS_INF, ZERO, finite, neg, oplus, otimes
 
 scalars = st.one_of(
     st.just(NEG_INF),
     st.just(POS_INF),
     st.fractions(min_value=-30, max_value=30, max_denominator=6).map(finite),
 )
+
+
+# Finite entries far beyond the float range, on huge and small coprime
+# denominators, next to both infinities: a kernel that lets an int meet
+# a float infinity in a sum raises OverflowError on these.
+BIG = 10**400
+HUGE = (
+    finite(BIG),
+    finite(-BIG),
+    finite(Fraction(BIG, BIG + 1)),
+    finite(Fraction(-BIG - 3, 7)),
+    finite(Fraction(2, 7)),
+    ZERO,
+    NEG_INF,
+    POS_INF,
+)
+
+mixed_scalars = st.one_of(
+    st.just(NEG_INF),
+    st.just(POS_INF),
+    st.builds(
+        lambda n, d: finite(Fraction(n, d)),
+        st.one_of(st.integers(-30, 30), st.integers(-BIG, BIG)),
+        st.sampled_from((1, 2, 3, 7, BIG + 1)),
+    ),
+)
+
+
+def ref_bracket(x, y):
+    """-(max_i x_i * (-y_i)) from the scalar operations alone."""
+    return neg(reduce(oplus, (otimes(a, neg(b)) for a, b in zip(x, y)), NEG_INF))
+
+
+def ref_mat_mul(a, b):
+    return TropMatrix(
+        [
+            [reduce(oplus, (otimes(p, q) for p, q in zip(row, col)), NEG_INF) for col in zip(*b.entries)]
+            for row in a.entries
+        ]
+    )
+
+
+def ref_hilbert(x, y):
+    """0 when y is a finite scaling of x, else -(<x|y> * <y|x>)."""
+    lam = next((otimes(b, neg(a)) for a, b in zip(x, y) if a.is_finite), ZERO)
+    if lam.is_finite and all(otimes(lam, a) == b for a, b in zip(x, y)):
+        return ZERO
+    return neg(otimes(ref_bracket(x, y), ref_bracket(y, x)))
+
+
+def huge_vectors(rng, count, dim):
+    return [TropVector([rng.choice(HUGE) for _ in range(dim)]) for _ in range(count)]
+
+
+_rng = random.Random(400)
+HUGE_PAIRS = list(zip(huge_vectors(_rng, 24, 3), huge_vectors(_rng, 24, 3)))
+# scalings by a huge non-integral constant
+HUGE_PAIRS += [
+    (x, TropVector([otimes(finite(Fraction(BIG, 7)), e) for e in x])) for x in huge_vectors(_rng, 6, 3)
+]
+HUGE_MATRIX_PAIRS = [
+    (TropMatrix([v.entries for v in huge_vectors(_rng, 3, 2)]),
+     TropMatrix([v.entries for v in huge_vectors(_rng, 2, 3)]))
+    for _ in range(12)
+]
 
 
 def vectors(dim=None, orientation=ROW):
@@ -219,3 +287,34 @@ def test_mat_mul_associative(a, b, c):
 @given(matrices(2, 3), matrices(3, 3))
 def test_transpose_antimultiplicative(a, b):
     assert transpose(mat_mul(a, b)) == mat_mul(transpose(b), transpose(a))
+
+
+@pytest.mark.parametrize("x, y", HUGE_PAIRS)
+def test_bracket_exact_on_huge_entries(x, y):
+    assert bracket(x, y) == ref_bracket(x, y)
+    assert bracket(y, x) == ref_bracket(y, x)
+
+
+@pytest.mark.parametrize("x, y", HUGE_PAIRS)
+def test_hilbert_exact_on_huge_entries(x, y):
+    assert hilbert(x, y) == ref_hilbert(x, y)
+
+
+@pytest.mark.parametrize("a, b", HUGE_MATRIX_PAIRS)
+def test_mat_mul_exact_on_huge_entries(a, b):
+    assert mat_mul(a, b) == ref_mat_mul(a, b)
+    assert mat_mul(b, a) == ref_mat_mul(b, a)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_kernel_matches_scalar_references_mixed_denominators(data):
+    n = data.draw(st.integers(1, 4))
+    x, y = (TropVector(data.draw(st.lists(mixed_scalars, min_size=n, max_size=n))) for _ in "xy")
+    assert bracket(x, y) == bracket_oracle(x, y)
+    a, b = (
+        TropMatrix(data.draw(st.lists(st.lists(mixed_scalars, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+        for _ in "ab"
+    )
+    assert mat_mul(a, b) == ref_mat_mul(a, b)

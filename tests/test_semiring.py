@@ -158,3 +158,7 @@ def test_parse_scalar_tokens():
 def test_canonical_reduction():
     assert finite(Fraction(4, 6)) == finite(Fraction(2, 3))
     assert format_scalar(finite(Fraction(-4, 6))) == "-2/3"
+    two = finite(Fraction(4, 2))
+    assert two == finite(2) and hash(two) == hash(finite(2))
+    assert format_scalar(two) == "2" and type(two.value) is int
+    assert type(otimes(finite(Fraction(1, 2)), finite(Fraction(3, 2))).value) is int
