@@ -5,7 +5,7 @@ projective metric, and projective normalization.  Everything is exact;
 the decision procedures built on top never see rounding.
 
 The arithmetic loops run over a packed form that only this module
-reads: equal-length scalar sequences pack to ``(den, rows)``, with
+reads: sequences of scalars pack to ``(den, rows)``, with
 ``den`` the least common denominator of the finite entries and each row
 a tuple of those entries times ``den`` as Python ints, and the floats
 -inf/+inf as sentinels.  Ints compare exactly with them, so max and
@@ -179,7 +179,7 @@ def zero_vector(dim, orientation=ROW) -> TropVector:
 
 
 def pack(seqs):
-    """Pack equal-length scalar sequences as ``(den, rows)``."""
+    """Pack scalar sequences as ``(den, rows)`` over one denominator."""
     seqs = tuple(seqs)
     den = lcm(*{v.denominator for s in seqs for e in s if (v := e.value).__class__ is Fraction})
     return den, [

@@ -66,11 +66,9 @@ def ref_bracket(x, y):
 
 
 def ref_mat_mul(a, b):
+    cols = list(zip(*b.entries))
     return TropMatrix(
-        [
-            [reduce(oplus, (otimes(p, q) for p, q in zip(row, col)), NEG_INF) for col in zip(*b.entries)]
-            for row in a.entries
-        ]
+        [[reduce(oplus, map(otimes, row, col), NEG_INF) for col in cols] for row in a.entries]
     )
 
 
@@ -90,7 +88,8 @@ _rng = random.Random(400)
 HUGE_PAIRS = list(zip(huge_vectors(_rng, 24, 3), huge_vectors(_rng, 24, 3)))
 # scalings by a huge non-integral constant
 HUGE_PAIRS += [
-    (x, TropVector([otimes(finite(Fraction(BIG, 7)), e) for e in x])) for x in huge_vectors(_rng, 6, 3)
+    (x, TropVector([otimes(finite(Fraction(BIG, 7)), e) for e in x]))
+    for x in huge_vectors(_rng, 6, 3)
 ]
 HUGE_MATRIX_PAIRS = [
     (TropMatrix([v.entries for v in huge_vectors(_rng, 3, 2)]),
