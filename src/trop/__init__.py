@@ -12,22 +12,19 @@ from .convex import (
     ConvexSpan,
     ExtendedPair,
     col_span,
-    extend_iso_eval,
-    extend_iso_pair,
-    extended_equal,
     extended_pair,
     pair_oplus,
     pair_scale,
     principal_solution,
     row_span,
     span_equal,
-    span_of,
     welldef_criterion,
 )
 from .duality import (
     IsoDescriptor,
     apply_iso,
     descriptor_valid,
+    extend_iso_pair,
     identity_descriptor,
     kernel_witness,
     matrix_from_iso,
@@ -52,7 +49,6 @@ from .greens import (
     leq_R,
     rel,
     rel_D,
-    rel_d_bridge_oracle,
 )
 from .linalg import (
     COL,
@@ -64,7 +60,6 @@ from .linalg import (
     identity,
     mat_mul,
     mat_oplus,
-    matrix,
     proj_normalize,
     scale,
     transpose,

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import formats
+from .duality import theta, theta_prime
 from .errors import TropError
 from .greens import (
     LEQ_L,
@@ -27,15 +28,22 @@ from .greens import (
     rel_D,
 )
 from .harness import PROPERTIES, EntryPool, default_config, run_property
-from .linalg import COL, ROW, mat_mul
+from .linalg import COL, ROW, bracket, hilbert, mat_mul
 from .semiring import Domain, format_scalar, parse_domain
 
 
 def _read(path):
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TropError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise TropError(f"cannot write {path}: {exc}") from None
 
 
 def _load_matrix(path):
@@ -49,8 +57,6 @@ def _load_vector(path):
 def cmd_bracket(args):
     x = _load_vector(args.x)
     y = _load_vector(args.y)
-    from .linalg import bracket
-
     print(format_scalar(bracket(x, y)))
     return 0
 
@@ -58,8 +64,6 @@ def cmd_bracket(args):
 def cmd_metric(args):
     x = _load_vector(args.x)
     y = _load_vector(args.y)
-    from .linalg import hilbert
-
     print(format_scalar(hilbert(x, y)))
     return 0
 
@@ -72,11 +76,8 @@ def cmd_mul(args):
 
 
 def cmd_dual(args):
-    from .duality import theta, theta_prime
-    from .linalg import COL as _col, ROW as _row
-
     a = _load_matrix(args.matrix)
-    want = _col if args.inverse else _row
+    want = COL if args.inverse else ROW
     x = formats.parse_vector(_read(args.vector), orientation=want)
     strict = args.strict  # exploration-friendly default: evaluate anywhere
     if args.inverse:
@@ -139,7 +140,7 @@ def cmd_green(args):
     else:
         print("yes" if verdict.holds else "no")
     if args.witness:
-        Path(args.witness).write_text(formats.format_verdict(verdict))
+        _write(args.witness, formats.format_verdict(verdict))
     return 0 if verdict.holds else 1
 
 
@@ -186,15 +187,18 @@ def cmd_check(args):
     print(f"[{report.property_id}] elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.counterexamples and report.failures:
         outdir = Path(args.counterexamples)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, failure in enumerate(report.failures):
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise TropError(f"cannot create {outdir}: {exc}") from None
+        for failure in report.failures:
             stem = f"{report.property_id.lower()}_trial{failure.trial}"
             for name, block in failure.artifacts:
-                (outdir / f"{stem}_{name}").write_text(block)
+                _write(outdir / f"{stem}_{name}", block)
             note = failure.description + "\n"
             if failure.replay:
                 note += f"replay: {failure.replay}\n"
-            (outdir / f"{stem}.txt").write_text(note)
+            _write(outdir / f"{stem}.txt", note)
     return 0 if report.ok else 1
 
 

@@ -15,6 +15,7 @@ from .linalg import (
     TropVector,
     ZERO,
     basis_indices,
+    hilbert,
     mat_mul,
     pack,
     residuate,
@@ -23,7 +24,7 @@ from .linalg import (
     vec_oplus,
     zero_vector,
 )
-from .semiring import oplus
+from .semiring import POS_INF, TropScalar, finite, oplus
 
 
 class ConvexSpan:
@@ -114,10 +115,6 @@ class ConvexSpan:
         return self._basis
 
 
-def span_of(vectors, dim=None, orientation=None) -> ConvexSpan:
-    return ConvexSpan(vectors, dim=dim, orientation=orientation)
-
-
 def row_span(a) -> ConvexSpan:
     return ConvexSpan(a.row_vectors())
 
@@ -194,8 +191,6 @@ class ExtendedPair:
     def denotation(self) -> TropVector:
         """The TBAR vector this pair stands for: +inf on the support,
         the masked b elsewhere."""
-        from .semiring import POS_INF
-
         return TropVector(
             [
                 POS_INF if s == ZERO else r
@@ -226,12 +221,6 @@ def extended_pair(a: TropVector, b: TropVector) -> ExtendedPair:
     return ExtendedPair(support, rest)
 
 
-def extended_equal(p: ExtendedPair, q: ExtendedPair) -> bool:
-    if p.dim != q.dim or p.orientation != q.orientation:
-        raise ShapeError("pairs must share dim and orientation")
-    return p == q
-
-
 def pair_oplus(p: ExtendedPair, q: ExtendedPair) -> ExtendedPair:
     """(inf*a + b) + (inf*a' + b') = inf*(a + a') + (b + b')."""
     if p.dim != q.dim or p.orientation != q.orientation:
@@ -249,8 +238,6 @@ def pair_oplus(p: ExtendedPair, q: ExtendedPair) -> ExtendedPair:
 
 def pair_scale(lam, p: ExtendedPair) -> ExtendedPair:
     """Scale inf*a + b by lam in TBAR."""
-    from .semiring import TropScalar, finite
-
     if not isinstance(lam, TropScalar):
         lam = finite(lam)
     if lam.is_neg_inf:
@@ -281,9 +268,6 @@ def welldef_criterion(a: TropVector, b: TropVector, a2: TropVector, b2: TropVect
     """
     for v, name in ((a, "a"), (b, "b"), (a2, "a2"), (b2, "b2")):
         _require_t_vector(v, name)
-    from .linalg import hilbert
-    from .semiring import POS_INF, finite
-
     if hilbert(a, a2) == POS_INF:
         return False
     hi = max(
@@ -292,22 +276,3 @@ def welldef_criterion(a: TropVector, b: TropVector, a2: TropVector, b2: TropVect
     lo = min((e.value for e in a.entries if e.is_finite), default=0)
     lam = finite(1 + hi - lo)
     return vec_oplus(b, scale(lam, a)) == vec_oplus(b2, scale(lam, a))
-
-
-def extend_iso_eval(g, p: ExtendedPair) -> ExtendedPair:
-    """Push an extension-calculus element through a span isomorphism:
-    inf*a + b maps to inf*g(a) + g(b).
-
-    The canonical a-part (the support pattern vector) and b-part of p
-    must both lie in the source span of g.
-    """
-    from .duality import apply_iso
-
-    return extend_iso_pair(g, p.support, p.rest)
-
-
-def extend_iso_pair(g, a: TropVector, b: TropVector) -> ExtendedPair:
-    """inf*a + b mapped to inf*g(a) + g(b) for explicit representatives."""
-    from .duality import apply_iso
-
-    return extended_pair(apply_iso(g, a), apply_iso(g, b))

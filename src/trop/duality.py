@@ -10,7 +10,14 @@ equality check, never assumed.
 
 from dataclasses import dataclass
 
-from .convex import ConvexSpan, col_span, row_span, span_equal
+from .convex import (
+    ConvexSpan,
+    ExtendedPair,
+    col_span,
+    extended_pair,
+    row_span,
+    span_equal,
+)
 from .errors import DomainError, PreconditionError, ShapeError, VerificationError
 from .linalg import (
     COL,
@@ -22,7 +29,7 @@ from .linalg import (
     vec_oplus,
     zero_vector,
 )
-from .semiring import TropScalar, neg, otimes
+from .semiring import ZERO, TropScalar, neg, otimes
 
 
 def vec_neg(x: TropVector) -> TropVector:
@@ -131,17 +138,9 @@ class IsoDescriptor:
         """The images lambdas_i * target[sigma_i], in source order."""
         return [scale(self.lambdas[i], self.target[self.sigma[i]]) for i in range(self.k)]
 
-    def _target_dim_orientation(self):
-        if self.k:
-            t = self.target[0]
-            return t.dim, t.orientation
-        return self.target_shape
-
 
 def identity_descriptor(basis, shape=None) -> IsoDescriptor:
     basis = tuple(basis)
-    from .semiring import ZERO
-
     return IsoDescriptor(
         basis,
         basis,
@@ -184,11 +183,15 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     ok, coeffs = f.source_span().membership(c)
     if not ok:
         raise DomainError("apply_iso: vector is not in the source span")
-    tdim, torient = f._target_dim_orientation()
-    acc = zero_vector(tdim, torient)
+    acc = zero_vector(*f.target_shape)
     for i in range(f.k):
         acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), f.target[f.sigma[i]]))
     return acc
+
+
+def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> ExtendedPair:
+    """inf*a + b mapped to inf*g(a) + g(b) for explicit representatives."""
+    return extended_pair(apply_iso(g, a), apply_iso(g, b))
 
 
 def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
@@ -203,7 +206,7 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     d = TropMatrix([[col.entries[i] for col in new_cols] for i in range(new_cols[0].dim)])
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    tdim, torient = f._target_dim_orientation()
+    tdim, torient = f.target_shape
     image_span = ConvexSpan(tuple(f.image_vectors()), dim=tdim, orientation=torient)
     if not span_equal(col_span(d), image_span):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")

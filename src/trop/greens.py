@@ -5,15 +5,15 @@ principal solutions; every positive verdict carries a witness that is
 re-multiplied before being returned.  The D relation is decided by
 searching for an isomorphism between the weak bases of the two column
 spaces; soundness rests purely on verification of the found bridge,
-while completeness of the candidate enumeration is cross-checked by a
-brute-force oracle at small sizes.
+while completeness of the candidate enumeration is cross-checked at
+2x2 by the exhaustive bridge oracle in ``harness`` (property P15).
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import col_span, row_span, solve_right, span_equal
+from .convex import col_span, solve_right, span_equal
 from .duality import IsoDescriptor, descriptor_valid, matrix_from_iso
 from .errors import (
     DomainError,
@@ -433,22 +433,3 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8,
             return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)
         reasons.append(f"sigma {sigma}: {failures} scaling candidates all failed")
     return GreenVerdict(REL_D, False, dom, reasons=tuple(reasons))
-
-
-def rel_d_bridge_oracle(a: TropMatrix, b: TropMatrix, grid):
-    """Brute-force D oracle: scan every matrix D with entries drawn from
-    the grid for span_equal(R(D), R(A)) and span_equal(C(D), C(B)).
-
-    Exponential in the matrix size; meant for desk-scale cross-checks
-    of rel_D only.  Returns the first bridge found, else None.
-    """
-    if not a.is_square() or not b.is_square() or a.rows != b.rows:
-        raise ShapeError("oracle needs square matrices of equal size")
-    n = a.rows
-    ra = row_span(a)
-    cb = col_span(b)
-    for flat in itertools.product(grid, repeat=n * n):
-        d = TropMatrix([flat[i * n : (i + 1) * n] for i in range(n)])
-        if span_equal(row_span(d), ra) and span_equal(col_span(d), cb):
-            return d
-    return None

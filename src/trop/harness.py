@@ -8,6 +8,7 @@ byte-identical.  Wall-clock time is kept on the report object for
 interactive display but never serialized.
 """
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from random import Random
 from .convex import (
     ConvexSpan,
     col_span,
-    extend_iso_pair,
     extended_pair,
     pair_oplus,
     pair_scale,
@@ -25,7 +25,7 @@ from .convex import (
     span_equal,
     welldef_criterion,
 )
-from .duality import theta, theta_prime, kernel_witness, vec_neg
+from .duality import extend_iso_pair, theta, theta_prime, kernel_witness, vec_neg
 from .errors import TropError
 from .formats import format_matrix, format_vector
 from .greens import (
@@ -211,16 +211,15 @@ def bracket_oracle(x: TropVector, y: TropVector) -> TropScalar:
     return NEG_INF
 
 
-def _artifact_vec(name, v):
-    return (name, format_vector(v))
-
-
-def _artifact_mat(name, m):
-    return (name, format_matrix(m))
-
-
-def _fail(failures, trial, description, artifacts=(), replay=""):
-    failures.append(Failure(trial, description, tuple(artifacts), replay))
+def _fail(failures, trial, description, replay="", **artifacts):
+    """Record a failure.  Each keyword artifact, a vector or a matrix, is
+    formatted here as ``name.vec`` or ``name.mat``, in argument order."""
+    arts = tuple(
+        (f"{name}.vec", format_vector(v)) if isinstance(v, TropVector)
+        else (f"{name}.mat", format_matrix(v))
+        for name, v in artifacts.items()
+    )
+    failures.append(Failure(trial, description, arts, replay))
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +233,21 @@ def _p1_bracket_closed_form(cfg, s, failures):
         y = s.vector(dim)
         got = bracket(x, y)
         want = bracket_oracle(x, y)
-        arts = [_artifact_vec("x.vec", x), _artifact_vec("y.vec", y)]
-        replay = "trop bracket x.vec y.vec"
+
+        def fail(description):
+            _fail(failures, trial, description, "trop bracket x.vec y.vec", x=x, y=y)
+
         if got != want:
-            _fail(
-                failures,
-                trial,
-                f"closed form gives {got} but the defining maximum is {want}",
-                arts,
-                replay,
-            )
+            fail(f"closed form gives {got} but the defining maximum is {want}")
             continue
         if not vec_leq(scale(got, x), y):
-            _fail(failures, trial, f"lam={got} does not satisfy lam*x <= y", arts, replay)
+            fail(f"lam={got} does not satisfy lam*x <= y")
             continue
         if got.is_finite:
             eps = s.rng.choice((Fraction(1), Fraction(1, 2), Fraction(17)))
             bigger = finite(got.value + eps)
             if vec_leq(scale(bigger, x), y):
-                _fail(
-                    failures,
-                    trial,
-                    f"lam={got} is not maximal: lam+{eps} still satisfies lam*x <= y",
-                    arts,
-                    replay,
-                )
+                fail(f"lam={got} is not maximal: lam+{eps} still satisfies lam*x <= y")
 
 
 def _p2_bracket_sign_change(cfg, s, failures):
@@ -269,13 +258,8 @@ def _p2_bracket_sign_change(cfg, s, failures):
         lhs = bracket(x, y)
         rhs = bracket(vec_neg(y), vec_neg(x))
         if lhs != rhs:
-            _fail(
-                failures,
-                trial,
-                f"<x|y> = {lhs} but <-y|-x> = {rhs}",
-                [_artifact_vec("x.vec", x), _artifact_vec("y.vec", y)],
-                "trop bracket x.vec y.vec",
-            )
+            _fail(failures, trial, f"<x|y> = {lhs} but <-y|-x> = {rhs}",
+                  "trop bracket x.vec y.vec", x=x, y=y)
 
 
 def _p3_order_bracket(cfg, s, failures):
@@ -288,50 +272,31 @@ def _p3_order_bracket(cfg, s, failures):
         ordered = vec_leq(x, y)
         nonneg = leq(ZERO, bracket(x, y))
         if ordered != nonneg:
-            _fail(
-                failures,
-                trial,
-                f"x <= y is {ordered} but <x|y> >= 0 is {nonneg}",
-                [_artifact_vec("x.vec", x), _artifact_vec("y.vec", y)],
-                "trop bracket x.vec y.vec",
-            )
+            _fail(failures, trial, f"x <= y is {ordered} but <x|y> >= 0 is {nonneg}",
+                  "trop bracket x.vec y.vec", x=x, y=y)
 
 
 def _p4_metric_axioms(cfg, s, failures):
     for trial in range(cfg.trials):
         dim = s.dim(cfg.dim_range)
         x, y, z = (s.vector(dim) for _ in range(3))
-        arts = [
-            _artifact_vec("x.vec", x),
-            _artifact_vec("y.vec", y),
-            _artifact_vec("z.vec", z),
-        ]
-        replay = "trop metric x.vec y.vec"
+
+        def fail(description):
+            _fail(failures, trial, description, "trop metric x.vec y.vec", x=x, y=y, z=z)
+
         dxy, dyx = hilbert(x, y), hilbert(y, x)
         if hilbert(x, x) != ZERO:
-            _fail(failures, trial, f"d(x,x) = {hilbert(x, x)} != 0", arts, replay)
+            fail(f"d(x,x) = {hilbert(x, x)} != 0")
         if dxy != dyx:
-            _fail(failures, trial, f"symmetry broken: {dxy} vs {dyx}", arts, replay)
+            fail(f"symmetry broken: {dxy} vs {dyx}")
         if not leq(ZERO, dxy):
-            _fail(failures, trial, f"negative distance {dxy}", arts, replay)
+            fail(f"negative distance {dxy}")
         dxz, dyz = hilbert(x, z), hilbert(y, z)
         if not leq(dxz, otimes(dxy, dyz)):
-            _fail(
-                failures,
-                trial,
-                f"triangle inequality broken: d(x,z)={dxz} > {dxy}+{dyz}",
-                arts,
-                replay,
-            )
+            fail(f"triangle inequality broken: d(x,z)={dxz} > {dxy}+{dyz}")
         lam, mu = s.finite_scalar(), s.finite_scalar()
         if hilbert(scale(lam, x), scale(mu, y)) != dxy:
-            _fail(
-                failures,
-                trial,
-                f"not scaling invariant at lam={lam}, mu={mu}",
-                arts,
-                replay,
-            )
+            fail(f"not scaling invariant at lam={lam}, mu={mu}")
 
 
 def _p5_duality_roundtrip(cfg, s, failures):
@@ -340,38 +305,23 @@ def _p5_duality_roundtrip(cfg, s, failures):
         a = s.matrix(rows, cols)
         x = s.span_member(a.row_vectors())
         y = s.span_member(a.col_vectors())
-        arts = [
-            _artifact_mat("A.mat", a),
-            _artifact_vec("x.vec", x),
-            _artifact_vec("y.vec", y),
-        ]
         if theta_prime(a, theta(a, x)) != x:
-            _fail(failures, trial, "theta_prime(theta(x)) != x on R(A)", arts,
-                  "trop dual A.mat x.vec")
+            _fail(failures, trial, "theta_prime(theta(x)) != x on R(A)",
+                  "trop dual A.mat x.vec", A=a, x=x, y=y)
             continue
         if theta(a, theta_prime(a, y)) != y:
-            _fail(failures, trial, "theta(theta_prime(y)) != y on C(A)", arts,
-                  "trop dual --inverse A.mat y.vec")
+            _fail(failures, trial, "theta(theta_prime(y)) != y on C(A)",
+                  "trop dual --inverse A.mat y.vec", A=a, x=x, y=y)
             continue
         fin = s.matrix(rows, cols, EntryPool.for_domain(Domain.FT))
         xf = s.span_member(fin.row_vectors(), EntryPool.for_domain(Domain.FT))
         img = theta(fin, xf)
         if not all(e.is_finite for e in img.entries):
-            _fail(
-                failures,
-                trial,
-                "duality image of a finitary row-space member is not finite",
-                [_artifact_mat("A.mat", fin), _artifact_vec("x.vec", xf)],
-                "trop dual A.mat x.vec",
-            )
+            _fail(failures, trial, "duality image of a finitary row-space member is not finite",
+                  "trop dual A.mat x.vec", A=fin, x=xf)
         elif theta_prime(fin, img) != xf:
-            _fail(
-                failures,
-                trial,
-                "finitary round-trip broke",
-                [_artifact_mat("A.mat", fin), _artifact_vec("x.vec", xf)],
-                "trop dual A.mat x.vec",
-            )
+            _fail(failures, trial, "finitary round-trip broke", "trop dual A.mat x.vec",
+                  A=fin, x=xf)
 
 
 def _p6_anti_isomorphism(cfg, s, failures):
@@ -380,21 +330,16 @@ def _p6_anti_isomorphism(cfg, s, failures):
         m = s.matrix(rows, cols)
         x = s.span_member(m.row_vectors())
         y = s.span_member(m.row_vectors())
-        arts = [
-            _artifact_mat("A.mat", m),
-            _artifact_vec("x.vec", x),
-            _artifact_vec("y.vec", y),
-        ]
         lhs = bracket(x, y)
         rhs = bracket(theta(m, y), theta(m, x))
         if lhs != rhs:
-            _fail(failures, trial, f"bracket not reversed: {lhs} vs {rhs}", arts,
-                  "trop bracket x.vec y.vec")
+            _fail(failures, trial, f"bracket not reversed: {lhs} vs {rhs}",
+                  "trop bracket x.vec y.vec", A=m, x=x, y=y)
             continue
         lam = s.finite_scalar()
         if theta(m, scale(lam, x)) != scale(neg(lam), theta(m, x)):
-            _fail(failures, trial, f"anti-homogeneity broken at lam={lam}", arts,
-                  "trop dual A.mat x.vec")
+            _fail(failures, trial, f"anti-homogeneity broken at lam={lam}",
+                  "trop dual A.mat x.vec", A=m, x=x, y=y)
 
 
 def _p7_antitone(cfg, s, failures):
@@ -404,13 +349,8 @@ def _p7_antitone(cfg, s, failures):
         x = s.span_member(m.row_vectors())
         y = vec_oplus(x, s.span_member(m.row_vectors()))  # x <= y inside R(A)
         if not vec_leq(theta(m, y), theta(m, x)):
-            _fail(
-                failures,
-                trial,
-                "duality map is not order reversing",
-                [_artifact_mat("A.mat", m), _artifact_vec("x.vec", x), _artifact_vec("y.vec", y)],
-                "trop dual A.mat x.vec",
-            )
+            _fail(failures, trial, "duality map is not order reversing",
+                  "trop dual A.mat x.vec", A=m, x=x, y=y)
 
 
 def _p8_isometry(cfg, s, failures):
@@ -422,13 +362,8 @@ def _p8_isometry(cfg, s, failures):
         d1 = hilbert(x, y)
         d2 = hilbert(theta(m, x), theta(m, y))
         if d1 != d2:
-            _fail(
-                failures,
-                trial,
-                f"duality map is not an isometry: {d1} vs {d2}",
-                [_artifact_mat("A.mat", m), _artifact_vec("x.vec", x), _artifact_vec("y.vec", y)],
-                "trop metric x.vec y.vec",
-            )
+            _fail(failures, trial, f"duality map is not an isometry: {d1} vs {d2}",
+                  "trop metric x.vec y.vec", A=m, x=x, y=y)
 
 
 def _p9_changecoords(cfg, s, failures):
@@ -442,23 +377,18 @@ def _p9_changecoords(cfg, s, failures):
             return TropVector(span.principal_coeffs(v), ROW)
 
         a, b = s.vector(dim), s.vector(dim)
-        arts = [_artifact_vec("a.vec", a), _artifact_vec("b.vec", b)]
         if not leq(bracket(a, b), bracket(coeff_vector(a), coeff_vector(b))):
-            _fail(failures, trial, "coordinate-change inequality broken", arts,
-                  "trop bracket a.vec b.vec")
+            _fail(failures, trial, "coordinate-change inequality broken",
+                  "trop bracket a.vec b.vec", a=a, b=b)
             continue
         am = s.span_member(gens)
         bm = s.span_member(gens)
         lhs = bracket(am, bm)
         rhs = bracket(coeff_vector(am), coeff_vector(bm))
         if lhs != rhs:
-            _fail(
-                failures,
-                trial,
-                f"coordinate-change equality broken on span members: {lhs} vs {rhs}",
-                [_artifact_vec("a.vec", am), _artifact_vec("b.vec", bm)],
-                "trop bracket a.vec b.vec",
-            )
+            _fail(failures, trial,
+                  f"coordinate-change equality broken on span members: {lhs} vs {rhs}",
+                  "trop bracket a.vec b.vec", a=am, b=bm)
 
 
 def _p10_kernel_witness(cfg, s, failures):
@@ -477,18 +407,17 @@ def _p10_kernel_witness(cfg, s, failures):
                 break
         if z is None:
             continue  # row space filled everything we sampled; skip trial
-        arts = [_artifact_mat("B.mat", b), _artifact_vec("z.vec", z)]
         try:
             x, y = kernel_witness(b, z)
         except TropError as exc:
-            _fail(failures, trial, f"kernel witness construction failed: {exc}", arts)
+            _fail(failures, trial, f"kernel witness construction failed: {exc}", B=b, z=z)
             continue
         bx = mat_mul(b, x.as_matrix())
         by = mat_mul(b, y.as_matrix())
         zx = mat_mul(z.as_matrix(), x.as_matrix())
         zy = mat_mul(z.as_matrix(), y.as_matrix())
         if bx != by or zx == zy:
-            _fail(failures, trial, "kernel witness identities do not hold", arts)
+            _fail(failures, trial, "kernel witness identities do not hold", B=b, z=z)
 
 
 def _p11_landr_consistency(cfg, s, failures):
@@ -502,24 +431,21 @@ def _p11_landr_consistency(cfg, s, failures):
         if trial % 2:
             # bias towards positive instances: A = B*X is always <=_R B
             a = mat_mul(b, s.matrix(n, n, pool))
-        arts = [_artifact_mat("A.mat", a), _artifact_mat("B.mat", b)]
-        replay = "trop green A.mat B.mat --relation leq-r"
+
+        def fail(description):
+            _fail(failures, trial, description, "trop green A.mat B.mat --relation leq-r",
+                  A=a, B=b)
+
         verdict = leq_R(a, b)
         by_membership = all(col_span(b).member(a.col(j)) for j in range(n))
         if verdict.holds != by_membership:
-            _fail(
-                failures,
-                trial,
-                f"principal-solution route says {verdict.holds}, membership route "
-                f"says {by_membership}",
-                arts,
-                replay,
-            )
+            fail(f"principal-solution route says {verdict.holds}, membership route "
+                 f"says {by_membership}")
             continue
         if verdict.holds:
             ((_, x),) = verdict.witnesses
             if mat_mul(b, x) != a:
-                _fail(failures, trial, "returned witness does not re-multiply", arts, replay)
+                fail("returned witness does not re-multiply")
 
 
 def _p12_inheritance(cfg, s, failures):
@@ -529,11 +455,10 @@ def _p12_inheritance(cfg, s, failures):
         n = s.dim(cfg.dim_range)
         a = s.matrix(n, n, ft)
         b = s.matrix(n, n, ft)
-        arts = [_artifact_mat("A.mat", a), _artifact_mat("B.mat", b)]
-        replay = "trop green A.mat B.mat --relation leq-r --domain ft"
         verdicts = [leq_R(a, b, domain=d).holds for d in (Domain.FT, Domain.T, Domain.TBAR)]
         if len(set(verdicts)) != 1:
-            _fail(failures, trial, f"verdicts differ across domains: {verdicts}", arts, replay)
+            _fail(failures, trial, f"verdicts differ across domains: {verdicts}",
+                  "trop green A.mat B.mat --relation leq-r --domain ft", A=a, B=b)
             continue
         # witness transfer, finitary side: B*P = A with -inf entries in P
         bf = s.matrix(n, n, ft)
@@ -551,12 +476,10 @@ def _p12_inheritance(cfg, s, failures):
         try:
             p_ft = finitize_witness_ft(bf, af, p)
         except TropError as exc:
-            _fail(failures, trial, f"finitize transfer failed: {exc}",
-                  [_artifact_mat("B.mat", bf), _artifact_mat("P.mat", p)])
+            _fail(failures, trial, f"finitize transfer failed: {exc}", B=bf, P=p)
             continue
         if mat_mul(bf, p_ft) != af or p_ft.domain() != Domain.FT:
-            _fail(failures, trial, "finitized witness is wrong",
-                  [_artifact_mat("B.mat", bf), _artifact_mat("P.mat", p)])
+            _fail(failures, trial, "finitized witness is wrong", B=bf, P=p)
             continue
         # completed side: +inf entries only ever hit an all -inf column of B
         bt = s.matrix(n, n, t)
@@ -579,12 +502,10 @@ def _p12_inheritance(cfg, s, failures):
         try:
             p_t = definitize_witness_t(bt, at, pt)
         except TropError as exc:
-            _fail(failures, trial, f"definitize transfer failed: {exc}",
-                  [_artifact_mat("B.mat", bt), _artifact_mat("P.mat", pt)])
+            _fail(failures, trial, f"definitize transfer failed: {exc}", B=bt, P=pt)
             continue
         if mat_mul(bt, p_t) != at or p_t.domain() > Domain.T:
-            _fail(failures, trial, "definitized witness is wrong",
-                  [_artifact_mat("B.mat", bt), _artifact_mat("P.mat", pt)])
+            _fail(failures, trial, "definitized witness is wrong", B=bt, P=pt)
 
 
 def _perm_scale_variant(s, a):
@@ -612,8 +533,7 @@ def _decide_d(failures, trial, label, a, b):
     v = rel_D(a, b)
     if v.holds and not _bridge_ok(v, a, b):
         _fail(failures, trial, f"bridge for {label} fails span equalities",
-              [_artifact_mat("A.mat", a), _artifact_mat("B.mat", b)],
-              "trop green A.mat B.mat --relation d")
+              "trop green A.mat B.mat --relation d", A=a, B=b)
     return v.holds
 
 
@@ -632,22 +552,20 @@ def _p13_d_positive(cfg, s, failures):
         n = s.dim(cfg.dim_range)
         a = s.matrix(n, n, pool)
         variant = _perm_scale_variant(s, a)
-        arts = [_artifact_mat("A.mat", a), _artifact_mat("B.mat", variant)]
         v = rel_D(a, variant)
         if not v.holds:
             _fail(failures, trial, "perm/scale variant not recognized as D-related",
-                  arts, replay)
+                  replay, A=a, B=variant)
             continue
         if not _bridge_ok(v, a, variant):
             _fail(failures, trial, "bridge for perm/scale variant fails span equalities",
-                  arts, replay)
+                  replay, A=a, B=variant)
             continue
         at, bt = transpose(a), transpose(variant)
         if not _decide_d(failures, trial, "transposed perm/scale pair", at, bt):
             _fail(failures, trial, "transposed perm/scale pair not recognized as D-related",
-                  [_artifact_mat("A.mat", at), _artifact_mat("B.mat", bt)], replay)
+                  replay, A=at, B=bt)
         verdict = _decide_d(failures, trial, "matrix vs its transpose", a, at)
-        arts = [_artifact_mat("A.mat", a), _artifact_mat("B.mat", at)]
         for label, x, y in (
             ("transpose vs its matrix", at, a),
             ("perm/scale variant vs its transpose", variant, bt),
@@ -657,10 +575,10 @@ def _p13_d_positive(cfg, s, failures):
                 _fail(failures, trial,
                       f"D verdict for matrix vs its transpose is {verdict}, "
                       f"for {label} {other}",
-                      arts + [_artifact_mat("V.mat", variant)], replay)
+                      replay, A=a, B=at, V=variant)
         if n == 2 and not verdict:
             _fail(failures, trial, "2x2 matrix is not D-related to its transpose",
-                  arts, replay)
+                  replay, A=a, B=at)
 
 
 def _p14_extension_calculus(cfg, s, failures):
@@ -680,18 +598,10 @@ def _p14_extension_calculus(cfg, s, failures):
         canonical = extended_pair(a, b) == extended_pair(a2, b2)
         direct = welldef_criterion(a, b, a2, b2)
         if canonical != direct:
-            _fail(
-                failures,
-                trial,
-                f"canonical-form equality is {canonical} but the direct large-lambda "
-                f"criterion gives {direct}",
-                [
-                    _artifact_vec("a.vec", a),
-                    _artifact_vec("b.vec", b),
-                    _artifact_vec("a2.vec", a2),
-                    _artifact_vec("b2.vec", b2),
-                ],
-            )
+            _fail(failures, trial,
+                  f"canonical-form equality is {canonical} but the direct large-lambda "
+                  f"criterion gives {direct}",
+                  a=a, b=b, a2=a2, b2=b2)
             continue
         # trichotomy of adjoined elements over a random T-span
         k = s.rng.randint(1, max(2, dim))
@@ -704,11 +614,9 @@ def _p14_extension_calculus(cfg, s, failures):
         has_inf = any(e.is_pos_inf for e in x.entries)
         if not has_inf:
             if not span.member(x):
-                _fail(failures, trial,
-                      "+inf-free combination escaped the generating span",
-                      [_artifact_mat("S.mat", TropMatrix([[g.entries[i] for g in gens] for i in range(dim)])),
-                       _artifact_vec("x.vec", x)],
-                      "trop member x.vec S.mat --orientation col")
+                _fail(failures, trial, "+inf-free combination escaped the generating span",
+                      "trop member x.vec S.mat --orientation col",
+                      S=TropMatrix([[g.entries[i] for g in gens] for i in range(dim)]), x=x)
                 continue
         else:
             apart = zero_vector(dim, COL)
@@ -719,10 +627,10 @@ def _p14_extension_calculus(cfg, s, failures):
                 else:
                     bpart = vec_oplus(bpart, scale(c, g))
             if apart == zero_vector(dim, COL):
-                _fail(failures, trial, "element with +inf had a zero a-part", [])
+                _fail(failures, trial, "element with +inf had a zero a-part")
                 continue
             if extended_pair(apart, bpart).denotation() != x:
-                _fail(failures, trial, "inf*a + b decomposition does not reproduce x", [])
+                _fail(failures, trial, "inf*a + b decomposition does not reproduce x")
                 continue
     # well-definedness and linearity of the pushed-forward map, on
     # verified isomorphisms between constructed span pairs
@@ -744,18 +652,15 @@ def _p14_extension_calculus(cfg, s, failures):
         p1 = extended_pair(xa, xb)
         p2 = extended_pair(ya, yb)
         if p1 != p2:
-            _fail(failures, trial, "constructed equal decompositions disagree", [])
+            _fail(failures, trial, "constructed equal decompositions disagree")
             continue
         img1 = extend_iso_pair(g, xa, xb)
         img2 = extend_iso_pair(g, ya, yb)
         if img1 != img2:
-            _fail(
-                failures,
-                trial,
-                "extension of the isomorphism is not well-defined: equal elements "
-                "map to different elements",
-                [_artifact_mat("A.mat", a_mat), _artifact_mat("B.mat", b_mat)],
-            )
+            _fail(failures, trial,
+                  "extension of the isomorphism is not well-defined: equal elements "
+                  "map to different elements",
+                  A=a_mat, B=b_mat)
             continue
         # linearity: sums and TBAR scalings commute with the extension
         za = s.span_member(g.source, pool)
@@ -763,18 +668,18 @@ def _p14_extension_calculus(cfg, s, failures):
         q1 = extend_iso_pair(g, za, zb)
         added = extend_iso_pair(g, vec_oplus(xa, za), vec_oplus(xb, zb))
         if added != pair_oplus(img1, q1):
-            _fail(failures, trial, "extension does not respect addition", [])
+            _fail(failures, trial, "extension does not respect addition")
             continue
         lam = s.finite_scalar()
         if extend_iso_pair(g, scale(lam, xa), scale(lam, xb)) != pair_scale(lam, img1):
-            _fail(failures, trial, "extension does not respect finite scaling", [])
+            _fail(failures, trial, "extension does not respect finite scaling")
             continue
         zv = zero_vector(xa.dim, xa.orientation)
         if extend_iso_pair(g, zv, zv) != pair_scale(NEG_INF, img1):
-            _fail(failures, trial, "extension does not respect scaling by -inf", [])
+            _fail(failures, trial, "extension does not respect scaling by -inf")
             continue
         if extend_iso_pair(g, vec_oplus(xa, xb), zv) != pair_scale(POS_INF, img1):
-            _fail(failures, trial, "extension does not respect scaling by +inf", [])
+            _fail(failures, trial, "extension does not respect scaling by +inf")
 
 
 def _scalar_sort_key(e):
@@ -794,11 +699,12 @@ def span_key(span: ConvexSpan):
 
 
 class BridgeOracleIndex:
-    """Exhaustive 2x2 bridge search, factored for reuse across pairs.
+    """Exhaustive bridge search over a grid, factored for reuse across pairs.
 
-    Enumerates every n x n matrix D over the grid once, recording which
-    (row space, column space) combinations are realized; a pair (A, B)
-    is D-related per the oracle iff (R(A), C(B)) is realized.  Keys are
+    Enumerates every n x n matrix D over the grid once and keeps, for
+    each realized (row space, column space) combination, the first D in
+    enumeration order that realizes it; a pair (A, B) is D-related per
+    the oracle iff some D has R(D) = R(A) and C(D) = C(B).  Keys are
     validated against span_equal on a seeded sample so the factoring
     cannot silently diverge from the definitional search.
     """
@@ -808,17 +714,12 @@ class BridgeOracleIndex:
         self.n = n
         self.row_reps = {}  # key -> representative span
         self.col_reps = {}
-        self.realized = set()
-        for flat in self._all_matrices():
+        self.bridges = {}  # (row key, column key) -> first realizing D
+        for flat in itertools.product(self.grid, repeat=n * n):
             d = TropMatrix([flat[i * n : (i + 1) * n] for i in range(n)])
             rk = self._classify(row_span(d), self.row_reps)
             ck = self._classify(col_span(d), self.col_reps)
-            self.realized.add((rk, ck))
-
-    def _all_matrices(self):
-        import itertools
-
-        return itertools.product(self.grid, repeat=self.n * self.n)
+            self.bridges.setdefault((rk, ck), d)
 
     def _classify(self, span, reps):
         key = span_key(span)
@@ -829,8 +730,9 @@ class BridgeOracleIndex:
             raise TropError("span canonicalization collided on unequal spans")
         return key
 
-    def bridge_exists(self, a, b) -> bool:
-        return (span_key(row_span(a)), span_key(col_span(b))) in self.realized
+    def bridge(self, a, b):
+        """A grid matrix D with R(D) = R(a) and C(D) = C(b), or None."""
+        return self.bridges.get((span_key(row_span(a)), span_key(col_span(b))))
 
     def validate_keys(self, rng: Random, samples=200):
         """Spot-check that distinct keys really mean distinct spans."""
@@ -854,8 +756,6 @@ def _p15_oracle_agreement(cfg, s, failures):
         _P15_INDEX = BridgeOracleIndex(grid, n=2)
     index = _P15_INDEX
     index.validate_keys(s.rng, samples=100)
-    import itertools
-
     all_mats = [
         TropMatrix([flat[0:2], flat[2:4]])
         for flat in itertools.product(values, repeat=4)
@@ -869,15 +769,11 @@ def _p15_oracle_agreement(cfg, s, failures):
         )
     for trial, (a, b) in enumerate(pairs):
         got = rel_D(a, b).holds
-        want = index.bridge_exists(a, b)
+        want = index.bridge(a, b) is not None
         if got != want:
-            _fail(
-                failures,
-                trial,
-                f"decision procedure says {got} but exhaustive bridge search says {want}",
-                [_artifact_mat("A.mat", a), _artifact_mat("B.mat", b)],
-                "trop green A.mat B.mat --relation d",
-            )
+            _fail(failures, trial,
+                  f"decision procedure says {got} but exhaustive bridge search says {want}",
+                  "trop green A.mat B.mat --relation d", A=a, B=b)
 
 
 PROPERTIES = {
@@ -921,6 +817,8 @@ PROPERTIES = {
 def default_config(property_id, seed=0, trials=None, dim_range=None, pool=None):
     if property_id not in PROPERTIES:
         raise TropError(f"unknown property {property_id!r}")
+    if trials is not None and trials < 0:
+        raise TropError(f"trials must be >= 0, got {trials}")
     _, _, defaults = PROPERTIES[property_id]
     return HarnessConfig(
         property_id=property_id,

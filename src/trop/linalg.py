@@ -161,10 +161,6 @@ class TropMatrix:
         return self.rows == self.cols
 
 
-def matrix(rows) -> TropMatrix:
-    return TropMatrix(rows)
-
-
 def identity(n) -> TropMatrix:
     """Tropical identity: 0 on the diagonal, -inf elsewhere."""
     return TropMatrix([[ZERO if i == j else NEG_INF for j in range(n)] for i in range(n)])
@@ -344,11 +340,12 @@ def proj_normalize(x: TropVector) -> TropVector:
 
 
 def hilbert(x: TropVector, y: TropVector) -> TropScalar:
-    """Hilbert projective distance: 0 for finite scalings, else
-    -(<x|y> * <y|x>).  Values are nonnegative rationals or +inf."""
+    """Hilbert projective distance: 0 for finite scalings, in either
+    orientation, else -(<x|y> * <y|x>).  Values are nonnegative
+    rationals or +inf."""
     _check_same_shape(x, y, orientation_too=False)
     den, (xs, ys) = pack((x.entries, y.entries))
-    if x.orientation == y.orientation and _normalized(xs) == _normalized(ys):
+    if _normalized(xs) == _normalized(ys):
         return ZERO
     return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))
 

@@ -9,14 +9,17 @@ reduced ``Fraction`` otherwise.  Vector and matrix loops do not use
 these boxed scalars but ints over a shared denominator (see ``linalg``).
 """
 
+import re
 from enum import IntEnum
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimitError
 
 _NEG = -1
 _FIN = 0
 _POS = 1
+
+_SCALAR_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class Domain(IntEnum):
@@ -143,7 +146,8 @@ def domain_of(a: TropScalar) -> Domain:
 
 
 def parse_scalar(token: str, line=None, column=None) -> TropScalar:
-    """Parse a scalar token: 'inf', '-inf', or a (signed) integer or p/q.
+    """Parse a scalar token: 'inf', '-inf', or a (signed) integer or p/q
+    in ASCII digits.
 
     Round-trips bit-exactly with :func:`format_scalar`.
     """
@@ -152,9 +156,11 @@ def parse_scalar(token: str, line=None, column=None) -> TropScalar:
     if token == "inf":
         return POS_INF
     try:
-        return finite(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad scalar token {token!r}", line, column) from None
+        if _SCALAR_TOKEN.fullmatch(token):
+            return finite(token)
+    except (ValueError, ZeroDivisionError):  # past the int digit limit, or q = 0
+        pass
+    raise ParseError(f"bad scalar token {token!r}", line, column)
 
 
 def format_scalar(a: TropScalar) -> str:
@@ -163,7 +169,10 @@ def format_scalar(a: TropScalar) -> str:
         return "-inf"
     if a.kind == _POS:
         return "inf"
-    return str(a.value)
+    try:
+        return str(a.value)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        raise SizeLimitError("scalar has too many digits to print") from None
 
 
 def parse_domain(name: str) -> Domain:

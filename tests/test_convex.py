@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from trop.convex import (
     ConvexSpan,
-    extended_equal,
     extended_pair,
     pair_oplus,
     pair_scale,
@@ -217,7 +216,7 @@ def test_extended_pair_examples():
     assert q.denotation() == b
 
     p2 = extended_pair(TropVector([finite(1), NEG_INF]), vector([5, 0]))
-    assert extended_equal(p, p2)
+    assert p == p2
 
 
 def test_extended_pair_rejects_pos_inf():
@@ -230,8 +229,8 @@ def test_extended_equal_examples():
     b = vector([0, 0])
     p = extended_pair(a, b)
     q = extended_pair(vector([0, 0]), b)
-    assert not extended_equal(p, q)  # supports differ
-    assert extended_equal(p, p)
+    assert p != q  # supports differ
+    assert p == p
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(t_vectors(n) for _ in range(4)))))
@@ -248,7 +247,7 @@ def test_constructed_equal_pairs(pair, mu):
     # replacing b by b + mu*a never changes inf*a + b
     b2 = vec_oplus(b, scale(finite(mu), a))
     p, q = extended_pair(a, b), extended_pair(a, b2)
-    assert extended_equal(p, q)
+    assert p == q
     assert welldef_criterion(a, b, a, b2)
     assert p.denotation() == q.denotation()
 

@@ -1,11 +1,17 @@
 """Text formats and the command line: round-trips, exit codes, replay."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trop import formats
+from trop import formats, harness
 from trop.cli import main
 from trop.duality import IsoDescriptor, identity_descriptor
 from trop.errors import ParseError
@@ -212,3 +218,115 @@ def test_cli_witness_replay(files, capsys, tmp_path):
     x = write("x.mat", formats.format_matrix(dict(v.witnesses)["X"]))
     assert main(["mul", b, x]) == 0
     assert capsys.readouterr().out == a_text
+
+
+def _run(argv):
+    """main(argv) as (exit code, stdout, stderr); lets every exception escape."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("tokens", [("1e5000", "0"), ("9" * 4300, "9" * 4300)])
+def test_cli_scalar_grammar_and_digit_limit_exit_code(files, tokens):
+    # a 6-byte token may not expand to a 5,001-digit value, and a product
+    # past the int-to-str limit is an error, not a traceback
+    _, write = files
+    a = write("a.mat", f"1 1\n{tokens[0]}\n")
+    b = write("b.mat", f"1 1\n{tokens[1]}\n")
+    code, out, err = _run(["mul", a, b])
+    assert code == 2 and out == ""
+    _assert_one_line_error(err)
+
+
+def test_cli_unreadable_and_unwritable_paths_exit_code(files, tmp_path):
+    _, write = files
+    a = write("a.mat", "2 2\n0 1\n-inf 2\n")
+    latin1 = tmp_path / "latin1.mat"
+    latin1.write_bytes(b"1 1\n\xe9\n")
+    code, _, err = _run(["mul", str(latin1), a])
+    assert code == 2
+    _assert_one_line_error(err)
+    wit = str(tmp_path / "missing" / "wit.txt")
+    code, _, err = _run(["green", a, a, "--relation", "d", "--witness", wit])
+    assert code == 2
+    _assert_one_line_error(err)
+
+
+def test_cli_check_counterexamples_unwritable_exit_code(tmp_path, monkeypatch):
+    # a wrong bracket makes P2 fail, and the artifact directory sits
+    # below a regular file
+    monkeypatch.setattr(harness, "bracket", lambda x, y: x.entries[0])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _run(["check", "--property", "P2", "--trials", "5",
+                         "--counterexamples", str(blocker / "out")])
+    assert code == 2
+    _assert_one_line_error(err.split("\n", 1)[1])  # after the elapsed-time line
+
+
+def test_cli_check_negative_trials_exit_code():
+    code, out, err = _run(["check", "--property", "P1", "--trials", "-3"])
+    assert code == 2 and out == ""
+    _assert_one_line_error(err)
+
+
+_VALID_TEXTS = (
+    "2 2\n0 1\n-inf 2\n",
+    "2 2\n0 -inf\n1 2\n",
+    "3 3\n0 1 1\n-inf -inf 0\n0 -inf -inf\n",
+    "2 2\ninf 0\n0 3/2\n",
+    "1 2\n0 -1\n",
+    "2 1\n0\n1\n",
+    "1 1\n+7\n",
+)
+_ODD_TOKENS = ("0", "-1", "+7", "3/2", "inf", "-inf", "1/0", "1e5000", "1.5", "1_000",
+               "x", "", "\n", "4 4", "\u0663", "9" * 4300, "9" * 4301)
+
+
+@st.composite
+def _mutated_text(draw):
+    parts = re.split(r"(\s+)", draw(st.sampled_from(_VALID_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        parts[i] = draw(st.sampled_from(_ODD_TOKENS) | st.text(max_size=4))
+    return "".join(parts).encode("utf-8", "surrogatepass")
+
+
+_FUZZ_ARGVS = tuple(
+    [cmd, "{0}", "{1}", *rest]
+    for cmd, rest in (
+        ("bracket", []),
+        ("metric", []),
+        ("mul", []),
+        ("dual", []),
+        ("dual", ["--inverse", "--strict"]),
+        ("member", ["--orientation", "row"]),
+        ("member", ["--orientation", "col"]),
+        *(("green", ["--relation", r, "--witness", "{2}"])
+          for r in ("leq-r", "leq-l", "r", "l", "h", "d")),
+        ("green", ["--relation", "d", "--domain", "t", "--format", "json"]),
+    )
+) + (["basis", "{0}", "--orientation", "row"], ["basis", "{0}"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_ARGVS),
+       st.lists(st.binary(max_size=40) | _mutated_text(), min_size=2, max_size=2))
+def test_cli_exit_contract_fuzz(argv, contents):
+    """Whatever the input files hold, every subcommand exits 0, 1 or 2,
+    errors are one line, and no exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"in{i}") for i in range(2)]
+        for path, data in zip(paths, contents):
+            path.write_bytes(data)
+        names = [str(p) for p in paths] + [str(Path(tmp, "wit.txt"))]
+        code, _, err = _run([arg.format(*names) for arg in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        _assert_one_line_error(err)

@@ -22,8 +22,8 @@ from trop.greens import (
     leq_R,
     rel,
     rel_D,
-    rel_d_bridge_oracle,
 )
+from trop.harness import BridgeOracleIndex
 from trop.linalg import (
     TropMatrix,
     identity,
@@ -245,11 +245,11 @@ def test_bridge_oracle_agrees_on_small_sample():
 
     rng = random.Random(5)
     vals = [NEG_INF, finite(-1), ZERO, finite(1)]
-    grid = [NEG_INF] + [finite(v) for v in range(-4, 5)]
+    index = BridgeOracleIndex([NEG_INF] + [finite(v) for v in range(-4, 5)])
     for _ in range(25):
         a = TropMatrix([[rng.choice(vals) for _ in range(2)] for _ in range(2)])
         b = TropMatrix([[rng.choice(vals) for _ in range(2)] for _ in range(2)])
-        bridge = rel_d_bridge_oracle(a, b, grid)
+        bridge = index.bridge(a, b)
         assert rel_D(a, b).holds == (bridge is not None)
         if bridge is not None:
             assert span_equal(row_span(bridge), row_span(a))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from trop.errors import ShapeError
 from trop.harness import bracket_oracle
 from trop.linalg import (
+    COL,
     ROW,
     TropMatrix,
     TropVector,
@@ -194,6 +195,12 @@ def test_hilbert_examples():
     assert hilbert(x, scale(finite(7), x)) == ZERO
 
     assert hilbert(TropVector([ZERO, NEG_INF]), vector([0, 0])) == POS_INF
+
+    # no finite entry and the same infinity pattern: distance 0 in
+    # either orientation
+    assert hilbert(zero_vector(2, ROW), zero_vector(2, COL)) == ZERO
+    inf2 = TropVector([POS_INF, POS_INF])
+    assert hilbert(inf2, inf2.transpose()) == ZERO == hilbert(inf2, inf2)
 
 
 def test_proj_normalize_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from trop.errors import ParseError
+from trop.errors import ParseError, SizeLimitError
 from trop.semiring import (
     NEG_INF,
     POS_INF,
@@ -149,10 +149,19 @@ def test_parse_scalar_tokens():
     assert parse_scalar("-3") == finite(-3)
     assert parse_scalar("5/2") == finite(Fraction(5, 2))
     assert parse_scalar("+7") == finite(7)
-    with pytest.raises(ParseError):
-        parse_scalar("infty")
-    with pytest.raises(ParseError):
-        parse_scalar("1/0")
+    assert parse_scalar("-4/6") == finite(Fraction(-2, 3))
+    for bad in ("infty", "1/0", "1e5000", "1.5", "1_000", " 3", "3 ", "+inf", "1/-2",
+                "\u0663", "", "-", "/2", "2/"):
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
+
+
+def test_format_scalar_digit_limit():
+    # past the interpreter's int-to-str limit: a package error, not ValueError
+    with pytest.raises(SizeLimitError):
+        format_scalar(finite(10**5000))
+    with pytest.raises(SizeLimitError):
+        format_scalar(finite(Fraction(1, 10**5000)))
 
 
 def test_canonical_reduction():

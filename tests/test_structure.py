@@ -1,0 +1,39 @@
+"""Package structure: every module imports first in a fresh interpreter,
+and every import sits at module top, where an import cycle cannot hide."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trop"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = ["trop"] + [f"trop.{p.stem}" for p in SOURCES if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first(module):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_function_local_imports(source):
+    tree = ast.parse(source.read_text())
+    top = {id(node) for node in tree.body}
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert not nested, f"imports below module top at lines {nested}"
