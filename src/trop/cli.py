@@ -135,12 +135,12 @@ def cmd_green(args):
         if override is not None:
             kwargs = dict(max_n=override, max_basis=max(8, override))
         verdict = rel_D(a, b, **kwargs)
+    if args.witness:
+        _write(args.witness, formats.format_verdict(verdict))
     if args.format == "json":
         print(json.dumps(_verdict_json(verdict), sort_keys=True))
     else:
         print("yes" if verdict.holds else "no")
-    if args.witness:
-        _write(args.witness, formats.format_verdict(verdict))
     return 0 if verdict.holds else 1
 
 
@@ -182,8 +182,6 @@ def cmd_check(args):
         pool=pool,
     )
     report = run_property(cfg)
-    out = report.to_json() if args.format == "json" else report.to_text()
-    sys.stdout.write(out)
     print(f"[{report.property_id}] elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.counterexamples and report.failures:
         outdir = Path(args.counterexamples)
@@ -199,6 +197,7 @@ def cmd_check(args):
             if failure.replay:
                 note += f"replay: {failure.replay}\n"
             _write(outdir / f"{stem}.txt", note)
+    sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
     return 0 if report.ok else 1
 
 

@@ -9,6 +9,8 @@ basis blocks carry their own headers and may declare zero generators
 (the zero span), which the plain matrix reader rejects.
 """
 
+import re
+
 from .convex import ConvexSpan
 from .duality import IsoDescriptor
 from .errors import ParseError
@@ -90,17 +92,24 @@ def _parse_scalar_row(line, lineno, expected):
     ]
 
 
-def _parse_int_pair(line, lineno, what):
-    tokens = _parse_tokens(line, lineno, 2, what)
+_COUNT = re.compile(r"[0-9]+")
+
+
+def _parse_counts(tokens, lineno, message):
+    """Counts are ASCII decimal digits only: no sign, no underscores."""
     try:
-        return int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ParseError(f"{what} must be integers", line=lineno) from None
+        if all(_COUNT.fullmatch(t) for t in tokens):
+            return [int(t) for t in tokens]
+    except ValueError:  # past Python's int-to-str digit limit
+        pass
+    raise ParseError(message, line=lineno)
 
 
 def _parse_matrix_block(cur: _Lines) -> TropMatrix:
     line, lineno = cur.expect_line("matrix header")
-    rows, cols = _parse_int_pair(line, lineno, "header fields (rows cols)")
+    what = "header fields (rows cols)"
+    tokens = _parse_tokens(line, lineno, 2, what)
+    rows, cols = _parse_counts(tokens, lineno, f"{what} must be integers")
     if rows < 1 or cols < 1:
         raise ParseError(f"bad matrix shape {rows} x {cols}", line=lineno)
     body = []
@@ -183,11 +192,8 @@ def _parse_basis_block(cur: _Lines):
     line, lineno = cur.expect_line("basis header")
     tokens = _parse_tokens(line, lineno, 3, "basis header fields")
     orientation = parse_orientation(tokens[0])
-    try:
-        k, dim = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise ParseError("basis header counts must be integers", line=lineno) from None
-    if k < 0 or dim < 1:
+    k, dim = _parse_counts(tokens[1:], lineno, "basis header counts must be integers")
+    if dim < 1:
         raise ParseError(f"bad basis shape {k} generators x {dim}", line=lineno)
     vectors = []
     for _ in range(k):
@@ -198,16 +204,14 @@ def _parse_basis_block(cur: _Lines):
 
 def _parse_descriptor_block(cur: _Lines) -> IsoDescriptor:
     line, lineno = cur.expect_line("descriptor size line")
-    try:
-        k = int(line.strip())
-    except ValueError:
-        raise ParseError("descriptor size must be an integer", line=lineno) from None
+    (k,) = _parse_counts([line.strip()], lineno, "descriptor size must be an integer")
     if k == 0:
         sigma, lambdas = (), ()
     else:
         line, lineno = cur.expect_line("permutation line")
+        tokens = _parse_tokens(line, lineno, k, "permutation entries")
         sigma = tuple(
-            int(t) - 1 for t in _parse_tokens(line, lineno, k, "permutation entries")
+            i - 1 for i in _parse_counts(tokens, lineno, "permutation entries must be integers")
         )
         line, lineno = cur.expect_line("scaling line")
         lambdas = tuple(_parse_scalar_row(line, lineno, k))

@@ -3,15 +3,16 @@
 Order relations reduce to span inclusion and are decided exactly by
 principal solutions; every positive verdict carries a witness that is
 re-multiplied before being returned.  The D relation is decided by
-searching for an isomorphism between the weak bases of the two column
-spaces; soundness rests purely on verification of the found bridge,
-while completeness of the candidate enumeration is cross-checked at
-2x2 by the exhaustive bridge oracle in ``harness`` (property P15).
+matching weak bases: an isomorphism of the column spaces maps weak
+basis onto scaled weak basis, and it extends exactly when the
+row-space weak bases of the two basis matrices pair up, one for one,
+up to the scalings.  Since weak bases are unique up to scaling and
+order, the search is complete by construction; positive verdicts are
+still re-verified through the bridge matrix.
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .convex import col_span, solve_right, span_equal
 from .duality import IsoDescriptor, descriptor_valid, matrix_from_iso
@@ -28,11 +29,9 @@ from .linalg import (
     bracket,
     map_entries,
     mat_mul,
-    scale,
     transpose,
-    vec_oplus,
 )
-from .semiring import Domain, TropScalar, ZERO, finite
+from .semiring import Domain, ZERO, finite
 
 LEQ_R = "leq-r"
 LEQ_L = "leq-l"
@@ -165,153 +164,115 @@ def definitize_witness_t(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMat
     return p2
 
 
-def _bracket_table(basis):
-    return [[bracket(g, h) for h in basis] for g in basis]
+def _values(scalars):
+    """Exact values of T scalars, None for -inf."""
+    return tuple(s.value if s.is_finite else None for s in scalars)
 
 
-def _finite_class(s: TropScalar):
-    return 0 if s.is_finite else (1 if s.is_pos_inf else -1)
+def _pattern(row):
+    return tuple(x is None for x in row)
 
 
-def _components(table_e, k):
-    """Connected components of the finite-bracket graph, each sorted."""
-    seen = [False] * k
-    comps = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        comp = []
-        queue = [start]
-        seen[start] = True
-        while queue:
-            i = queue.pop()
-            comp.append(i)
-            for j in range(k):
-                if not seen[j] and (
-                    table_e[i][j].is_finite or table_e[j][i].is_finite
-                ):
-                    seen[j] = True
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
+def _row_basis(gens):
+    """Weak basis of R(E) for the matrix E whose columns are gens (the
+    column space of E transposed), as rows of values."""
+    basis = col_span(TropMatrix([g.entries for g in gens])).weak_basis()
+    return [_values(u.entries) for u in basis.generators]
 
 
-def _base_lambdas(table_e, table_f, sigma, comps, k):
-    """Propagate lambda differences along finite brackets; None on clash."""
-    base = [None] * k
-    for comp in comps:
-        base[comp[0]] = Fraction(0)
-        queue = [comp[0]]
-        while queue:
-            i = queue.pop()
-            for j in comp:
-                if base[j] is not None:
-                    continue
-                if table_e[i][j].is_finite:
-                    diff = table_e[i][j].value - table_f[sigma[i]][sigma[j]].value
-                    base[j] = base[i] + diff
-                    queue.append(j)
-                elif table_e[j][i].is_finite:
-                    diff = table_e[j][i].value - table_f[sigma[j]][sigma[i]].value
-                    base[j] = base[i] - diff
-                    queue.append(j)
-    for i in range(k):
-        for j in range(k):
-            if table_e[i][j].is_finite:
-                want = table_e[i][j].value - table_f[sigma[i]][sigma[j]].value
-                if base[j] - base[i] != want:
-                    return None
-    return base
+def _find(forest, x):
+    """Root of x in the potential forest, and pot_x - pot_root.  The
+    forest is a list of (parent, pot - pot_parent) pairs, one per
+    coordinate: a weighted union-find over exact values."""
+    d = 0
+    while forest[x][0] != x:
+        d += forest[x][1]
+        x = forest[x][0]
+    return x, d
 
 
-def _entry_grid(vectors):
-    """Per-coordinate finite values of stacked vectors: grid[r][i]."""
-    dim = vectors[0].dim
-    return [
-        [v.entries[r].value if v.entries[r].is_finite else None for v in vectors]
-        for r in range(dim)
-    ]
-
-
-def _offset_candidates(e_grid, f_grid, base, offsets, comp, pinned):
-    """Rational offsets worth trying for one component of the basis graph.
-
-    Collects t = e - (f + lambda) alignments of single entries plus the
-    cross alignments t = (e_rj - e_rj') - ((f_sj + l_j) - (f_sj' + l_j'))
-    against already pinned coordinates; 0 is always included.  At any
-    boundary of the (closed, piecewise linear) feasibility region in t,
-    one of these alignments is tight.
-    """
-    n = len(e_grid)
-    cands = {Fraction(0)}
-    for j in comp:
-        for r in range(n):
-            ev = e_grid[r][j]
-            if ev is None:
-                continue
-            for s in range(n):
-                fv = f_grid[s][j]
-                if fv is None:
-                    continue
-                cands.add(ev - (fv + base[j]))
-    for j in comp:
-        for jp in pinned:
-            off_jp = base[jp] + offsets[jp]
-            for r in range(n):
-                ej, ejp = e_grid[r][j], e_grid[r][jp]
-                if ej is None or ejp is None:
-                    continue
-                d1 = ej - ejp
-                for s in range(n):
-                    fj, fjp = f_grid[s][j], f_grid[s][jp]
-                    if fj is None or fjp is None:
-                        continue
-                    cands.add(d1 - ((fj + base[j]) - (fjp + off_jp)))
-    return sorted(cands)
-
-
-def _triple_table(basis):
-    """brackets <e_l | e_i + e_j> of each basis element against each
-    pairwise sum; an isomorphism preserves all of them."""
-    k = len(basis)
-    sums = [[vec_oplus(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    return [
-        [[bracket(basis[l], sums[i][j]) for j in range(k)] for i in range(k)]
-        for l in range(k)
-    ]
-
-
-def _image_triple_ok(table_e, gens_f, sigma, offsets, base, fresh):
-    """Necessary filter for a partial scaling assignment: every triple
-    bracket whose three indices are decided, at least one fresh, must
-    match its source-side value."""
-    known = sorted(offsets)
-    scaled = {i: scale(finite(base[i] + offsets[i]), gens_f[sigma[i]]) for i in known}
-    for a_idx, i in enumerate(known):
-        for j in known[a_idx:]:
-            pair_fresh = i in fresh or j in fresh
-            image_sum = vec_oplus(scaled[i], scaled[j])
-            for l in known:
-                if not pair_fresh and l not in fresh:
-                    continue
-                if bracket(scaled[l], image_sum) != table_e[l][i][j]:
-                    return False
+def _link(forest, i, j, d):
+    """Record pot_j - pot_i = d; False if the forest contradicts it."""
+    (ri, di), (rj, dj) = _find(forest, i), _find(forest, j)
+    if ri == rj:
+        return dj - di == d
+    forest[rj] = (ri, di + d - dj)
     return True
 
 
-def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8,
-          assignment_budget=200_000) -> GreenVerdict:
+def _match_rows(forest, rows_e, rows_f, free):
+    """Pair each row u of rows_e with its own row w of rows_f (indices in
+    free) of the same -inf pattern, u - w = lambda + a constant on the
+    finite coordinates; the forest extended accordingly, or None."""
+    if not rows_e:
+        return forest
+    u, rest = rows_e[0], rows_e[1:]
+    js = [j for j, x in enumerate(u) if x is not None]
+    for q in free:
+        w = rows_f[q]
+        if _pattern(w) != _pattern(u):
+            continue
+        trial = forest[:]
+        d0 = u[js[0]] - w[js[0]]
+        if all(_link(trial, js[0], j, u[j] - w[j] - d0) for j in js[1:]):
+            found = _match_rows(trial, rest, rows_f, [r for r in free if r != q])
+            if found is not None:
+                return found
+    return None
+
+
+def _lambdas(brackets, forest, e, f):
+    """Exact scalings lambda_j = pot_j + shift for a matched permutation.
+
+    Components of the finite-bracket graph (classes of ``brackets``) are
+    fixed in the order of their least coordinate c: the first at
+    lambda_c = 0, one tied by matched rows (classes of ``forest``) to a
+    fixed one at the shift those rows force, and any other, a direct
+    summand valid at every shift, at the least of lambda_c = 0 and the
+    alignments of entries of e_j and f_j (the entries of f_sigma(j)),
+    alone or as differences across a fixed coordinate.
+    """
+    k = len(e)
+    comps = [_find(brackets, j)[0] for j in range(k)]
+    classes, pot = zip(*(_find(forest, j) for j in range(k)))
+    lam = {}
+    for c in range(k):
+        if c in lam:
+            continue
+        tied = [jp for jp in lam if classes[jp] == classes[c]]
+        comp = [j for j in range(k) if comps[j] == comps[c]]
+        shift = lam[tied[0]] - pot[tied[0]] if tied else -pot[c]
+        if lam and not tied:
+            shift = min(
+                [shift]
+                + [x - y - pot[j] for j in comp for x in e[j] for y in f[j]
+                   if x is not None and y is not None]
+                + [
+                    (ej - ejp) - (fj - fjp) - pot[j] + lam[jp]
+                    for j in comp
+                    for jp in lam
+                    for ej, ejp in zip(e[j], e[jp])
+                    if ej is not None and ejp is not None
+                    for fj, fjp in zip(f[j], f[jp])
+                    if fj is not None and fjp is not None
+                ]
+            )
+        lam.update((j, pot[j] + shift) for j in comp)
+    return tuple(finite(lam[j]) for j in range(k))
+
+
+def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8) -> GreenVerdict:
     """A D B for +inf-free square matrices: are the column spaces
     isomorphic as semimodules?
 
-    Candidate isomorphisms map the weak basis of C(A) onto scalings of
-    the weak basis of C(B).  Permutations are tried in lexicographic
-    order; scalings are pinned by bracket preservation inside each
-    connected component of the finite-bracket graph, and residual
-    per-component offsets are enumerated from entry alignments.  The
-    first candidate whose bridge matrix re-verifies both span
-    equalities is returned, so positive verdicts are sound by
-    construction; refutation means the certified family is exhausted.
+    e_i -> lambda_i * f_sigma(i) between the weak bases E of C(A) and F
+    of C(B) extends to an isomorphism iff R(E) = R(F_sigma * diag
+    lambda).  Weak bases are unique up to scaling and order, so for each
+    sigma, in lexicographic order, that holds iff the row-space weak
+    bases of E and F_sigma pair up, each pair differing by lambda plus a
+    constant: a backtracking search over one potential forest, seeded
+    with the lambda differences brackets force.  Refutations are thus
+    complete by construction; the first match is re-verified.
     """
     dom = _validate_pair(a, b, None)
     if dom > Domain.T:
@@ -346,90 +307,45 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8,
             "raise max_basis / TROP_MAX_N to override"
         )
 
-    gens_e = list(basis_a.generators)
-    gens_f = list(basis_b.generators)
-    table_e = _bracket_table(gens_e)
-    table_f = _bracket_table(gens_f)
-    triples_e = _triple_table(gens_e)
-    e_grid = _entry_grid(gens_e)
-    f_grid_raw = _entry_grid(gens_f)
+    gens_e = basis_a.generators
+    gens_f = basis_b.generators
+    # brackets between nonzero T vectors are never +inf
+    table_e, table_f = (
+        [_values(bracket(g, h) for h in gens) for g in gens] for gens in (gens_e, gens_f)
+    )
+    rows_e, rows_f = _row_basis(gens_e), _row_basis(gens_f)
+    patterns_e = sorted(map(_pattern, rows_e))
+    grid_e, grid_f = ([_values(g.entries) for g in gens] for gens in (gens_e, gens_f))
+    pairs = [(i, j) for i in range(k) for j in range(k)]
     reasons = []
-    tried = 0
     for sigma in itertools.permutations(range(k)):
         if any(
-            _finite_class(table_e[i][j]) != _finite_class(table_f[sigma[i]][sigma[j]])
-            for i in range(k)
-            for j in range(k)
+            (table_e[i][j] is None) != (table_f[sigma[i]][sigma[j]] is None)
+            for i, j in pairs
         ):
             reasons.append(f"sigma {sigma}: bracket finiteness pattern differs")
             continue
-        comps = _components(table_e, k)
-        base = _base_lambdas(table_e, table_f, sigma, comps, k)
-        if base is None:
+        brackets = [(j, 0) for j in range(k)]
+        if not all(
+            _link(brackets, i, j, table_e[i][j] - table_f[sigma[i]][sigma[j]])
+            for i, j in pairs
+            if table_e[i][j] is not None
+        ):
             reasons.append(f"sigma {sigma}: bracket differences are inconsistent")
             continue
-        # target entries aligned to source indexing: f_grid[r][i] is the
-        # r-th coordinate of the sigma-image of basis element i
-        f_grid = [[row[sigma[i]] for i in range(k)] for row in f_grid_raw]
-
-        failures = 0
-        seen = set()
-
-        def check(offsets):
-            nonlocal tried, failures
-            lambdas = tuple(finite(base[i] + offsets[i]) for i in range(k))
-            if lambdas in seen:
-                return None
-            seen.add(lambdas)
-            tried += 1
-            if tried > assignment_budget:
-                raise SizeLimitError(
-                    "rel_D: offset assignment budget exhausted; "
-                    "raise assignment_budget to push further"
-                )
-            cand = IsoDescriptor(tuple(gens_e), tuple(gens_f), sigma, lambdas)
-            if not descriptor_valid(cand):
-                failures += 1
-                return None
-            bridge = matrix_from_iso(a, cand)
-            if not span_equal(col_span(bridge), span_b):
-                raise VerificationError("rel_D: bridge failed column space check")
-            return cand, bridge
-
-        def assign(order, pos, offsets):
-            if pos == len(order):
-                return check(offsets)
-            comp = comps[order[pos]]
-            pinned = sorted(offsets)
-            for t in _offset_candidates(e_grid, f_grid, base, offsets, comp, pinned):
-                for node in comp:
-                    offsets[node] = t
-                # sums of basis elements must keep their brackets under
-                # any isomorphism; prune offsets that already break one
-                if _image_triple_ok(triples_e, gens_f, sigma, offsets, base, comp):
-                    found = assign(order, pos + 1, offsets)
-                    if found is not None:
-                        return found
-            for node in comp:
-                del offsets[node]
-            return None
-
-        root_offsets = {node: Fraction(0) for node in comps[0]}
-        if not _image_triple_ok(triples_e, gens_f, sigma, root_offsets, base, comps[0]):
-            reasons.append(f"sigma {sigma}: a bracket of summed basis elements differs")
+        rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
+        forest = None
+        if sorted(map(_pattern, rows_s)) == patterns_e:
+            forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)))
+        if forest is None:
+            reasons.append(f"sigma {sigma}: the row-space weak bases differ")
             continue
-        # a feasible offset tuple, when one exists, is anchored to the
-        # pinned component through a chain of entry alignments; trying
-        # every processing order of the free components covers every
-        # chain topology
-        found = None
-        for order in itertools.permutations(range(1, len(comps))):
-            offsets = dict(root_offsets)
-            found = assign(order, 0, offsets)
-            if found is not None:
-                break
-        if found is not None:
-            iso, bridge = found
-            return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)
-        reasons.append(f"sigma {sigma}: {failures} scaling candidates all failed")
+        lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma])
+        iso = IsoDescriptor(gens_e, gens_f, sigma, lambdas)
+        if not descriptor_valid(iso):
+            raise VerificationError("rel_D: matched descriptor failed the row space check")
+        bridge = matrix_from_iso(a, iso)
+        if not span_equal(col_span(bridge), span_b):
+            raise VerificationError("rel_D: bridge failed column space check")
+        return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)
     return GreenVerdict(REL_D, False, dom, reasons=tuple(reasons))

@@ -15,16 +15,63 @@ from trop import formats, harness
 from trop.cli import main
 from trop.duality import IsoDescriptor, identity_descriptor
 from trop.errors import ParseError
-from trop.greens import leq_R, rel_D
+from trop.greens import RELATIONS, GreenVerdict, leq_R, rel_D
 from trop.linalg import (
     COL,
+    ROW,
     TropMatrix,
     TropVector,
     identity,
     transpose,
     zero_matrix,
 )
-from trop.semiring import NEG_INF, POS_INF, ZERO, finite
+from trop.semiring import NEG_INF, POS_INF, ZERO, Domain, finite
+
+finite_scalars = st.fractions(min_value=-50, max_value=50, max_denominator=7).map(finite)
+scalars = st.sampled_from((NEG_INF, POS_INF)) | finite_scalars
+
+
+def scalar_lists(n):
+    return st.lists(scalars, min_size=n, max_size=n)
+
+
+def matrices():
+    return st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda rc: st.lists(scalar_lists(rc[1]), min_size=rc[0], max_size=rc[0]).map(TropMatrix)
+    )
+
+
+vectors = st.tuples(st.integers(1, 4), st.sampled_from((ROW, COL))).flatmap(
+    lambda shape: scalar_lists(shape[0]).map(lambda xs: TropVector(xs, shape[1]))
+)
+
+
+@st.composite
+def descriptors(draw):
+    k = draw(st.integers(0, 3))
+    shapes = [(draw(st.integers(1, 3)), draw(st.sampled_from((ROW, COL)))) for _ in "st"]
+    source, target = (
+        tuple(TropVector(draw(scalar_lists(dim)), orient) for _ in range(k))
+        for dim, orient in shapes
+    )
+    sigma = tuple(draw(st.permutations(range(k))))
+    lambdas = tuple(draw(st.lists(finite_scalars, min_size=k, max_size=k)))
+    return IsoDescriptor(source, target, sigma, lambdas,
+                         source_shape=shapes[0], target_shape=shapes[1])
+
+
+@st.composite
+def verdicts(draw):
+    labels = st.sampled_from(("X", "X2", "Y", "Y2"))
+    return GreenVerdict(
+        draw(st.sampled_from(RELATIONS)),
+        draw(st.booleans()),
+        draw(st.sampled_from(list(Domain))),
+        witnesses=tuple(draw(st.lists(st.tuples(labels, matrices()), max_size=2))),
+        iso=draw(st.none() | descriptors()),
+        bridge=draw(st.none() | matrices()),
+        reasons=tuple(draw(st.lists(st.text("sigma (0, 1): differs", max_size=20), max_size=3))),
+    )
 
 
 def test_matrix_round_trip():
@@ -49,6 +96,31 @@ def test_parse_errors_carry_position():
         formats.parse_matrix("2 2\n0 1\n")  # body ends early
     with pytest.raises(ParseError):
         formats.parse_matrix("2 2\n0 1\n0 2\n9 9\n")  # trailing content
+
+    # counts are ASCII digits only, like the scalar grammar's numerators
+    for header in ("1_0 1", "+1 \uff12", "1 -1", "\u0663 1", "9" * 4301 + " 1"):
+        with pytest.raises(ParseError) as err:
+            formats.parse_matrix(header + "\n" + "0\n" * 10)
+        assert err.value.line == 1
+    basis = "col 1 2\n0 -inf\n"
+    descriptor = "1\n1\n0\n" + basis + basis
+    assert formats.parse_descriptor(descriptor).k == 1
+    for bad, line in (("+1\n", 1), ("1_0\n", 1), ("1\nx\n", 2), ("1\n+1\n", 2)):
+        with pytest.raises(ParseError) as err:
+            formats.parse_descriptor(bad + "0\n" + basis + basis)
+        assert err.value.line == line
+    with pytest.raises(ParseError) as err:
+        formats.parse_descriptor("1\n1\n0\ncol +1 2\n0 -inf\n" + basis)
+    assert err.value.line == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), vectors, descriptors(), verdicts())
+def test_round_trip_fuzz(m, v, f, verdict):
+    assert formats.parse_matrix(formats.format_matrix(m)) == m
+    assert formats.parse_vector(formats.format_vector(v), v.orientation) == v
+    assert formats.parse_descriptor(formats.format_descriptor(f)) == f
+    assert formats.parse_verdict(formats.format_verdict(verdict)) == verdict
 
 
 def test_descriptor_round_trip():
@@ -253,8 +325,8 @@ def test_cli_unreadable_and_unwritable_paths_exit_code(files, tmp_path):
     assert code == 2
     _assert_one_line_error(err)
     wit = str(tmp_path / "missing" / "wit.txt")
-    code, _, err = _run(["green", a, a, "--relation", "d", "--witness", wit])
-    assert code == 2
+    code, out, err = _run(["green", a, a, "--relation", "d", "--witness", wit])
+    assert code == 2 and out == ""
     _assert_one_line_error(err)
 
 
@@ -264,9 +336,9 @@ def test_cli_check_counterexamples_unwritable_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "bracket", lambda x, y: x.entries[0])
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, _, err = _run(["check", "--property", "P2", "--trials", "5",
-                         "--counterexamples", str(blocker / "out")])
-    assert code == 2
+    code, out, err = _run(["check", "--property", "P2", "--trials", "5",
+                           "--counterexamples", str(blocker / "out")])
+    assert code == 2 and out == ""
     _assert_one_line_error(err.split("\n", 1)[1])  # after the elapsed-time line
 
 

@@ -1,5 +1,6 @@
 """Green's relations: order witnesses, transfers, and the D decision."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from trop.greens import (
     rel,
     rel_D,
 )
-from trop.harness import BridgeOracleIndex
+from trop.harness import BridgeOracleIndex, EntryPool, Sampler
 from trop.linalg import (
     TropMatrix,
     identity,
@@ -217,6 +218,62 @@ def test_rel_d_transpose_counterexample():
     assert all("pattern differs" in r or "differs" in r for r in v.reasons)
 
 
+def test_rel_d_left_right_symmetry():
+    # transposition is an anti-automorphism and D is left-right
+    # symmetric, so A D B iff A^T D B^T; the transposed call matches
+    # other weak bases, an independent check of refutations at n >= 3
+    rng = random.Random(20261018)
+    s = Sampler(rng, EntryPool(num_bound=4, p_neg_inf=0.35))
+    partners = (
+        lambda a: s.matrix(a.rows, a.cols),
+        transpose,
+        lambda a: _perm_scale(rng, transpose(a)),
+        lambda a: transpose(_perm_scale(rng, a)),
+    )
+    verdicts = []
+    for trial in range(200):
+        n = 3 + trial % 2
+        a = s.matrix(n, n)
+        b = partners[trial // 2 % 4](a)
+        v = rel_D(a, b)
+        assert v.holds == rel_D(transpose(a), transpose(b)).holds, (a, b)
+        verdicts.append(v.holds)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "a, b, lambdas",
+    [
+        ([[None, "-14/3"], ["17/6", None]], [["-7/6", None], [None, "41/6"]], ("0", "-23/2")),
+        ([[None, "-10/3"], ["25/6", None]], [["2/3", None], [None, "-23/6"]], ("0", "0")),
+    ],
+)
+def test_rel_d_direct_sum_scalings(a, b, lambdas):
+    # C(A) and C(B) are direct sums of two rays, so the second scaling
+    # is free; rel_D fixes it at the least entry alignment, or at 0
+    # when that is larger
+    def mat(rows):
+        return TropMatrix([[NEG_INF if x is None else finite(Fraction(x)) for x in r] for r in rows])
+
+    v = rel_D(mat(a), mat(b))
+    assert v.holds
+    assert v.iso.sigma == (0, 1)
+    assert v.iso.lambdas == tuple(finite(Fraction(x)) for x in lambdas)
+
+
+def test_rel_d_row_matching_backtracks():
+    # no two basis columns have a finite bracket, so no lambda
+    # difference is known up front; B swaps the first two rows of A, and
+    # R(E) has two rows of one -inf pattern whose first pairing in the
+    # row order of B is the wrong one
+    a = TropMatrix([[ZERO, ZERO, NEG_INF, NEG_INF], [ZERO, finite(1), NEG_INF, NEG_INF],
+                    [NEG_INF, ZERO, ZERO, NEG_INF], [ZERO, NEG_INF, ZERO, NEG_INF]])
+    b = TropMatrix([a.entries[1], a.entries[0], a.entries[2], a.entries[3]])
+    v = rel_D(a, b)
+    assert v.holds
+    assert v.iso.sigma == (0, 1, 2) and v.iso.lambdas == (ZERO,) * 3
+
+
 def test_rel_d_rejects_pos_inf():
     a = TropMatrix([[POS_INF, ZERO], [ZERO, ZERO]])
     with pytest.raises(DomainError):
@@ -241,8 +298,6 @@ def test_rel_d_shape_and_domain_checks():
 
 
 def test_bridge_oracle_agrees_on_small_sample():
-    import random
-
     rng = random.Random(5)
     vals = [NEG_INF, finite(-1), ZERO, finite(1)]
     index = BridgeOracleIndex([NEG_INF] + [finite(v) for v in range(-4, 5)])
@@ -285,9 +340,6 @@ def _perm_scale(rng, a):
 
 
 def test_rel_d_is_an_equivalence_at_desk_scale():
-    import random
-    from fractions import Fraction
-
     rng = random.Random(77)
     vals = [NEG_INF, finite(-2), finite(0), finite(1)]
     for _ in range(10):

@@ -37,3 +37,20 @@ def test_no_function_local_imports(source):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert not nested, f"imports below module top at lines {nested}"
+
+
+@pytest.mark.parametrize(
+    "source", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(source):
+    # __init__.py is exempt: it imports names to re-export them
+    tree = ast.parse(source.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert not unused, f"unused imports (line, name): {unused}"
