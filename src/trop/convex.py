@@ -7,20 +7,23 @@ The extension calculus represents elements inf*a + b adjoined to a
 T-span when scaling by +inf is allowed.
 """
 
+from dataclasses import dataclass
+
 from .errors import DomainError, ShapeError
 from .linalg import (
     COL,
     NEG_INF,
+    ROW,
     TropMatrix,
     TropVector,
     ZERO,
+    _family,
     basis_indices,
     hilbert,
     mat_mul,
-    pack,
     residuate,
     scale,
-    unpack,
+    transpose,
     vec_oplus,
     zero_vector,
 )
@@ -32,7 +35,8 @@ class ConvexSpan:
 
     The generator list may be empty (the zero span, containing only the
     all -inf vector) provided dim and orientation are given explicitly.
-    The generators are packed once, for the loops in ``linalg``.
+    The generators' packed forms are aligned once, for the loops in
+    ``linalg``.
     """
 
     __slots__ = ("generators", "dim", "orientation", "_packed", "_basis")
@@ -50,7 +54,7 @@ class ConvexSpan:
         self.generators = generators
         self.dim = dim
         self.orientation = orientation
-        self._packed = pack(g.entries for g in generators)
+        self._packed = _family(generators)
         self._basis = None
 
     def __len__(self):
@@ -81,8 +85,8 @@ class ConvexSpan:
             raise ShapeError(f"expected {len(self.generators)} coefficients")
         if not self.generators:
             return zero_vector(self.dim, self.orientation)
-        gens = TropMatrix([g.entries for g in self.generators])
-        return TropVector(mat_mul(TropMatrix([coeffs]), gens).entries[0], self.orientation)
+        product = mat_mul(TropMatrix([coeffs]), TropMatrix._of(self._packed))
+        return TropVector._of(product._pack(), self.orientation)
 
     def principal_combination(self, a: TropVector) -> TropVector:
         return self.combine(self.principal_coeffs(a))
@@ -90,14 +94,14 @@ class ConvexSpan:
     def member(self, a: TropVector) -> bool:
         """Exact span membership: the principal combination equals a."""
         self._check_vector(a)
-        return residuate(self._packed, pack((a.entries,)))[1] is None
+        return residuate(self._packed, a._pack())[1] is None
 
     def membership(self, a: TropVector):
         """(is_member, principal coefficients); the coefficients witness
         membership whenever the verdict is true."""
         self._check_vector(a)
-        coeffs, bad = residuate(self._packed, pack((a.entries,)))
-        return bad is None, unpack(coeffs)[0]
+        coeffs, bad = residuate(self._packed, a._pack())
+        return bad is None, TropVector._of(coeffs, ROW).entries
 
     def weak_basis(self) -> "ConvexSpan":
         """Minimal generating sublist, greedy in ascending index order.
@@ -142,19 +146,19 @@ def principal_solution(b, c: TropVector) -> TropVector:
         raise ShapeError("principal_solution expects a matrix")
     if c.dim != b.rows:
         raise ShapeError(f"dimension mismatch: {c.dim} vs {b.rows} rows")
-    coeffs, _ = residuate(pack(zip(*b.entries)), pack((c.entries,)))
-    return TropVector(unpack(coeffs)[0], COL)
+    return TropVector._of(residuate(transpose(b)._pack(), c._pack())[0], COL)
 
 
 def solve_right(b: TropMatrix, a: TropMatrix):
     """(X, None) for the principal solution X of B*X = A when it solves
     it, else (None, j) for the first column j of A outside C(B)."""
-    coeffs, bad = residuate(pack(zip(*b.entries)), pack(zip(*a.entries)))
+    coeffs, bad = residuate(transpose(b)._pack(), transpose(a)._pack())
     if bad is not None:
         return None, bad
-    return TropMatrix(list(zip(*unpack(coeffs)))), None
+    return transpose(TropMatrix._of(coeffs)), None
 
 
+@dataclass(frozen=True, slots=True)
 class ExtendedPair:
     """Canonical form of inf*a + b for T-vectors a, b.
 
@@ -163,11 +167,8 @@ class ExtendedPair:
     Two pairs denote the same element iff their canonical forms agree.
     """
 
-    __slots__ = ("support", "rest")
-
-    def __init__(self, support: TropVector, rest: TropVector):
-        self.support = support
-        self.rest = rest
+    support: TropVector
+    rest: TropVector
 
     @property
     def dim(self):
@@ -176,17 +177,6 @@ class ExtendedPair:
     @property
     def orientation(self):
         return self.support.orientation
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedPair):
-            return NotImplemented
-        return self.support == other.support and self.rest == other.rest
-
-    def __hash__(self):
-        return hash((self.support, self.rest))
-
-    def __repr__(self):
-        return f"ExtendedPair(support={self.support!r}, rest={self.rest!r})"
 
     def denotation(self) -> TropVector:
         """The TBAR vector this pair stands for: +inf on the support,

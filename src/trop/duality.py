@@ -24,16 +24,13 @@ from .linalg import (
     ROW,
     TropMatrix,
     TropVector,
+    _family,
     mat_mul,
     scale,
-    vec_oplus,
-    zero_vector,
+    transpose,
+    vec_neg,
 )
-from .semiring import ZERO, TropScalar, neg, otimes
-
-
-def vec_neg(x: TropVector) -> TropVector:
-    return TropVector([neg(e) for e in x.entries], x.orientation)
+from .semiring import ZERO, TropScalar
 
 
 def theta(a: TropMatrix, x: TropVector, strict: bool = True) -> TropVector:
@@ -82,9 +79,7 @@ def kernel_witness(b: TropMatrix, z: TropVector):
     if bx != by:
         raise VerificationError("kernel_witness: B*x != B*y")
     zrow = z.as_matrix()
-    zx = mat_mul(zrow, x.as_matrix()).entries[0][0]
-    zy = mat_mul(zrow, y.as_matrix()).entries[0][0]
-    if zx == zy:
+    if mat_mul(zrow, x.as_matrix()) == mat_mul(zrow, y.as_matrix()):
         raise VerificationError("kernel_witness: z*x == z*y")
     return x, y
 
@@ -130,9 +125,7 @@ class IsoDescriptor:
         return len(self.source)
 
     def source_span(self) -> ConvexSpan:
-        if self.k:
-            return ConvexSpan(self.source)
-        return ConvexSpan((), dim=self.source_shape[0], orientation=self.source_shape[1])
+        return ConvexSpan(self.source, *self.source_shape)
 
     def image_vectors(self):
         """The images lambdas_i * target[sigma_i], in source order."""
@@ -151,9 +144,9 @@ def identity_descriptor(basis, shape=None) -> IsoDescriptor:
     )
 
 
-def _stack(vectors, dim) -> TropMatrix:
+def _stack(vectors) -> TropMatrix:
     """Matrix whose i-th column is the i-th vector (orientation ignored)."""
-    return TropMatrix([[v.entries[r] for v in vectors] for r in range(dim)])
+    return transpose(TropMatrix._of(_family(vectors)))
 
 
 def descriptor_valid(f: IsoDescriptor) -> bool:
@@ -165,10 +158,8 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
     """
     if f.k == 0:
         return True
-    dim_s = f.source[0].dim
-    dim_t = f.target[0].dim
-    stack_src = _stack(f.source, dim_s)
-    stack_img = _stack(f.image_vectors(), dim_t)
+    stack_src = _stack(f.source)
+    stack_img = _stack(f.image_vectors())
     return span_equal(row_span(stack_src), row_span(stack_img))
 
 
@@ -183,10 +174,7 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     ok, coeffs = f.source_span().membership(c)
     if not ok:
         raise DomainError("apply_iso: vector is not in the source span")
-    acc = zero_vector(*f.target_shape)
-    for i in range(f.k):
-        acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), f.target[f.sigma[i]]))
-    return acc
+    return ConvexSpan(f.image_vectors(), *f.target_shape).combine(coeffs)
 
 
 def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> ExtendedPair:
@@ -203,11 +191,10 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     rather than as a wrong bridge.
     """
     new_cols = [apply_iso(f, a.col(j)) for j in range(a.cols)]
-    d = TropMatrix([[col.entries[i] for col in new_cols] for i in range(new_cols[0].dim)])
+    d = _stack(new_cols)
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    tdim, torient = f.target_shape
-    image_span = ConvexSpan(tuple(f.image_vectors()), dim=tdim, orientation=torient)
+    image_span = ConvexSpan(f.image_vectors(), *f.target_shape)
     if not span_equal(col_span(d), image_span):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

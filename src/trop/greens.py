@@ -26,8 +26,8 @@ from .errors import (
 from .linalg import (
     COL,
     TropMatrix,
+    _family,
     bracket,
-    map_entries,
     mat_mul,
     transpose,
 )
@@ -131,7 +131,7 @@ def finitize_witness_ft(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMatr
     finite) by a finite value small enough not to disturb any product.
 
     delta is one less than the minimum of b + p - b' over entries b, b'
-    of B and finite entries p of P.
+    of B and finite entries p of P: min(B) + min(finite P) - max(B) - 1.
     """
     if a.domain() != Domain.FT or b.domain() != Domain.FT:
         raise PreconditionError("finitize_witness_ft needs all-finite A and B")
@@ -139,13 +139,12 @@ def finitize_witness_ft(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMatr
         raise PreconditionError("witness P must not contain +inf")
     if mat_mul(b, p) != a:
         raise PreconditionError("finitize_witness_ft: B*P != A")
-    finite_ps = [e.value for row in p.entries for e in row if e.is_finite]
-    if not any(e.is_neg_inf for row in p.entries for e in row):
+    if p.domain() == Domain.FT:
         return p
+    finite_ps = [e.value for row in p.entries for e in row if e.is_finite]
     b_vals = [e.value for row in b.entries for e in row]
-    delta = min(bv + pv - bv2 for bv in b_vals for pv in finite_ps for bv2 in b_vals) - 1
-    delta_scalar = finite(delta)
-    p2 = map_entries(p, lambda e: delta_scalar if e.is_neg_inf else e)
+    delta = finite(min(b_vals) + min(finite_ps) - max(b_vals) - 1)
+    p2 = TropMatrix([[delta if e.is_neg_inf else e for e in row] for row in p.entries])
     if mat_mul(b, p2) != a:
         raise VerificationError("finitize_witness_ft: adjusted witness broke B*P = A")
     return p2
@@ -158,7 +157,7 @@ def definitize_witness_t(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMat
         raise PreconditionError("definitize_witness_t needs +inf-free A and B")
     if mat_mul(b, p) != a:
         raise PreconditionError("definitize_witness_t: B*P != A")
-    p2 = map_entries(p, lambda e: ZERO if e.is_pos_inf else e)
+    p2 = TropMatrix([[ZERO if e.is_pos_inf else e for e in row] for row in p.entries])
     if mat_mul(b, p2) != a:
         raise VerificationError("definitize_witness_t: adjusted witness broke B*P = A")
     return p2
@@ -176,7 +175,7 @@ def _pattern(row):
 def _row_basis(gens):
     """Weak basis of R(E) for the matrix E whose columns are gens (the
     column space of E transposed), as rows of values."""
-    basis = col_span(TropMatrix([g.entries for g in gens])).weak_basis()
+    basis = col_span(TropMatrix._of(_family(gens))).weak_basis()
     return [_values(u.entries) for u in basis.generators]
 
 

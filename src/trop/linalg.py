@@ -5,17 +5,22 @@ projective metric, and projective normalization.  Everything is exact;
 the decision procedures built on top never see rounding.
 
 The arithmetic loops run over a packed form that only this module
-reads: sequences of scalars pack to ``(den, rows)``, with
-``den`` the least common denominator of the finite entries and each row
-a tuple of those entries times ``den`` as Python ints, and the floats
--inf/+inf as sentinels.  Ints compare exactly with them, so max and
-order need no branch; sums and differences branch on the sentinels,
-never adding a float to an int, and -inf absorbs +inf.  Public functions
-pack their inputs per call and box only their outputs.
+reads: sequences of scalars pack to ``(den, rows)``, with ``den`` a
+common denominator of the finite entries and ``rows`` a list of tuples
+of those entries times ``den`` as Python ints, and the floats -inf/+inf
+as sentinels.  Ints compare exactly with them, so max and order need
+no branch; sums and differences branch on the sentinels, never adding
+a float to an int, and -inf absorbs +inf.  Vectors and matrices keep
+their packed form: one built from scalars packs on its first use by a
+kernel, one a kernel returns boxes its entries on their first read,
+and each keeps both forms once made.  ``den`` need not be the least
+(a product of two den-6 matrices can be integral), so packed forms are
+compared only over a common denominator.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import le
 
 from .errors import ShapeError
 from .semiring import (
@@ -24,11 +29,8 @@ from .semiring import (
     Domain,
     TropScalar,
     ZERO,
-    domain_of,
     finite,
-    leq,
     neg,
-    oplus,
     otimes,
 )
 
@@ -40,32 +42,75 @@ ROW = "row"
 COL = "col"
 
 
-def _check_orientation(orientation):
-    if orientation not in (ROW, COL):
-        raise ShapeError(f"orientation must be {ROW!r} or {COL!r}, got {orientation!r}")
+class _Dense:
+    """Boxed rows, the packed form, or both: each made from the other
+    on first need and kept, as vectors and matrices are immutable."""
+
+    __slots__ = ("_boxed", "_packed")
+
+    @classmethod
+    def _of(cls, packed):
+        """A kernel result: never lifted, boxed when its entries are read."""
+        x = object.__new__(cls)
+        x._boxed, x._packed = None, packed
+        return x
+
+    def _rows(self):
+        if self._boxed is None:
+            den, rows = self._packed
+            self._boxed = tuple([tuple([_box(n, den) for n in row]) for row in rows])
+        return self._boxed
+
+    def _pack(self):
+        if self._packed is None:
+            self._packed = pack(self._boxed)
+        return self._packed
+
+    def _equal(self, other):
+        if self._boxed is not None and other._boxed is not None:
+            return self._boxed == other._boxed
+        _, rows, other_rows = _align(self._pack(), other._pack())
+        return rows == other_rows
+
+    def domain(self) -> Domain:
+        """The least domain holding every entry: the sentinels decide."""
+        rows = self._pack()[1]
+        if any(_POS in row for row in rows):
+            return Domain.TBAR
+        return Domain.T if any(_NEG in row for row in rows) else Domain.FT
 
 
-class TropVector:
+class TropVector(_Dense):
     """A dense vector of tropical scalars with a row/column orientation."""
 
-    __slots__ = ("entries", "orientation")
+    __slots__ = ("orientation",)
 
     def __init__(self, entries, orientation=ROW):
-        entries = tuple(entries)
+        entries = tuple([_lift(e) for e in entries])
         if not entries:
             raise ShapeError("vector must have at least one entry")
-        _check_orientation(orientation)
-        self.entries = entries
-        self.orientation = orientation
+        if orientation not in (ROW, COL):
+            raise ShapeError(f"orientation must be {ROW!r} or {COL!r}, got {orientation!r}")
+        self._boxed, self._packed, self.orientation = (entries,), None, orientation
+
+    @classmethod
+    def _of(cls, packed, orientation):
+        x = super()._of(packed)
+        x.orientation = orientation
+        return x
+
+    @property
+    def entries(self):
+        return self._rows()[0]
 
     @property
     def dim(self):
-        return len(self.entries)
+        return len((self._boxed or self._packed[1])[0])
 
     def __eq__(self, other):
         if not isinstance(other, TropVector):
             return NotImplemented
-        return self.orientation == other.orientation and self.entries == other.entries
+        return self.orientation == other.orientation and self._equal(other)
 
     def __hash__(self):
         return hash((self.orientation, self.entries))
@@ -81,52 +126,48 @@ class TropVector:
         return f"TropVector[{self.orientation}]({body})"
 
     def transpose(self):
-        return TropVector(self.entries, COL if self.orientation == ROW else ROW)
+        return TropVector._of(self._pack(), COL if self.orientation == ROW else ROW)
 
     def as_matrix(self):
-        if self.orientation == ROW:
-            return TropMatrix([list(self.entries)])
-        return TropMatrix([[e] for e in self.entries])
-
-    def domain(self) -> Domain:
-        return Domain(max((domain_of(e) for e in self.entries), default=Domain.FT))
+        den, (row,) = self._pack()
+        return TropMatrix._of((den, [row] if self.orientation == ROW else [(n,) for n in row]))
 
 
-def vector(values, orientation=ROW) -> TropVector:
-    """Build a vector, lifting ints/Fractions to finite scalars."""
-    return TropVector([_lift(v) for v in values], orientation)
+vector = TropVector  # builds a vector, lifting ints/Fractions to finite scalars
 
 
 def _lift(v):
     return v if isinstance(v, TropScalar) else finite(v)
 
 
-class TropMatrix:
+class TropMatrix(_Dense):
     """A dense rows x cols matrix of tropical scalars."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
     def __init__(self, rows):
-        rows = tuple(tuple(_lift(e) for e in r) for r in rows)
+        rows = tuple(tuple([_lift(e) for e in r]) for r in rows)
         if not rows or not rows[0]:
             raise ShapeError("matrix must have at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("matrix rows must all have the same length")
-        self.entries = rows
+        self._boxed, self._packed = rows, None
+
+    entries = property(_Dense._rows)
 
     @property
     def rows(self):
-        return len(self.entries)
+        return len(self._boxed or self._packed[1])
 
     @property
     def cols(self):
-        return len(self.entries[0])
+        return len((self._boxed or self._packed[1])[0])
 
     def __eq__(self, other):
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self._equal(other)
 
     def __hash__(self):
         return hash(self.entries)
@@ -136,10 +177,12 @@ class TropMatrix:
         return f"TropMatrix({self.rows}x{self.cols}: {body})"
 
     def row(self, i) -> TropVector:
-        return TropVector(self.entries[i], ROW)
+        den, rows = self._pack()
+        return TropVector._of((den, [rows[i]]), ROW)
 
     def col(self, j) -> TropVector:
-        return TropVector((r[j] for r in self.entries), COL)
+        den, rows = self._pack()
+        return TropVector._of((den, [tuple([r[j] for r in rows])]), COL)
 
     def row_vectors(self):
         return [self.row(i) for i in range(self.rows)]
@@ -153,9 +196,6 @@ class TropMatrix:
         if self.cols == 1:
             return self.col(0)
         raise ShapeError(f"{self.rows}x{self.cols} matrix is not a vector")
-
-    def domain(self) -> Domain:
-        return Domain(max(domain_of(e) for r in self.entries for e in r))
 
     def is_square(self):
         return self.rows == self.cols
@@ -175,7 +215,8 @@ def zero_vector(dim, orientation=ROW) -> TropVector:
 
 
 def pack(seqs):
-    """Pack scalar sequences as ``(den, rows)`` over one denominator."""
+    """Pack scalar sequences as ``(den, rows)`` over their least common
+    denominator."""
     seqs = tuple(seqs)
     den = lcm(*{v.denominator for s in seqs for e in s if (v := e.value).__class__ is Fraction})
     return den, [
@@ -185,17 +226,18 @@ def pack(seqs):
     ]
 
 
-def unpack(packed):
-    """The rows of a packed family as tuples of scalars."""
-    den, rows = packed
-    return [tuple([_box(n, den) for n in row]) for row in rows]
-
-
 def _box(n, den):
     if n.__class__ is float:
         return NEG_INF if n < 0 else POS_INF
     q, r = divmod(n, den)
     return finite(Fraction(n, den) if r else q)
+
+
+def _family(vectors):
+    """The packed rows of vectors, over their least common denominator."""
+    packs = [x._pack() for x in vectors]
+    den = lcm(*[p[0] for p in packs])
+    return den, [row for p in packs for row in _rescale(p, den)]
 
 
 def _align(p, q):
@@ -226,7 +268,7 @@ def _residual(x, y):
 
 
 def _combine(coeffs, rows, dim):
-    """max_i coeffs_i * rows_i, as a list of length dim."""
+    """max_i coeffs_i * rows_i, as a tuple of length dim."""
     acc = [_NEG] * dim
     for c, row in zip(coeffs, rows):
         if c is _NEG:
@@ -236,7 +278,7 @@ def _combine(coeffs, rows, dim):
                 v = _POS if c is _POS or p is _POS else c + p
                 if v > acc[i]:
                     acc[i] = v
-    return acc
+    return tuple(acc)
 
 
 def residuate(gens, targets):
@@ -246,8 +288,8 @@ def residuate(gens, targets):
     den, grows, trows = _align(gens, targets)
     coeffs = []
     for t, a in enumerate(trows):
-        coeffs.append([_residual(g, a) for g in grows])
-        if _combine(coeffs[-1], grows, len(a)) != list(a):
+        coeffs.append(tuple([_residual(g, a) for g in grows]))
+        if _combine(coeffs[-1], grows, len(a)) != a:
             return (den, coeffs), t
     return (den, coeffs), None
 
@@ -267,19 +309,26 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj)."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    den, rows = pack(a.entries + b.entries)
-    brows = rows[a.rows :]
-    return TropMatrix(unpack((den, [_combine(arow, brows, b.cols) for arow in rows[: a.rows]])))
+    den, arows, brows = _align(a._pack(), b._pack())
+    return TropMatrix._of((den, [_combine(row, brows, b.cols) for row in arows]))
 
 
 def transpose(a: TropMatrix) -> TropMatrix:
-    return TropMatrix(list(zip(*a.entries)))
+    den, rows = a._pack()
+    return TropMatrix._of((den, list(zip(*rows))))
 
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
-    den, (c, xs) = pack(((_lift(lam),), x.entries))
-    return TropVector(unpack((den, [_combine(c, [xs], x.dim)]))[0], x.orientation)
+    den, (c,), (xs,) = _align(pack(((_lift(lam),),)), x._pack())
+    return TropVector._of((den, [_combine(c, (xs,), len(xs))]), x.orientation)
+
+
+def vec_neg(x: TropVector) -> TropVector:
+    """-x: each finite entry negated, the infinities swapped."""
+    den, (xs,) = x._pack()
+    negated = tuple([_POS if n is _NEG else _NEG if n is _POS else -n for n in xs])
+    return TropVector._of((den, [negated]), x.orientation)
 
 
 def _check_same_shape(x: TropVector, y: TropVector, orientation_too=True):
@@ -291,20 +340,21 @@ def _check_same_shape(x: TropVector, y: TropVector, orientation_too=True):
 
 def vec_oplus(x: TropVector, y: TropVector) -> TropVector:
     _check_same_shape(x, y)
-    return TropVector([oplus(a, b) for a, b in zip(x.entries, y.entries)], x.orientation)
+    den, (xs,), (ys,) = _align(x._pack(), y._pack())
+    return TropVector._of((den, [tuple(map(max, xs, ys))]), x.orientation)
 
 
 def vec_leq(x: TropVector, y: TropVector) -> bool:
     _check_same_shape(x, y)
-    return all(leq(a, b) for a, b in zip(x.entries, y.entries))
+    _, (xs,), (ys,) = _align(x._pack(), y._pack())
+    return all(map(le, xs, ys))
 
 
 def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return TropMatrix(
-        [[oplus(p, q) for p, q in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
-    )
+    den, arows, brows = _align(a._pack(), b._pack())
+    return TropMatrix._of((den, [tuple(map(max, p, q)) for p, q in zip(arows, brows)]))
 
 
 def bracket(x: TropVector, y: TropVector) -> TropScalar:
@@ -315,7 +365,7 @@ def bracket(x: TropVector, y: TropVector) -> TropScalar:
     products involving both infinities.
     """
     _check_same_shape(x, y, orientation_too=False)
-    den, (xs, ys) = pack((x.entries, y.entries))
+    den, (xs,), (ys,) = _align(x._pack(), y._pack())
     return _box(_residual(xs, ys), den)
 
 
@@ -334,9 +384,9 @@ def proj_normalize(x: TropVector) -> TropVector:
     any vector containing +inf, have no finite canonicalizing scaling
     and are returned unchanged.  Idempotent.
     """
-    den, (xs,) = pack((x.entries,))
+    den, (xs,) = x._pack()
     normal = _normalized(xs)
-    return x if normal is xs else TropVector(unpack((den, [normal]))[0], x.orientation)
+    return x if normal is xs else TropVector._of((den, [normal]), x.orientation)
 
 
 def hilbert(x: TropVector, y: TropVector) -> TropScalar:
@@ -344,11 +394,7 @@ def hilbert(x: TropVector, y: TropVector) -> TropScalar:
     orientation, else -(<x|y> * <y|x>).  Values are nonnegative
     rationals or +inf."""
     _check_same_shape(x, y, orientation_too=False)
-    den, (xs, ys) = pack((x.entries, y.entries))
+    den, (xs,), (ys,) = _align(x._pack(), y._pack())
     if _normalized(xs) == _normalized(ys):
         return ZERO
     return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))
-
-
-def map_entries(a: TropMatrix, f) -> TropMatrix:
-    return TropMatrix([[f(e) for e in r] for r in a.entries])

@@ -137,6 +137,20 @@ def test_finitize_witness_example():
     assert mat_mul(b, p2) == a
 
 
+def test_finitize_witness_pinned_delta():
+    b = TropMatrix([[finite(1), finite(5)], [finite(-2), finite(3)]])
+    p = TropMatrix([[finite(2), NEG_INF], [NEG_INF, finite(Fraction(1, 2))]])
+    a = mat_mul(b, p)
+    # delta = min(B) + min(finite P) - max(B) - 1 = -2 + 1/2 - 5 - 1
+    delta = finite(Fraction(-15, 2))
+    b_vals = [e.value for row in b.entries for e in row]
+    brute = min(x + q - y for x in b_vals for q in (2, Fraction(1, 2)) for y in b_vals) - 1
+    assert delta == finite(brute)
+    p2 = finitize_witness_ft(b, a, p)
+    assert p2 == TropMatrix([[finite(2), delta], [delta, finite(Fraction(1, 2))]])
+    assert mat_mul(b, p2) == a
+
+
 def test_finitize_witness_noop_and_guards():
     b = TropMatrix([[ZERO, ZERO], [ZERO, finite(1)]])
     p = TropMatrix([[finite(2), ZERO], [ZERO, finite(-1)]])

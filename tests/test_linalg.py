@@ -1,5 +1,6 @@
 """Vectors, matrices, bracket and Hilbert metric."""
 
+import copy
 import random
 from fractions import Fraction
 from functools import reduce
@@ -7,7 +8,10 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trop.convex import col_span, row_span, solve_right
+from trop.duality import kernel_witness, theta, theta_prime
 from trop.errors import ShapeError
+from trop.formats import format_matrix, format_vector, parse_matrix, parse_vector
 from trop.harness import bracket_oracle
 from trop.linalg import (
     COL,
@@ -26,7 +30,7 @@ from trop.linalg import (
     vector,
     zero_vector,
 )
-from trop.semiring import NEG_INF, POS_INF, ZERO, finite, neg, oplus, otimes
+from trop.semiring import NEG_INF, POS_INF, ZERO, Domain, domain_of, finite, neg, oplus, otimes
 
 scalars = st.one_of(
     st.just(NEG_INF),
@@ -324,3 +328,75 @@ def test_kernel_matches_scalar_references_mixed_denominators(data):
         for _ in "ab"
     )
     assert mat_mul(a, b) == ref_mat_mul(a, b)
+
+
+def test_vector_constructor_lifts_like_matrix():
+    assert TropVector([1, 2]) == vector([1, 2])
+    assert hash(TropVector([1, Fraction(1, 2)], COL)) == hash(vector([1, Fraction(1, 2)], COL))
+    assert TropVector([Fraction(4, 2), "3/2"]).entries == (finite(2), finite(Fraction(3, 2)))
+    assert bracket(TropVector([1, 2]), vector([0, 1])) == finite(-1)
+    assert TropMatrix([TropVector([1, 2])]) == TropMatrix([[finite(1), finite(2)]])
+
+
+def test_domain_examples():
+    assert vector([0, Fraction(1, 2)]).domain() == Domain.FT
+    assert TropVector([NEG_INF, ZERO]).domain() == Domain.T
+    assert TropMatrix([[NEG_INF, POS_INF], [ZERO, ZERO]]).domain() == Domain.TBAR
+    assert transpose(TropMatrix([[POS_INF], [NEG_INF]])).domain() == Domain.TBAR
+
+
+def assert_same_as_boxed(r):
+    """r, a kernel result, equals, hashes, prints and formats like the
+    same value rebuilt from its boxed entries and like r read back from
+    its text format: first from its packed form, then once boxed."""
+    twin = copy.copy(r)  # boxing the twin leaves r packed only
+    if isinstance(r, TropVector):
+        fmt = format_vector
+        copies = (TropVector(twin.entries, r.orientation), parse_vector(fmt(twin), r.orientation))
+    else:
+        fmt = format_matrix
+        copies = (TropMatrix(twin.entries), parse_matrix(fmt(twin)))
+    assert all(r == c and c == r and not r != c for c in copies)
+    entries = twin.entries if isinstance(r, TropMatrix) else (twin.entries,)
+    assert r.domain() == max(domain_of(e) for row in entries for e in row)
+    for c in copies:
+        assert r == c and c == r and not r != c
+        assert hash(r) == hash(c)
+        assert str(r) == str(c)
+        assert fmt(r) == fmt(c)
+        assert r.domain() == c.domain()
+
+
+def mixed_matrices(rows, cols):
+    return st.lists(
+        st.lists(mixed_scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(TropMatrix)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_kernel_results_match_their_boxed_form(data):
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(mixed_matrices(n, n)), data.draw(mixed_matrices(n, n))
+    x, z = (TropVector(data.draw(st.lists(mixed_scalars, min_size=n, max_size=n))) for _ in "xz")
+    lam = data.draw(mixed_scalars)
+    results = [mat_mul(a, b), transpose(a), scale(lam, x), proj_normalize(x)]
+    results += [theta(a, x, strict=False), theta_prime(a, x.transpose(), strict=False)]
+    results += col_span(a).weak_basis().generators
+    solution, _ = solve_right(b, mat_mul(b, a))
+    results.append(solution)
+    if not row_span(b).member(z):
+        results += kernel_witness(b, z)
+    for r in results:
+        assert_same_as_boxed(r)
+
+
+def test_kernel_result_over_a_non_minimal_denominator():
+    sixth = finite(Fraction(1, 6))
+    five_sixths = finite(Fraction(5, 6))
+    product = mat_mul(TropMatrix([[sixth, five_sixths]]), TropMatrix([[five_sixths], [sixth]]))
+    assert product._packed == (6, [(6,)])  # integral, but still over den 6
+    assert product == TropMatrix([[1]]) and product.entries[0][0].value.__class__ is int
+    assert_same_as_boxed(product)
+    assert_same_as_boxed(product.row(0))
+    assert_same_as_boxed(scale(finite(Fraction(-1, 6)), product.col(0)))

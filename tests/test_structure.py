@@ -54,3 +54,22 @@ def test_no_unused_imports(source):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"unused imports (line, name): {unused}"
+
+
+PACKED_FORMAT = {"pack", "unpack", "_box"}
+
+
+@pytest.mark.parametrize(
+    "source", [p for p in SOURCES if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_only_linalg_reads_the_packed_format(source):
+    # other modules may hand packed values to linalg, but never build or
+    # read them, so a change of the format stays inside linalg.py
+    tree = ast.parse(source.read_text())
+    found = sorted(
+        {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+         for alias in node.names if alias.name in PACKED_FORMAT}
+        | {node.attr for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and node.attr in PACKED_FORMAT}
+    )
+    assert not found, f"packed-format helpers used outside linalg.py: {found}"
