@@ -54,9 +54,17 @@ def _load_vector(path):
     return formats.parse_vector(_read(path))
 
 
-def cmd_scalar(args):
-    """bracket and metric: the scalar args.op gives for two vectors."""
-    print(format_scalar(args.op(_load_vector(args.x), _load_vector(args.y))))
+def cmd_bracket(args):
+    x = _load_vector(args.x)
+    y = _load_vector(args.y)
+    print(format_scalar(bracket(x, y)))
+    return 0
+
+
+def cmd_metric(args):
+    x = _load_vector(args.x)
+    y = _load_vector(args.y)
+    print(format_scalar(hilbert(x, y)))
     return 0
 
 
@@ -203,12 +211,12 @@ def build_parser():
     p = sub.add_parser("bracket", help="residuation bracket <x|y> of two vectors")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_scalar, op=bracket)
+    p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("metric", help="Hilbert projective distance of two vectors")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_scalar, op=hilbert)
+    p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("mul", help="tropical matrix product")
     p.add_argument("a")

@@ -7,20 +7,14 @@ The extension calculus represents elements inf*a + b adjoined to a
 T-span when scaling by +inf is allowed.
 """
 
-from dataclasses import dataclass
-
 from .errors import DomainError, ShapeError
 from .linalg import (
-    COL,
     NEG_INF,
-    ROW,
     TropMatrix,
     TropVector,
     ZERO,
-    _family,
     basis_indices,
     hilbert,
-    mat_mul,
     residuate,
     scale,
     transpose,
@@ -35,11 +29,9 @@ class ConvexSpan:
 
     The generator list may be empty (the zero span, containing only the
     all -inf vector) provided dim and orientation are given explicitly.
-    The generators' packed forms are aligned once, for the loops in
-    ``linalg``.
     """
 
-    __slots__ = ("generators", "dim", "orientation", "_packed", "_basis")
+    __slots__ = ("generators", "dim", "orientation", "_basis")
 
     def __init__(self, generators, dim=None, orientation=None):
         generators = tuple(generators)
@@ -54,7 +46,6 @@ class ConvexSpan:
         self.generators = generators
         self.dim = dim
         self.orientation = orientation
-        self._packed = _family(generators)
         self._basis = None
 
     def __len__(self):
@@ -83,10 +74,10 @@ class ConvexSpan:
         """Evaluate the linear combination max_i coeffs_i * r_i."""
         if len(coeffs) != len(self.generators):
             raise ShapeError(f"expected {len(self.generators)} coefficients")
-        if not self.generators:
-            return zero_vector(self.dim, self.orientation)
-        product = mat_mul(TropMatrix([coeffs]), TropMatrix._of(self._packed))
-        return TropVector._of(product._pack(), self.orientation)
+        acc = zero_vector(self.dim, self.orientation)
+        for c, g in zip(coeffs, self.generators):
+            acc = vec_oplus(acc, scale(c, g))
+        return acc
 
     def principal_combination(self, a: TropVector) -> TropVector:
         return self.combine(self.principal_coeffs(a))
@@ -94,14 +85,14 @@ class ConvexSpan:
     def member(self, a: TropVector) -> bool:
         """Exact span membership: the principal combination equals a."""
         self._check_vector(a)
-        return residuate(self._packed, a._pack())[1] is None
+        return residuate(self.generators, [a])[1] is None
 
     def membership(self, a: TropVector):
         """(is_member, principal coefficients); the coefficients witness
         membership whenever the verdict is true."""
         self._check_vector(a)
-        coeffs, bad = residuate(self._packed, a._pack())
-        return bad is None, TropVector._of(coeffs, ROW).entries
+        coeffs, bad = residuate(self.generators, [a])
+        return bad is None, coeffs.row(0).entries if coeffs is not None else ()
 
     def weak_basis(self) -> "ConvexSpan":
         """Minimal generating sublist, greedy in ascending index order.
@@ -112,7 +103,7 @@ class ConvexSpan:
         back empty.
         """
         if self._basis is None:
-            kept = [self.generators[i] for i in basis_indices(self._packed)]
+            kept = [self.generators[i] for i in basis_indices(self.generators)]
             basis = ConvexSpan(kept, dim=self.dim, orientation=self.orientation)
             basis._basis = basis
             self._basis = basis
@@ -132,8 +123,8 @@ def span_equal(s1: ConvexSpan, s2: ConvexSpan) -> bool:
     if s1.dim != s2.dim or s1.orientation != s2.orientation:
         raise ShapeError("spans must share dim and orientation")
     return (
-        residuate(s2._packed, s1._packed)[1] is None
-        and residuate(s1._packed, s2._packed)[1] is None
+        residuate(s2.generators, s1.generators)[1] is None
+        and residuate(s1.generators, s2.generators)[1] is None
     )
 
 
@@ -146,19 +137,18 @@ def principal_solution(b, c: TropVector) -> TropVector:
         raise ShapeError("principal_solution expects a matrix")
     if c.dim != b.rows:
         raise ShapeError(f"dimension mismatch: {c.dim} vs {b.rows} rows")
-    return TropVector._of(residuate(transpose(b)._pack(), c._pack())[0], COL)
+    return residuate(b.col_vectors(), [c])[0].row(0).transpose()
 
 
 def solve_right(b: TropMatrix, a: TropMatrix):
     """(X, None) for the principal solution X of B*X = A when it solves
     it, else (None, j) for the first column j of A outside C(B)."""
-    coeffs, bad = residuate(transpose(b)._pack(), transpose(a)._pack())
+    coeffs, bad = residuate(b.col_vectors(), a.col_vectors())
     if bad is not None:
         return None, bad
-    return transpose(TropMatrix._of(coeffs)), None
+    return transpose(coeffs), None
 
 
-@dataclass(frozen=True, slots=True)
 class ExtendedPair:
     """Canonical form of inf*a + b for T-vectors a, b.
 
@@ -167,8 +157,11 @@ class ExtendedPair:
     Two pairs denote the same element iff their canonical forms agree.
     """
 
-    support: TropVector
-    rest: TropVector
+    __slots__ = ("support", "rest")
+
+    def __init__(self, support: TropVector, rest: TropVector):
+        self.support = support
+        self.rest = rest
 
     @property
     def dim(self):
@@ -177,6 +170,17 @@ class ExtendedPair:
     @property
     def orientation(self):
         return self.support.orientation
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtendedPair):
+            return NotImplemented
+        return self.support == other.support and self.rest == other.rest
+
+    def __hash__(self):
+        return hash((self.support, self.rest))
+
+    def __repr__(self):
+        return f"ExtendedPair(support={self.support!r}, rest={self.rest!r})"
 
     def denotation(self) -> TropVector:
         """The TBAR vector this pair stands for: +inf on the support,

@@ -24,13 +24,13 @@ from .linalg import (
     ROW,
     TropMatrix,
     TropVector,
-    _family,
     mat_mul,
     scale,
-    transpose,
     vec_neg,
+    vec_oplus,
+    zero_vector,
 )
-from .semiring import ZERO, TropScalar
+from .semiring import ZERO, TropScalar, otimes
 
 
 def theta(a: TropMatrix, x: TropVector, strict: bool = True) -> TropVector:
@@ -125,7 +125,9 @@ class IsoDescriptor:
         return len(self.source)
 
     def source_span(self) -> ConvexSpan:
-        return ConvexSpan(self.source, *self.source_shape)
+        if self.k:
+            return ConvexSpan(self.source)
+        return ConvexSpan((), dim=self.source_shape[0], orientation=self.source_shape[1])
 
     def image_vectors(self):
         """The images lambdas_i * target[sigma_i], in source order."""
@@ -144,9 +146,9 @@ def identity_descriptor(basis, shape=None) -> IsoDescriptor:
     )
 
 
-def _stack(vectors) -> TropMatrix:
+def _stack(vectors, dim) -> TropMatrix:
     """Matrix whose i-th column is the i-th vector (orientation ignored)."""
-    return transpose(TropMatrix._of(_family(vectors)))
+    return TropMatrix([[v.entries[r] for v in vectors] for r in range(dim)])
 
 
 def descriptor_valid(f: IsoDescriptor) -> bool:
@@ -158,8 +160,10 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
     """
     if f.k == 0:
         return True
-    stack_src = _stack(f.source)
-    stack_img = _stack(f.image_vectors())
+    dim_s = f.source[0].dim
+    dim_t = f.target[0].dim
+    stack_src = _stack(f.source, dim_s)
+    stack_img = _stack(f.image_vectors(), dim_t)
     return span_equal(row_span(stack_src), row_span(stack_img))
 
 
@@ -174,7 +178,10 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     ok, coeffs = f.source_span().membership(c)
     if not ok:
         raise DomainError("apply_iso: vector is not in the source span")
-    return ConvexSpan(f.image_vectors(), *f.target_shape).combine(coeffs)
+    acc = zero_vector(*f.target_shape)
+    for i in range(f.k):
+        acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), f.target[f.sigma[i]]))
+    return acc
 
 
 def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> ExtendedPair:
@@ -191,10 +198,11 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     rather than as a wrong bridge.
     """
     new_cols = [apply_iso(f, a.col(j)) for j in range(a.cols)]
-    d = _stack(new_cols)
+    d = TropMatrix([[col.entries[i] for col in new_cols] for i in range(new_cols[0].dim)])
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    image_span = ConvexSpan(f.image_vectors(), *f.target_shape)
+    tdim, torient = f.target_shape
+    image_span = ConvexSpan(tuple(f.image_vectors()), dim=tdim, orientation=torient)
     if not span_equal(col_span(d), image_span):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

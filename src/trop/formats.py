@@ -15,7 +15,7 @@ from .convex import ConvexSpan
 from .duality import IsoDescriptor
 from .errors import ParseError
 from .greens import RELATIONS, GreenVerdict
-from .linalg import COL, ROW, TropMatrix, TropVector, transpose
+from .linalg import COL, ROW, TropMatrix, TropVector
 from .semiring import (
     format_domain,
     format_scalar,
@@ -158,8 +158,11 @@ def format_span(s: ConvexSpan) -> str:
     gens = s.generators
     if not gens:
         return f"0 {s.dim}\n"
-    stacked = TropMatrix(gens)  # one generator per row
-    return format_matrix(stacked if s.orientation == ROW else transpose(stacked))
+    if s.orientation == ROW:
+        rows = [list(g.entries) for g in gens]
+    else:
+        rows = [[g.entries[i] for g in gens] for i in range(s.dim)]
+    return format_matrix(TropMatrix(rows))
 
 
 def _format_basis_block(vectors, shape):

@@ -26,8 +26,8 @@ from .errors import (
 from .linalg import (
     COL,
     TropMatrix,
-    _family,
     bracket,
+    map_entries,
     mat_mul,
     transpose,
 )
@@ -143,8 +143,8 @@ def finitize_witness_ft(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMatr
         return p
     finite_ps = [e.value for row in p.entries for e in row if e.is_finite]
     b_vals = [e.value for row in b.entries for e in row]
-    delta = finite(min(b_vals) + min(finite_ps) - max(b_vals) - 1)
-    p2 = TropMatrix([[delta if e.is_neg_inf else e for e in row] for row in p.entries])
+    delta_scalar = finite(min(b_vals) + min(finite_ps) - max(b_vals) - 1)
+    p2 = map_entries(p, lambda e: delta_scalar if e.is_neg_inf else e)
     if mat_mul(b, p2) != a:
         raise VerificationError("finitize_witness_ft: adjusted witness broke B*P = A")
     return p2
@@ -157,7 +157,7 @@ def definitize_witness_t(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMat
         raise PreconditionError("definitize_witness_t needs +inf-free A and B")
     if mat_mul(b, p) != a:
         raise PreconditionError("definitize_witness_t: B*P != A")
-    p2 = TropMatrix([[ZERO if e.is_pos_inf else e for e in row] for row in p.entries])
+    p2 = map_entries(p, lambda e: ZERO if e.is_pos_inf else e)
     if mat_mul(b, p2) != a:
         raise VerificationError("definitize_witness_t: adjusted witness broke B*P = A")
     return p2
@@ -175,7 +175,7 @@ def _pattern(row):
 def _row_basis(gens):
     """Weak basis of R(E) for the matrix E whose columns are gens (the
     column space of E transposed), as rows of values."""
-    basis = col_span(TropMatrix._of(_family(gens))).weak_basis()
+    basis = col_span(TropMatrix([g.entries for g in gens])).weak_basis()
     return [_values(u.entries) for u in basis.generators]
 
 

@@ -462,7 +462,9 @@ def _p12_inheritance(cfg, s, failures):
             continue
         # witness transfer, finitary side: B*P = A with -inf entries in P
         bf = s.matrix(n, n, ft)
-        p = s.matrix(n, n, t)
+        p = TropMatrix(
+            [[s.scalar(t) for _ in range(n)] for _ in range(n)]
+        )
         cols_fixed = []
         for j in range(n):
             col = [p.entries[i][j] for i in range(n)]

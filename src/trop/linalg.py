@@ -67,8 +67,6 @@ class _Dense:
         return self._packed
 
     def _equal(self, other):
-        if self._boxed is not None and other._boxed is not None:
-            return self._boxed == other._boxed
         _, rows, other_rows = _align(self._pack(), other._pack())
         return rows == other_rows
 
@@ -234,7 +232,7 @@ def _box(n, den):
 
 
 def _family(vectors):
-    """The packed rows of vectors, over their least common denominator."""
+    """The packed rows of vectors, over one common denominator."""
     packs = [x._pack() for x in vectors]
     den = lcm(*[p[0] for p in packs])
     return den, [row for p in packs for row in _rescale(p, den)]
@@ -281,26 +279,35 @@ def _combine(coeffs, rows, dim):
     return tuple(acc)
 
 
-def residuate(gens, targets):
-    """``((den, coeff rows), bad)`` for packed generators g and targets a:
-    row t is (<g_1|a_t>, ..., <g_k|a_t>), and bad is the first target
-    those coefficients do not recombine to (rows stop there), or None."""
-    den, grows, trows = _align(gens, targets)
+def _residuate(grows, trows):
+    """Coefficient rows (<g_1|a_t>, ..., <g_k|a_t>) of aligned target rows
+    over aligned generator rows, and the first target they do not
+    recombine to (rows stop there), or None."""
     coeffs = []
     for t, a in enumerate(trows):
         coeffs.append(tuple([_residual(g, a) for g in grows]))
         if _combine(coeffs[-1], grows, len(a)) != a:
-            return (den, coeffs), t
-    return (den, coeffs), None
+            return coeffs, t
+    return coeffs, None
+
+
+def residuate(gens, targets):
+    """Principal coefficients of target vectors over generator vectors,
+    all of one dim (orientation ignored): ``(coeffs, bad)``, with bad as
+    for ``_residuate`` and coeffs the matrix of its coefficient rows, or
+    None when there are no generators or no targets."""
+    den, grows, trows = _align(_family(gens), _family(targets))
+    coeffs, bad = _residuate(grows, trows)
+    return (TropMatrix._of((den, coeffs)) if grows and trows else None), bad
 
 
 def basis_indices(gens):
-    """Greedy weak basis of packed generators: each, in ascending order,
+    """Greedy weak basis of generator vectors: each, in ascending order,
     is dropped iff the others still standing recombine to it."""
-    den, rows = gens
+    rows = _family(gens)[1]
     kept = list(range(len(rows)))
     for t in range(len(rows)):
-        if residuate((den, [rows[j] for j in kept if j != t]), (den, [rows[t]]))[1] is None:
+        if _residuate([rows[j] for j in kept if j != t], [rows[t]])[1] is None:
             kept.remove(t)
     return kept
 
@@ -398,3 +405,7 @@ def hilbert(x: TropVector, y: TropVector) -> TropScalar:
     if _normalized(xs) == _normalized(ys):
         return ZERO
     return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))
+
+
+def map_entries(a: TropMatrix, f) -> TropMatrix:
+    return TropMatrix([[f(e) for e in r] for r in a.entries])

@@ -12,7 +12,6 @@ these boxed scalars but ints over a shared denominator (see ``linalg``).
 import re
 from enum import IntEnum
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import ParseError, SizeLimitError
 
@@ -35,7 +34,6 @@ class Domain(IntEnum):
     TBAR = 2
 
 
-@total_ordering
 class TropScalar:
     """A rational number, -inf, or +inf, totally ordered.
 
@@ -70,7 +68,20 @@ class TropScalar:
         return hash((self.kind, self.value))
 
     def __le__(self, other):
-        return leq(self, other)
+        if self.kind != other.kind:
+            return self.kind < other.kind
+        if self.kind != _FIN:
+            return True
+        return self.value <= other.value
+
+    def __lt__(self, other):
+        return self.__le__(other) and self != other
+
+    def __ge__(self, other):
+        return other.__le__(self)
+
+    def __gt__(self, other):
+        return other.__le__(self) and self != other
 
     def __repr__(self):
         return f"TropScalar({format_scalar(self)})"
