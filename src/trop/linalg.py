@@ -15,7 +15,8 @@ their packed form: one built from scalars packs on its first use by a
 kernel, one a kernel returns boxes its entries on their first read,
 and each keeps both forms once made.  ``den`` need not be the least
 (a product of two den-6 matrices can be integral), so packed forms are
-compared only over a common denominator.
+compared only over a common denominator.  Other modules hand this one
+vectors and matrices and never see the packed form.
 """
 
 from fractions import Fraction
@@ -186,7 +187,8 @@ class TropMatrix(_Dense):
         return [self.row(i) for i in range(self.rows)]
 
     def col_vectors(self):
-        return [self.col(j) for j in range(self.cols)]
+        den, rows = self._pack()
+        return [TropVector._of((den, [col]), COL) for col in zip(*rows)]
 
     def as_vector(self) -> TropVector:
         if self.rows == 1:
