@@ -54,7 +54,8 @@ class ConvexSpan:
     def __repr__(self):
         return f"ConvexSpan({len(self.generators)} gens, dim={self.dim}, {self.orientation})"
 
-    def _check_vector(self, a: TropVector):
+    def check_vector(self, a: TropVector):
+        """ShapeError unless a has the span's dim and orientation."""
         if a.dim != self.dim:
             raise ShapeError(f"dimension mismatch: {a.dim} vs span dim {self.dim}")
         if a.orientation != self.orientation:
@@ -84,13 +85,13 @@ class ConvexSpan:
 
     def member(self, a: TropVector) -> bool:
         """Exact span membership: the principal combination equals a."""
-        self._check_vector(a)
+        self.check_vector(a)
         return residuate(self.generators, [a])[1] is None
 
     def membership(self, a: TropVector):
         """(is_member, principal coefficients); the coefficients witness
         membership whenever the verdict is true."""
-        self._check_vector(a)
+        self.check_vector(a)
         coeffs, bad = residuate(self.generators, [a])
         return bad is None, coeffs.row(0).entries if coeffs is not None else ()
 

@@ -5,7 +5,8 @@ It reverses the residuation bracket and anti-commutes with finite
 scaling, so composing two such maps yields a genuine linear isomorphism
 of spans.  IsoDescriptor records a candidate isomorphism concretely as
 a basis correspondence; validity is always certified by a row-space
-equality check, never assumed.
+equality check, never assumed.  Its linear extension at A is one product
+G*X of the basis images by the principal coefficients of A over the basis.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from .convex import (
     col_span,
     extended_pair,
     row_span,
+    solve_right,
     span_equal,
 )
 from .errors import DomainError, PreconditionError, ShapeError, VerificationError
@@ -26,11 +28,11 @@ from .linalg import (
     TropVector,
     mat_mul,
     scale,
+    stack,
     vec_neg,
-    vec_oplus,
-    zero_vector,
+    zero_matrix,
 )
-from .semiring import ZERO, TropScalar, otimes
+from .semiring import ZERO, TropScalar
 
 
 def theta(a: TropMatrix, x: TropVector, strict: bool = True) -> TropVector:
@@ -146,42 +148,40 @@ def identity_descriptor(basis, shape=None) -> IsoDescriptor:
     )
 
 
-def _stack(vectors, dim) -> TropMatrix:
-    """Matrix whose i-th column is the i-th vector (orientation ignored)."""
-    return TropMatrix([[v.entries[r] for v in vectors] for r in range(dim)])
-
-
 def descriptor_valid(f: IsoDescriptor) -> bool:
     """Certify that the descriptor extends to a linear isomorphism.
 
-    The correspondence e_i -> image_i extends iff the matrices having
-    the e_i and the images as respective i-th columns share a row
-    space.  The empty descriptor (zero span to zero span) is valid.
+    The correspondence e_i -> image_i extends iff the matrices E and G
+    having the e_i and the images as respective i-th columns share a
+    row space.  The empty descriptor (zero span to zero span) is valid.
     """
+    return f.k == 0 or span_equal(row_span(stack(f.source)), row_span(stack(f.image_vectors())))
+
+
+def _extend(f: IsoDescriptor, a: TropMatrix, images) -> TropMatrix:
+    """G*X, for G the matrix of the images and X the principal solution
+    of E*X = A, A of the source span's dim: f extended to each column."""
     if f.k == 0:
-        return True
-    dim_s = f.source[0].dim
-    dim_t = f.target[0].dim
-    stack_src = _stack(f.source, dim_s)
-    stack_img = _stack(f.image_vectors(), dim_t)
-    return span_equal(row_span(stack_src), row_span(stack_img))
+        if a != zero_matrix(a.rows, a.cols):
+            raise DomainError("apply_iso: vector is not in the source span")
+        return zero_matrix(f.target_shape[0], a.cols)
+    x, bad = solve_right(stack(f.source), a)
+    if bad is not None:
+        raise DomainError("apply_iso: vector is not in the source span")
+    return mat_mul(stack(images), x)
 
 
 def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     """Extend the descriptor linearly and evaluate at c.
 
-    c must belong to the span of the source basis; its principal
-    coefficients are pushed through the correspondence.  Agrees with
-    e_i -> lambdas_i * target[sigma_i] on the basis itself, and is
-    linear whenever the descriptor is valid.
+    c must belong to the span of the source basis E; its principal
+    coefficients x give G*x, the one-column case of matrix_from_iso.
+    Agrees with e_i -> lambdas_i * target[sigma_i] on the basis itself,
+    and is linear whenever the descriptor is valid.
     """
-    ok, coeffs = f.source_span().membership(c)
-    if not ok:
-        raise DomainError("apply_iso: vector is not in the source span")
-    acc = zero_vector(*f.target_shape)
-    for i in range(f.k):
-        acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), f.target[f.sigma[i]]))
-    return acc
+    f.source_span().check_vector(c)
+    out = _extend(f, stack([c]), f.image_vectors()).col(0)
+    return out if f.target_shape[1] == COL else out.transpose()
 
 
 def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> ExtendedPair:
@@ -192,17 +192,17 @@ def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> ExtendedP
 def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     """Apply the isomorphism to every column of A and verify the result.
 
-    The output D satisfies R(D) = R(A) and C(D) = span of the basis
-    images; both equalities are re-checked here, so an invalid
+    The bridge D = G*X (G the basis images, X the principal solution
+    of E*X = A over the source basis E) satisfies R(D) = R(A) and
+    C(D) = span of the basis images; both are re-checked here, so an invalid
     descriptor surfaces as a VerificationError naming the failing side
     rather than as a wrong bridge.
     """
-    new_cols = [apply_iso(f, a.col(j)) for j in range(a.cols)]
-    d = TropMatrix([[col.entries[i] for col in new_cols] for i in range(new_cols[0].dim)])
+    f.source_span().check_vector(a.col(0))
+    images = f.image_vectors()
+    d = _extend(f, a, images)
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    tdim, torient = f.target_shape
-    image_span = ConvexSpan(tuple(f.image_vectors()), dim=tdim, orientation=torient)
-    if not span_equal(col_span(d), image_span):
+    if not span_equal(col_span(d), ConvexSpan(images, *f.target_shape)):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

@@ -25,10 +25,12 @@ from .errors import (
 )
 from .linalg import (
     COL,
+    ROW,
     TropMatrix,
     bracket,
     map_entries,
     mat_mul,
+    stack,
     transpose,
 )
 from .semiring import Domain, ZERO, finite
@@ -175,7 +177,7 @@ def _pattern(row):
 def _row_basis(gens):
     """Weak basis of R(E) for the matrix E whose columns are gens (the
     column space of E transposed), as rows of values."""
-    basis = col_span(TropMatrix([g.entries for g in gens])).weak_basis()
+    basis = col_span(stack(gens, ROW)).weak_basis()
     return [_values(u.entries) for u in basis.generators]
 
 

@@ -327,6 +327,12 @@ def transpose(a: TropMatrix) -> TropMatrix:
     return TropMatrix._of((den, list(zip(*rows))))
 
 
+def stack(vectors, orientation=COL) -> TropMatrix:
+    """The matrix whose columns (rows, for ROW) are the vectors, of one dim."""
+    rows = TropMatrix._of(_family(vectors))
+    return transpose(rows) if orientation == COL else rows
+
+
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
     den, (c,), (xs,) = _align(pack(((_lift(lam),),)), x._pack())

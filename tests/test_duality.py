@@ -1,5 +1,6 @@
 """Duality maps, kernel witnesses, and isomorphism descriptors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,10 @@ from trop.duality import (
     theta_prime,
     vec_neg,
 )
-from trop.errors import DomainError, PreconditionError, ShapeError
+from trop.errors import DomainError, PreconditionError, ShapeError, VerificationError
+from trop.formats import format_matrix
+from trop.greens import rel_D
+from trop.harness import EntryPool, Sampler
 from trop.linalg import (
     COL,
     ROW,
@@ -28,18 +32,17 @@ from trop.linalg import (
     identity,
     mat_mul,
     scale,
+    transpose,
     vec_leq,
     vec_oplus,
     vector,
+    zero_matrix,
     zero_vector,
 )
-from trop.semiring import NEG_INF, POS_INF, ZERO, finite, neg
+from trop.semiring import NEG_INF, POS_INF, ZERO, finite, neg, otimes
 
-scalars = st.one_of(
-    st.just(NEG_INF),
-    st.just(POS_INF),
-    st.fractions(min_value=-9, max_value=9, max_denominator=3).map(finite),
-)
+finite_scalars = st.fractions(min_value=-9, max_value=9, max_denominator=3).map(finite)
+scalars = st.one_of(st.just(NEG_INF), st.just(POS_INF), finite_scalars)
 
 
 def matrices(rows, cols):
@@ -282,3 +285,152 @@ def test_kernel_witness_random(m, data):
     x, y = kernel_witness(m, z)
     assert mat_mul(m, x.as_matrix()) == mat_mul(m, y.as_matrix())
     assert mat_mul(z.as_matrix(), x.as_matrix()) != mat_mul(z.as_matrix(), y.as_matrix())
+
+
+# The bridge as the per-column loop it once was: each column of A pushed
+# through the descriptor by its principal coefficients, then both span
+# checks.  matrix_from_iso builds it as one product G*X instead.
+
+
+def reference_apply_iso(f, c):
+    ok, coeffs = f.source_span().membership(c)
+    if not ok:
+        raise DomainError("apply_iso: vector is not in the source span")
+    acc = zero_vector(*f.target_shape)
+    for i in range(f.k):
+        acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), f.target[f.sigma[i]]))
+    return acc
+
+
+def reference_matrix_from_iso(a, f):
+    cols = [reference_apply_iso(f, a.col(j)) for j in range(a.cols)]
+    d = TropMatrix([[col.entries[i] for col in cols] for i in range(cols[0].dim)])
+    if not span_equal(row_span(d), row_span(a)):
+        raise VerificationError("matrix_from_iso: row spaces differ")
+    tdim, torient = f.target_shape
+    image_span = ConvexSpan(tuple(f.image_vectors()), dim=tdim, orientation=torient)
+    if not span_equal(col_span(d), image_span):
+        raise VerificationError("matrix_from_iso: column space differs from basis image span")
+    return d
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, ShapeError, VerificationError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    elif isinstance(want, TropMatrix):
+        assert isinstance(got, TropMatrix)
+        assert got == want
+        assert format_matrix(got) == format_matrix(want)
+    else:
+        assert isinstance(got, TropVector)
+        assert got == want  # orientation too
+        assert format_matrix(got.as_matrix()) == format_matrix(want.as_matrix())
+
+
+def check_against_reference(a, f):
+    assert_same_outcome(outcome(matrix_from_iso, a, f), outcome(reference_matrix_from_iso, a, f))
+    for j in range(a.cols):
+        c = a.col(j)
+        assert_same_outcome(outcome(apply_iso, f, c), outcome(reference_apply_iso, f, c))
+
+
+def test_bridge_matches_column_loop_on_rel_d_isos():
+    rng = random.Random(20261018)
+    yes = 0
+    for trial in range(60):
+        n = 2 + trial % 4
+        s = Sampler(rng, EntryPool(p_neg_inf=rng.choice([0.0, 0.2, 0.4])))
+        a = s.matrix(n, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cols = [scale(s.finite_scalar(), a.col(perm[j])) for j in range(n)]
+        b = TropMatrix([[c.entries[i] for c in cols] for i in range(n)])
+        for other in (b, transpose(a)):
+            verdict = rel_D(a, other)
+            if verdict.holds:
+                yes += 1
+                assert_same_outcome(verdict.bridge, reference_matrix_from_iso(a, verdict.iso))
+                check_against_reference(a, verdict.iso)
+    assert yes >= 60
+
+
+def tbar_descriptors():
+    """Descriptors over TBAR, valid or not, whose source holds +inf next
+    to -inf and whose target is the source itself or random, with a
+    matrix whose columns are the source, members of its span and at
+    times an outsider."""
+
+    def build(shape):
+        dim, k = shape
+        rows = st.lists(scalars, min_size=dim, max_size=dim)
+        vecs = rows.map(lambda e: TropVector(e, COL))
+        return st.tuples(
+            st.lists(rows, min_size=k, max_size=k),
+            st.integers(0, k - 1),
+            st.permutations(range(dim)),
+            st.one_of(st.none(), st.lists(vecs, min_size=k, max_size=k)),
+            st.permutations(range(k)),
+            st.lists(finite_scalars, min_size=k, max_size=k),
+            st.lists(st.lists(scalars, min_size=k, max_size=k), min_size=1, max_size=3),
+            st.one_of(st.none(), vecs),
+        )
+
+    return st.tuples(st.integers(2, 4), st.integers(1, 3)).flatmap(build)
+
+
+@settings(deadline=None, max_examples=150)
+@given(tbar_descriptors())
+def test_bridge_matches_column_loop_over_tbar(data):
+    rows, mixed, (hi, lo, *_), target, sigma, lambdas, coeff_cols, outsider = data
+    rows[mixed][hi], rows[mixed][lo] = POS_INF, NEG_INF
+    source = [TropVector(r, COL) for r in rows]
+    f = IsoDescriptor(tuple(source), tuple(target or source), tuple(sigma), tuple(lambdas))
+    cols = source + [member_of(source, coeffs) for coeffs in coeff_cols]
+    if outsider is not None:
+        cols.append(outsider)
+    a = TropMatrix([[c.entries[i] for c in cols] for i in range(cols[0].dim)])
+    check_against_reference(a, f)
+
+
+def test_matrix_from_iso_rejects_an_invalid_swap():
+    a = TropMatrix([[NEG_INF, ZERO], [ZERO, finite(1)]])
+    basis = tuple(col_span(a).weak_basis().generators)
+    swap = IsoDescriptor(basis, basis, (1, 0), (ZERO, ZERO))
+    assert not descriptor_valid(swap)
+    with pytest.raises(VerificationError, match="^matrix_from_iso: row spaces differ$"):
+        matrix_from_iso(a, swap)
+
+
+def test_matrix_from_iso_rejects_columns_outside_the_source_span():
+    a = TropMatrix([[ZERO, ZERO], [ZERO, finite(1)]])
+    f = identity_descriptor((TropVector([ZERO, ZERO], COL),))
+    with pytest.raises(DomainError, match="^apply_iso: vector is not in the source span$"):
+        matrix_from_iso(a, f)
+
+
+def test_matrix_from_iso_rejects_a_row_oriented_source():
+    a = TropMatrix([[ZERO, ZERO], [ZERO, finite(1)]])
+    f = identity_descriptor(tuple(row_span(a).weak_basis().generators))
+    with pytest.raises(ShapeError):
+        matrix_from_iso(a, f)
+    column = TropMatrix([[ZERO], [ZERO], [ZERO]])
+    with pytest.raises(ShapeError):
+        matrix_from_iso(column, identity_descriptor((vector([0, 0]),)))
+
+
+def test_matrix_from_iso_empty_descriptor():
+    f = IsoDescriptor((), (), (), (), source_shape=(3, COL), target_shape=(2, COL))
+    assert descriptor_valid(f)
+    d = matrix_from_iso(zero_matrix(3, 2), f)
+    assert d == zero_matrix(2, 2)
+    assert format_matrix(d) == format_matrix(zero_matrix(2, 2))
+    with pytest.raises(DomainError, match="^apply_iso: vector is not in the source span$"):
+        matrix_from_iso(TropMatrix([[NEG_INF, NEG_INF], [NEG_INF, ZERO], [NEG_INF, NEG_INF]]), f)
+    assert apply_iso(f, zero_vector(3, COL)) == zero_vector(2, COL)
