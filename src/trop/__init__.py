@@ -10,11 +10,8 @@ same operations on text files plus a seeded property-check harness.
 
 from .convex import (
     ConvexSpan,
-    ExtendedPair,
     col_span,
     extended_pair,
-    pair_oplus,
-    pair_scale,
     principal_solution,
     row_span,
     span_equal,

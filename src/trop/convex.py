@@ -3,16 +3,16 @@
 A span is held as a generator list.  Membership is decided exactly by
 principal coefficients: the recombination max_i <r_i|a> r_i is the
 greatest element of the span below a, so it equals a iff a belongs.
-The extension calculus represents elements inf*a + b adjoined to a
-T-span when scaling by +inf is allowed.
+An element inf*a + b adjoined to a T-span, when scaling by +inf is
+allowed, is the TBAR vector (+inf)*a + b, so the extension calculus is
+plain vector arithmetic: vec_oplus adds such elements and scale scales
+them by any TBAR scalar.
 """
 
 from .errors import DomainError, ShapeError
 from .linalg import (
-    NEG_INF,
     TropMatrix,
     TropVector,
-    ZERO,
     basis_indices,
     hilbert,
     residuate,
@@ -21,7 +21,7 @@ from .linalg import (
     vec_oplus,
     zero_vector,
 )
-from .semiring import POS_INF, TropScalar, finite, oplus
+from .semiring import POS_INF, Domain, finite
 
 
 class ConvexSpan:
@@ -150,110 +150,25 @@ def solve_right(b: TropMatrix, a: TropMatrix):
     return transpose(coeffs), None
 
 
-class ExtendedPair:
-    """Canonical form of inf*a + b for T-vectors a, b.
-
-    Stored as the 0/-inf support pattern of a together with b masked to
-    -inf on that support (those coordinates read +inf regardless of b).
-    Two pairs denote the same element iff their canonical forms agree.
-    """
-
-    __slots__ = ("support", "rest")
-
-    def __init__(self, support: TropVector, rest: TropVector):
-        self.support = support
-        self.rest = rest
-
-    @property
-    def dim(self):
-        return self.support.dim
-
-    @property
-    def orientation(self):
-        return self.support.orientation
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedPair):
-            return NotImplemented
-        return self.support == other.support and self.rest == other.rest
-
-    def __hash__(self):
-        return hash((self.support, self.rest))
-
-    def __repr__(self):
-        return f"ExtendedPair(support={self.support!r}, rest={self.rest!r})"
-
-    def denotation(self) -> TropVector:
-        """The TBAR vector this pair stands for: +inf on the support,
-        the masked b elsewhere."""
-        return TropVector(
-            [
-                POS_INF if s == ZERO else r
-                for s, r in zip(self.support.entries, self.rest.entries)
-            ],
-            self.orientation,
-        )
-
-
 def _require_t_vector(v: TropVector, name):
-    if any(e.is_pos_inf for e in v.entries):
+    if v.domain() > Domain.T:
         raise DomainError(f"{name} must not contain +inf")
 
 
-def extended_pair(a: TropVector, b: TropVector) -> ExtendedPair:
-    """Canonicalize inf*a + b.  Both vectors must be +inf-free."""
+def extended_pair(a: TropVector, b: TropVector) -> TropVector:
+    """inf*a + b as the TBAR vector (+inf)*a + b: +inf on the support of
+    a and b elsewhere.  Both vectors must be +inf-free, so the +inf
+    pattern recovers the support and the other entries the masked b."""
     if a.dim != b.dim or a.orientation != b.orientation:
         raise ShapeError("a and b must share dim and orientation")
     _require_t_vector(a, "a")
     _require_t_vector(b, "b")
-    support = TropVector(
-        [NEG_INF if e.is_neg_inf else ZERO for e in a.entries], a.orientation
-    )
-    rest = TropVector(
-        [bv if av.is_neg_inf else NEG_INF for av, bv in zip(a.entries, b.entries)],
-        a.orientation,
-    )
-    return ExtendedPair(support, rest)
-
-
-def pair_oplus(p: ExtendedPair, q: ExtendedPair) -> ExtendedPair:
-    """(inf*a + b) + (inf*a' + b') = inf*(a + a') + (b + b')."""
-    if p.dim != q.dim or p.orientation != q.orientation:
-        raise ShapeError("pairs must share dim and orientation")
-    support = vec_oplus(p.support, q.support)
-    rest = TropVector(
-        [
-            NEG_INF if s == ZERO else oplus(r1, r2)
-            for s, r1, r2 in zip(support.entries, p.rest.entries, q.rest.entries)
-        ],
-        p.orientation,
-    )
-    return ExtendedPair(support, rest)
-
-
-def pair_scale(lam, p: ExtendedPair) -> ExtendedPair:
-    """Scale inf*a + b by lam in TBAR."""
-    if not isinstance(lam, TropScalar):
-        lam = finite(lam)
-    if lam.is_neg_inf:
-        z = zero_vector(p.dim, p.orientation)
-        return ExtendedPair(z, z)
-    if lam.is_pos_inf:
-        # inf*(inf*a + b) = inf*(a + b)
-        support = TropVector(
-            [
-                NEG_INF if s.is_neg_inf and r.is_neg_inf else ZERO
-                for s, r in zip(p.support.entries, p.rest.entries)
-            ],
-            p.orientation,
-        )
-        return ExtendedPair(support, zero_vector(p.dim, p.orientation))
-    return ExtendedPair(p.support, scale(lam, p.rest))
+    return vec_oplus(scale(POS_INF, a), b)
 
 
 def welldef_criterion(a: TropVector, b: TropVector, a2: TropVector, b2: TropVector) -> bool:
     """Direct test that inf*a + b and inf*a2 + b2 coincide, without
-    canonical forms: the supports of a and a2 agree (finite Hilbert
+    scaling by +inf: the supports of a and a2 agree (finite Hilbert
     distance for +inf-free vectors) and b + lam*a = b2 + lam*a for one
     sufficiently large lam.
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .convex import (
     ConvexSpan,
-    ExtendedPair,
     col_span,
     extended_pair,
     row_span,
@@ -184,8 +183,9 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     return out if f.target_shape[1] == COL else out.transpose()
 
 
-def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> ExtendedPair:
-    """inf*a + b mapped to inf*g(a) + g(b) for explicit representatives."""
+def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> TropVector:
+    """inf*a + b mapped to inf*g(a) + g(b) for explicit representatives,
+    as the TBAR vector (+inf)*g(a) + g(b) (see extended_pair)."""
     return extended_pair(apply_iso(g, a), apply_iso(g, b))
 
 

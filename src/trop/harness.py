@@ -19,8 +19,6 @@ from .convex import (
     ConvexSpan,
     col_span,
     extended_pair,
-    pair_oplus,
-    pair_scale,
     row_span,
     span_equal,
     welldef_criterion,
@@ -183,10 +181,7 @@ class Sampler:
     def span_member(self, generators, pool=None) -> TropVector:
         """A random combination of the given vectors."""
         coeffs = [self.scalar(pool) for _ in generators]
-        acc = zero_vector(generators[0].dim, generators[0].orientation)
-        for c, g in zip(coeffs, generators):
-            acc = vec_oplus(acc, scale(c, g))
-        return acc
+        return ConvexSpan(generators).combine(coeffs)
 
 
 def bracket_oracle(x: TropVector, y: TropVector) -> TropScalar:
@@ -608,9 +603,7 @@ def _p14_extension_calculus(cfg, s, failures):
         gens = [s.vector(dim, COL, pool) for _ in range(k)]
         span = ConvexSpan(gens)
         coeffs = [s.scalar() for _ in range(k)]  # TBAR coefficients
-        x = zero_vector(dim, COL)
-        for c, g in zip(coeffs, gens):
-            x = vec_oplus(x, scale(c, g))
+        x = span.combine(coeffs)
         has_inf = any(e.is_pos_inf for e in x.entries)
         if not has_inf:
             if not span.member(x):
@@ -619,17 +612,12 @@ def _p14_extension_calculus(cfg, s, failures):
                       S=TropMatrix([[g.entries[i] for g in gens] for i in range(dim)]), x=x)
                 continue
         else:
-            apart = zero_vector(dim, COL)
-            bpart = zero_vector(dim, COL)
-            for c, g in zip(coeffs, gens):
-                if c.is_pos_inf:
-                    apart = vec_oplus(apart, g)
-                else:
-                    bpart = vec_oplus(bpart, scale(c, g))
+            apart = span.combine([ZERO if c.is_pos_inf else NEG_INF for c in coeffs])
+            bpart = span.combine([NEG_INF if c.is_pos_inf else c for c in coeffs])
             if apart == zero_vector(dim, COL):
                 _fail(failures, trial, "element with +inf had a zero a-part")
                 continue
-            if extended_pair(apart, bpart).denotation() != x:
+            if extended_pair(apart, bpart) != x:
                 _fail(failures, trial, "inf*a + b decomposition does not reproduce x")
                 continue
     # well-definedness and linearity of the pushed-forward map, on
@@ -640,10 +628,9 @@ def _p14_extension_calculus(cfg, s, failures):
         a_mat = s.matrix(n, n, pool)
         b_mat = _perm_scale_variant(s, a_mat)
         verdict = rel_D(a_mat, b_mat)
-        if not verdict.holds:
-            continue  # covered by P13
+        if not verdict.holds or verdict.iso.k == 0:
+            continue  # a no is covered by P13; the zero span has nothing to adjoin
         g = verdict.iso
-        span = ConvexSpan(g.source)
         xa = s.span_member(g.source, pool)
         xb = s.span_member(g.source, pool)
         mu1, mu2 = s.finite_scalar(), s.finite_scalar()
@@ -667,18 +654,18 @@ def _p14_extension_calculus(cfg, s, failures):
         zb = s.span_member(g.source, pool)
         q1 = extend_iso_pair(g, za, zb)
         added = extend_iso_pair(g, vec_oplus(xa, za), vec_oplus(xb, zb))
-        if added != pair_oplus(img1, q1):
+        if added != vec_oplus(img1, q1):
             _fail(failures, trial, "extension does not respect addition")
             continue
         lam = s.finite_scalar()
-        if extend_iso_pair(g, scale(lam, xa), scale(lam, xb)) != pair_scale(lam, img1):
+        if extend_iso_pair(g, scale(lam, xa), scale(lam, xb)) != scale(lam, img1):
             _fail(failures, trial, "extension does not respect finite scaling")
             continue
         zv = zero_vector(xa.dim, xa.orientation)
-        if extend_iso_pair(g, zv, zv) != pair_scale(NEG_INF, img1):
+        if extend_iso_pair(g, zv, zv) != scale(NEG_INF, img1):
             _fail(failures, trial, "extension does not respect scaling by -inf")
             continue
-        if extend_iso_pair(g, vec_oplus(xa, xb), zv) != pair_scale(POS_INF, img1):
+        if extend_iso_pair(g, vec_oplus(xa, xb), zv) != scale(POS_INF, img1):
             _fail(failures, trial, "extension does not respect scaling by +inf")
 
 

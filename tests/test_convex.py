@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 from trop.convex import (
     ConvexSpan,
     extended_pair,
-    pair_oplus,
-    pair_scale,
     principal_solution,
     span_equal,
     welldef_criterion,
@@ -206,22 +204,25 @@ def test_extended_pair_examples():
     a = TropVector([ZERO, NEG_INF])
     b = vector([0, 0])
     p = extended_pair(a, b)
-    assert p.support == TropVector([ZERO, NEG_INF])
-    assert p.rest == TropVector([NEG_INF, ZERO])
-    assert p.denotation() == TropVector([POS_INF, ZERO])
+    assert p == TropVector([POS_INF, ZERO])
 
     z = zero_vector(2)
-    q = extended_pair(z, b)
-    assert q.support == z and q.rest == b
-    assert q.denotation() == b
+    assert extended_pair(z, b) == b
 
     p2 = extended_pair(TropVector([finite(1), NEG_INF]), vector([5, 0]))
     assert p == p2
+
+    col = extended_pair(TropVector([NEG_INF, finite(2)], COL), TropVector([finite(1), ZERO], COL))
+    assert col == TropVector([finite(1), POS_INF], COL)
 
 
 def test_extended_pair_rejects_pos_inf():
     with pytest.raises(DomainError):
         extended_pair(TropVector([POS_INF, ZERO]), vector([0, 0]))
+    with pytest.raises(DomainError):
+        extended_pair(vector([0, 0]), TropVector([ZERO, POS_INF]))
+    with pytest.raises(ShapeError):
+        extended_pair(vector([0, 0]), vector([0, 0]).transpose())
 
 
 def test_extended_equal_examples():
@@ -248,21 +249,46 @@ def test_constructed_equal_pairs(pair, mu):
     b2 = vec_oplus(b, scale(finite(mu), a))
     p, q = extended_pair(a, b), extended_pair(a, b2)
     assert p == q
+    assert hash(p) == hash(q)
     assert welldef_criterion(a, b, a, b2)
-    assert p.denotation() == q.denotation()
+
+
+def canonical_form(a, b):
+    """inf*a + b as the 0/-inf support pattern of a together with b
+    masked to -inf on that support, built entry by entry: a reference
+    independent of TBAR vector arithmetic."""
+    support = tuple(NEG_INF if e.is_neg_inf else ZERO for e in a.entries)
+    rest = tuple(bv if av.is_neg_inf else NEG_INF for av, bv in zip(a.entries, b.entries))
+    return a.orientation, support, rest
+
+
+@given(st.data())
+def test_extended_equality_matches_canonical_form(data):
+    dim = data.draw(st.integers(1, 5))
+    orientation = data.draw(st.sampled_from((ROW, COL)))
+    a, b, a2, b2 = (data.draw(t_vectors(dim, orientation)) for _ in range(4))
+    if data.draw(st.booleans()):
+        mu1, mu2 = (finite(data.draw(st.integers(-5, 5))) for _ in range(2))
+        a2, b2 = vec_oplus(a, scale(mu1, a)), vec_oplus(b, scale(mu2, a))
+    same = extended_pair(a, b) == extended_pair(a2, b2)
+    assert same == (canonical_form(a, b) == canonical_form(a2, b2))
 
 
 def test_pair_algebra():
     a1, b1 = TropVector([ZERO, NEG_INF, NEG_INF]), vector([0, 1, 2])
     a2, b2 = TropVector([NEG_INF, ZERO, NEG_INF]), vector([-1, 0, 5])
     p, q = extended_pair(a1, b1), extended_pair(a2, b2)
-    s = pair_oplus(p, q)
+    # (inf*a1 + b1) + (inf*a2 + b2) = inf*(a1 + a2) + (b1 + b2)
+    s = vec_oplus(p, q)
     assert s == extended_pair(vec_oplus(a1, a2), vec_oplus(b1, b2))
-    assert s.denotation() == vec_oplus(p.denotation(), q.denotation())
+    assert s == TropVector([POS_INF, POS_INF, finite(5)])
     lam = finite(3)
-    assert pair_scale(lam, p).denotation() == scale(lam, p.denotation())
-    assert pair_scale(NEG_INF, p).denotation() == zero_vector(3)
-    assert pair_scale(POS_INF, p).denotation() == scale(POS_INF, p.denotation())
+    assert scale(lam, p) == extended_pair(scale(lam, a1), scale(lam, b1))
+    assert scale(lam, p) == TropVector([POS_INF, finite(4), finite(5)])
+    assert scale(NEG_INF, p) == zero_vector(3)
+    # inf*(inf*a + b) = inf*(a + b)
+    assert scale(POS_INF, p) == extended_pair(vec_oplus(a1, b1), zero_vector(3))
+    assert scale(POS_INF, p) == TropVector([POS_INF] * 3)
 
 
 @given(st.data())

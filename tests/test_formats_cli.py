@@ -348,6 +348,14 @@ def test_cli_check_negative_trials_exit_code():
     _assert_one_line_error(err)
 
 
+def test_cli_check_p14_zero_span_exit_code():
+    # at this seed rel_D relates an all -inf pair through the empty weak
+    # basis (k = 0), whose span has no element to extend the iso to
+    assert harness.run_property(harness.default_config("P14", seed=9)).ok
+    code, out, err = _run(["check", "--property", "P14", "--seed", "9"])
+    assert code == 0 and "failures 0" in out
+
+
 _VALID_TEXTS = (
     "2 2\n0 1\n-inf 2\n",
     "2 2\n0 -inf\n1 2\n",
