@@ -56,7 +56,6 @@ from .linalg import (
     hilbert,
     identity,
     mat_mul,
-    mat_oplus,
     proj_normalize,
     scale,
     transpose,

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import formats
+from .convex import col_span, row_span
 from .duality import theta, theta_prime
 from .errors import TropError
 from .greens import (
@@ -54,6 +55,11 @@ def _load_vector(path):
     return formats.parse_vector(_read(path))
 
 
+def _load_span(path, orientation):
+    m = _load_matrix(path)
+    return row_span(m) if orientation == ROW else col_span(m)
+
+
 def cmd_bracket(args):
     x = _load_vector(args.x)
     y = _load_vector(args.y)
@@ -90,7 +96,7 @@ def cmd_dual(args):
 
 def cmd_member(args):
     v = formats.parse_vector(_read(args.vector), orientation=args.orientation)
-    span = formats.span_from_matrix(_load_matrix(args.span), args.orientation)
+    span = _load_span(args.span, args.orientation)
     ok, coeffs = span.membership(v)
     if ok:
         print("yes")
@@ -101,7 +107,7 @@ def cmd_member(args):
 
 
 def cmd_basis(args):
-    span = formats.span_from_matrix(_load_matrix(args.span), args.orientation)
+    span = _load_span(args.span, args.orientation)
     sys.stdout.write(formats.format_span(span.weak_basis()))
     return 0
 

@@ -11,12 +11,15 @@ them by any TBAR scalar.
 
 from .errors import DomainError, ShapeError
 from .linalg import (
+    ROW,
     TropMatrix,
     TropVector,
     basis_indices,
     hilbert,
+    mat_mul,
     residuate,
     scale,
+    stack,
     transpose,
     vec_oplus,
     zero_vector,
@@ -25,13 +28,13 @@ from .semiring import POS_INF, Domain, finite
 
 
 class ConvexSpan:
-    """Span of finitely many equally-shaped vectors, with a cached weak basis.
+    """Span of finitely many equally-shaped vectors.
 
     The generator list may be empty (the zero span, containing only the
     all -inf vector) provided dim and orientation are given explicitly.
     """
 
-    __slots__ = ("generators", "dim", "orientation", "_basis")
+    __slots__ = ("generators", "dim", "orientation")
 
     def __init__(self, generators, dim=None, orientation=None):
         generators = tuple(generators)
@@ -46,7 +49,6 @@ class ConvexSpan:
         self.generators = generators
         self.dim = dim
         self.orientation = orientation
-        self._basis = None
 
     def __len__(self):
         return len(self.generators)
@@ -63,25 +65,18 @@ class ConvexSpan:
                 f"orientation mismatch: {a.orientation} vs span {self.orientation}"
             )
 
-    def principal_coeffs(self, a: TropVector):
-        """Greatest coefficients: (<r_1|a>, ..., <r_k|a>).
-
-        The combination they produce is always <= a, and dominates every
-        other coefficient vector whose combination is <= a.
-        """
-        return self.membership(a)[1]
-
     def combine(self, coeffs) -> TropVector:
-        """Evaluate the linear combination max_i coeffs_i * r_i."""
+        """Evaluate the linear combination max_i coeffs_i * r_i: the
+        generator matrix times the coefficient column (a row span: the
+        coefficient row times the generator matrix)."""
         if len(coeffs) != len(self.generators):
             raise ShapeError(f"expected {len(self.generators)} coefficients")
-        acc = zero_vector(self.dim, self.orientation)
-        for c, g in zip(coeffs, self.generators):
-            acc = vec_oplus(acc, scale(c, g))
-        return acc
-
-    def principal_combination(self, a: TropVector) -> TropVector:
-        return self.combine(self.principal_coeffs(a))
+        if not coeffs:
+            return zero_vector(self.dim, self.orientation)
+        c = TropVector(coeffs, self.orientation).as_matrix()
+        if self.orientation == ROW:
+            return mat_mul(c, stack(self.generators, ROW)).row(0)
+        return mat_mul(stack(self.generators), c).col(0)
 
     def member(self, a: TropVector) -> bool:
         """Exact span membership: the principal combination equals a."""
@@ -89,8 +84,13 @@ class ConvexSpan:
         return residuate(self.generators, [a])[1] is None
 
     def membership(self, a: TropVector):
-        """(is_member, principal coefficients); the coefficients witness
-        membership whenever the verdict is true."""
+        """(is_member, principal coefficients).
+
+        The principal coefficients (<r_1|a>, ..., <r_k|a>) are the
+        greatest ones: the combination they produce is always <= a, and
+        dominates every other coefficient vector whose combination is
+        <= a, so they witness membership whenever the verdict is true.
+        """
         self.check_vector(a)
         coeffs, bad = residuate(self.generators, [a])
         return bad is None, coeffs.row(0).entries if coeffs is not None else ()
@@ -103,12 +103,8 @@ class ConvexSpan:
         All -inf generators are always dropped, so the zero span comes
         back empty.
         """
-        if self._basis is None:
-            kept = [self.generators[i] for i in basis_indices(self.generators)]
-            basis = ConvexSpan(kept, dim=self.dim, orientation=self.orientation)
-            basis._basis = basis
-            self._basis = basis
-        return self._basis
+        kept = [self.generators[i] for i in basis_indices(self.generators)]
+        return ConvexSpan(kept, dim=self.dim, orientation=self.orientation)
 
 
 def row_span(a) -> ConvexSpan:

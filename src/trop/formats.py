@@ -15,7 +15,7 @@ from .convex import ConvexSpan
 from .duality import IsoDescriptor
 from .errors import ParseError
 from .greens import RELATIONS, GreenVerdict
-from .linalg import COL, ROW, TropMatrix, TropVector
+from .linalg import COL, ROW, TropMatrix, TropVector, stack
 from .semiring import (
     format_domain,
     format_scalar,
@@ -73,23 +73,14 @@ def _parse_tokens(line, lineno, expected, what):
     return tokens
 
 
-def _token_column(line, index):
-    # 1-based character column of the index-th whitespace token
-    col = 0
-    for i, tok in enumerate(line.split()):
-        col = line.index(tok, col)
-        if i == index:
-            return col + 1
-        col += len(tok)
-    return 1
+_TOKEN = re.compile(r"\S+")  # \s and str.isspace agree, so these are line.split()
 
 
 def _parse_scalar_row(line, lineno, expected):
-    tokens = _parse_tokens(line, lineno, expected, "scalar tokens")
-    return [
-        parse_scalar(tok, line=lineno, column=_token_column(line, i))
-        for i, tok in enumerate(tokens)
-    ]
+    found = list(_TOKEN.finditer(line))
+    if len(found) != expected:
+        raise ParseError(f"expected {expected} scalar tokens, found {len(found)}", line=lineno)
+    return [parse_scalar(m[0], line=lineno, column=m.start() + 1) for m in found]
 
 
 _COUNT = re.compile(r"[0-9]+")
@@ -145,24 +136,13 @@ def parse_orientation(name: str):
     return name
 
 
-def span_from_matrix(m: TropMatrix, orientation) -> ConvexSpan:
-    """Interpret a matrix as a span: its rows or its columns generate."""
-    vectors = m.row_vectors() if orientation == ROW else m.col_vectors()
-    return ConvexSpan(vectors)
-
-
 def format_span(s: ConvexSpan) -> str:
     """Generators stacked in the span's natural shape (rows of a k x dim
     matrix for row spans, columns of a dim x k matrix for column spans).
     A zero span prints as a `0 dim` generator count header."""
-    gens = s.generators
-    if not gens:
+    if not s.generators:
         return f"0 {s.dim}\n"
-    if s.orientation == ROW:
-        rows = [list(g.entries) for g in gens]
-    else:
-        rows = [[g.entries[i] for g in gens] for i in range(s.dim)]
-    return format_matrix(TropMatrix(rows))
+    return format_matrix(stack(s.generators, s.orientation))
 
 
 def _format_basis_block(vectors, shape):

@@ -42,6 +42,7 @@ from .linalg import (
     mat_mul,
     proj_normalize,
     scale,
+    stack,
     transpose,
     vec_leq,
     vec_oplus,
@@ -369,7 +370,7 @@ def _p9_changecoords(cfg, s, failures):
         span = ConvexSpan(gens)
 
         def coeff_vector(v):
-            return TropVector(span.principal_coeffs(v), ROW)
+            return TropVector(span.membership(v)[1], ROW)
 
         a, b = s.vector(dim), s.vector(dim)
         if not leq(bracket(a, b), bracket(coeff_vector(a), coeff_vector(b))):
@@ -509,8 +510,7 @@ def _perm_scale_variant(s, a):
     perm = list(range(n))
     s.rng.shuffle(perm)
     mus = [s.finite_scalar() for _ in range(n)]
-    cols = [scale(mus[j], a.col(perm[j])) for j in range(n)]
-    return TropMatrix([[c.entries[i] for c in cols] for i in range(a.rows)])
+    return stack([scale(mus[j], a.col(perm[j])) for j in range(n)])
 
 
 def _bridge_ok(v, a, b):
@@ -577,7 +577,7 @@ def _p13_d_positive(cfg, s, failures):
 
 
 def _p14_extension_calculus(cfg, s, failures):
-    pool = EntryPool.for_domain(Domain.T)
+    pool, tbar = EntryPool.for_domain(Domain.T), EntryPool.for_domain(Domain.TBAR)
     for trial in range(cfg.trials):
         dim = s.dim(cfg.dim_range)
         a = s.vector(dim, ROW, pool)
@@ -602,14 +602,14 @@ def _p14_extension_calculus(cfg, s, failures):
         k = s.rng.randint(1, max(2, dim))
         gens = [s.vector(dim, COL, pool) for _ in range(k)]
         span = ConvexSpan(gens)
-        coeffs = [s.scalar() for _ in range(k)]  # TBAR coefficients
+        coeffs = [s.scalar(tbar) for _ in range(k)]
         x = span.combine(coeffs)
         has_inf = any(e.is_pos_inf for e in x.entries)
         if not has_inf:
             if not span.member(x):
                 _fail(failures, trial, "+inf-free combination escaped the generating span",
                       "trop member x.vec S.mat --orientation col",
-                      S=TropMatrix([[g.entries[i] for g in gens] for i in range(dim)]), x=x)
+                      S=stack(gens), x=x)
                 continue
         else:
             apart = span.combine([ZERO if c.is_pos_inf else NEG_INF for c in coeffs])

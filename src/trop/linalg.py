@@ -365,13 +365,6 @@ def vec_leq(x: TropVector, y: TropVector) -> bool:
     return all(map(le, xs, ys))
 
 
-def mat_oplus(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ShapeError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    den, arows, brows = _align(a._pack(), b._pack())
-    return TropMatrix._of((den, [tuple(map(max, p, q)) for p, q in zip(arows, brows)]))
-
-
 def bracket(x: TropVector, y: TropVector) -> TropScalar:
     """Residuation bracket <x|y>: the greatest lam with lam*x <= y.
 

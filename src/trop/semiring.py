@@ -68,20 +68,16 @@ class TropScalar:
         return hash((self.kind, self.value))
 
     def __le__(self, other):
-        if self.kind != other.kind:
-            return self.kind < other.kind
-        if self.kind != _FIN:
-            return True
-        return self.value <= other.value
+        return leq(self, other)
 
     def __lt__(self, other):
-        return self.__le__(other) and self != other
+        return leq(self, other) and self != other
 
     def __ge__(self, other):
-        return other.__le__(self)
+        return leq(other, self)
 
     def __gt__(self, other):
-        return other.__le__(self) and self != other
+        return leq(other, self) and self != other
 
     def __repr__(self):
         return f"TropScalar({format_scalar(self)})"

@@ -21,6 +21,7 @@ import pytest
 
 from trop import formats
 from trop.cli import main
+from trop.convex import ConvexSpan
 from trop.harness import (
     EntryPool,
     Sampler,
@@ -161,6 +162,21 @@ def test_criterion_10_oracle_agreement():
 def test_criterion_11_extension_calculus():
     r = run("P14", 10_000)
     report(11, r.ok, "equality criterion 10^4 + extension map 10^3")
+
+
+def test_p14_reaches_the_decomposition_check(monkeypatch):
+    # P14 draws TBAR coefficients, so at its default config some
+    # combinations carry +inf and go through the inf*a + b decomposition
+    combine, has_pos_inf = ConvexSpan.combine, []
+
+    def recording(span, coeffs):
+        x = combine(span, coeffs)
+        has_pos_inf.append(POS_INF in x.entries)
+        return x
+
+    monkeypatch.setattr(ConvexSpan, "combine", recording)
+    assert run_property(default_config("P14")).ok
+    assert any(has_pos_inf)
 
 
 def _artifact_stream(seed, count):

@@ -244,7 +244,7 @@ def test_change_of_coordinates(data):
     b = member_of(rows, c2)
 
     def coeff_vector(v):
-        return TropVector(span.principal_coeffs(v), ROW)
+        return TropVector(span.membership(v)[1], ROW)
 
     assert bracket(a, b) == bracket(coeff_vector(a), coeff_vector(b))
 

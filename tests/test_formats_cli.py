@@ -342,6 +342,26 @@ def test_cli_check_counterexamples_unwritable_exit_code(tmp_path, monkeypatch):
     _assert_one_line_error(err.split("\n", 1)[1])  # after the elapsed-time line
 
 
+def test_cli_trop_max_n_environment(files, monkeypatch):
+    # identity(9) has a weak basis of 9 > 8 generators: refused by
+    # default, decided once TROP_MAX_N raises both guards
+    _, write = files
+    a = write("a.mat", formats.format_matrix(identity(9)))
+    b = write("b.mat", formats.format_matrix(identity(9)))
+    argv = ["green", a, b, "--relation", "d"]
+    monkeypatch.delenv("TROP_MAX_N", raising=False)
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    _assert_one_line_error(err)
+    monkeypatch.setenv("TROP_MAX_N", "12")
+    assert _run(argv) == (0, "yes\n", "")
+    monkeypatch.setenv("TROP_MAX_N", "abc")
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    _assert_one_line_error(err)
+    assert "TROP_MAX_N must be an integer" in err
+
+
 def test_cli_check_negative_trials_exit_code():
     code, out, err = _run(["check", "--property", "P1", "--trials", "-3"])
     assert code == 2 and out == ""

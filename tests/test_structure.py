@@ -1,5 +1,6 @@
 """Package structure: every module imports first in a fresh interpreter,
-and every import sits at module top, where an import cycle cannot hide."""
+every import sits at module top, where an import cycle cannot hide, and
+every name the package exports has a use."""
 
 import ast
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trop"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trop"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = ["trop"] + [f"trop.{p.stem}" for p in SOURCES if p.stem != "__init__"]
 
@@ -73,3 +75,25 @@ def test_only_linalg_reads_the_packed_format(source):
            if isinstance(node, ast.Attribute) and node.attr in PACKED_FORMAT}
     )
     assert not found, f"packed-format helpers used outside linalg.py: {found}"
+
+
+def test_every_export_is_used_elsewhere():
+    # a name trop/__init__.py imports to re-export is read (as a name or
+    # an attribute, not merely defined or imported) by another file of
+    # the package, the tests or the benchmark
+    init = PACKAGE / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    others = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py") if p != init]
+    used = set()
+    for node in (n for p in others for n in ast.walk(ast.parse(p.read_text()))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    unused = sorted(exported - used)
+    assert not unused, f"exported from trop but used nowhere else: {unused}"
