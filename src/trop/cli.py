@@ -30,7 +30,7 @@ from .greens import (
 )
 from .harness import PROPERTIES, EntryPool, default_config, run_property
 from .linalg import COL, ROW, bracket, hilbert, mat_mul
-from .semiring import Domain, format_scalar, parse_domain
+from .semiring import format_scalar, parse_domain
 
 
 def _read(path):
@@ -134,13 +134,11 @@ def cmd_green(args):
     elif relation in (REL_R, REL_L, REL_H):
         verdict = rel(a, b, relation, domain)
     else:
-        if domain is not None and domain > Domain.T:
-            raise TropError("relation D requires entries in T (no +inf)")
         override = _max_n_override()
         kwargs = {}
         if override is not None:
             kwargs = dict(max_n=override, max_basis=max(8, override))
-        verdict = rel_D(a, b, **kwargs)
+        verdict = rel_D(a, b, domain, **kwargs)
     if args.witness:
         _write(args.witness, formats.format_verdict(verdict))
     if args.format == "json":

@@ -176,7 +176,9 @@ def _pattern(row):
 
 def _row_basis(gens):
     """Weak basis of R(E) for the matrix E whose columns are gens (the
-    column space of E transposed), as rows of values."""
+    column space of E transposed), as rows of values; [] for no gens."""
+    if not gens:
+        return []
     basis = col_span(stack(gens, ROW)).weak_basis()
     return [_values(u.entries) for u in basis.generators]
 
@@ -235,7 +237,8 @@ def _lambdas(brackets, forest, e, f):
     """
     k = len(e)
     comps = [_find(brackets, j)[0] for j in range(k)]
-    classes, pot = zip(*(_find(forest, j) for j in range(k)))
+    classes = [_find(forest, j)[0] for j in range(k)]
+    pot = [_find(forest, j)[1] for j in range(k)]
     lam = {}
     for c in range(k):
         if c in lam:
@@ -262,7 +265,7 @@ def _lambdas(brackets, forest, e, f):
     return tuple(finite(lam[j]) for j in range(k))
 
 
-def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8) -> GreenVerdict:
+def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -> GreenVerdict:
     """A D B for +inf-free square matrices: are the column spaces
     isomorphic as semimodules?
 
@@ -273,9 +276,10 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8) -> GreenVerdic
     bases of E and F_sigma pair up, each pair differing by lambda plus a
     constant: a backtracking search over one potential forest, seeded
     with the lambda differences brackets force.  Refutations are thus
-    complete by construction; the first match is re-verified.
+    complete by construction; the first match is re-verified.  A declared
+    domain is checked as for leq_R, and must not be TBAR.
     """
-    dom = _validate_pair(a, b, None)
+    dom = _validate_pair(a, b, domain)
     if dom > Domain.T:
         raise DomainError("relation D requires entries in T (no +inf)")
     n = a.rows
@@ -294,14 +298,6 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8) -> GreenVerdic
             dom,
             reasons=(f"weak basis sizes differ: {k} vs {len(basis_b)}",),
         )
-    if k == 0:
-        iso = IsoDescriptor(
-            (), (), (), (), source_shape=(n, COL), target_shape=(n, COL)
-        )
-        bridge = matrix_from_iso(a, iso)
-        if not span_equal(col_span(bridge), span_b):
-            raise VerificationError("rel_D: zero-span bridge failed verification")
-        return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)
     if k > max_basis:
         raise SizeLimitError(
             f"rel_D guards at weak basis size <= {max_basis} (got {k}); "
@@ -342,7 +338,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, *, max_n=10, max_basis=8) -> GreenVerdic
             reasons.append(f"sigma {sigma}: the row-space weak bases differ")
             continue
         lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma])
-        iso = IsoDescriptor(gens_e, gens_f, sigma, lambdas)
+        iso = IsoDescriptor(gens_e, gens_f, sigma, lambdas, (n, COL), (n, COL))
         if not descriptor_valid(iso):
             raise VerificationError("rel_D: matched descriptor failed the row space check")
         bridge = matrix_from_iso(a, iso)

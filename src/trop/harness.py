@@ -458,12 +458,10 @@ def _p12_inheritance(cfg, s, failures):
             continue
         # witness transfer, finitary side: B*P = A with -inf entries in P
         bf = s.matrix(n, n, ft)
-        p = TropMatrix(
-            [[s.scalar(t) for _ in range(n)] for _ in range(n)]
-        )
+        rows = s.matrix(n, n, t).entries
         cols_fixed = []
         for j in range(n):
-            col = [p.entries[i][j] for i in range(n)]
+            col = [rows[i][j] for i in range(n)]
             if all(e.is_neg_inf for e in col):
                 col[s.rng.randrange(n)] = s.finite_scalar()
             cols_fixed.append(col)
@@ -478,18 +476,15 @@ def _p12_inheritance(cfg, s, failures):
             _fail(failures, trial, "finitized witness is wrong", B=bf, P=p)
             continue
         # completed side: +inf entries only ever hit an all -inf column of B
-        bt = s.matrix(n, n, t)
+        rows = s.matrix(n, n, t).entries
         kill = s.rng.randrange(n)
         bt = TropMatrix(
-            [
-                [NEG_INF if j == kill else bt.entries[i][j] for j in range(n)]
-                for i in range(n)
-            ]
+            [[NEG_INF if j == kill else rows[i][j] for j in range(n)] for i in range(n)]
         )
-        pt = s.matrix(n, n, t)
+        rows = s.matrix(n, n, t).entries
         pt = TropMatrix(
             [
-                [POS_INF if i == kill and s.rng.random() < 0.6 else pt.entries[i][j]
+                [POS_INF if i == kill and s.rng.random() < 0.6 else rows[i][j]
                  for j in range(n)]
                 for i in range(n)
             ]

@@ -10,13 +10,14 @@ common denominator of the finite entries and ``rows`` a list of tuples
 of those entries times ``den`` as Python ints, and the floats -inf/+inf
 as sentinels.  Ints compare exactly with them, so max and order need
 no branch; sums and differences branch on the sentinels, never adding
-a float to an int, and -inf absorbs +inf.  Vectors and matrices keep
-their packed form: one built from scalars packs on its first use by a
-kernel, one a kernel returns boxes its entries on their first read,
-and each keeps both forms once made.  ``den`` need not be the least
-(a product of two den-6 matrices can be integral), so packed forms are
-compared only over a common denominator.  Other modules hand this one
-vectors and matrices and never see the packed form.
+a float to an int, and -inf absorbs +inf.  A vector or matrix holds
+its packed form from construction on, and nothing is filled in later:
+one built from scalars packs them once, one a kernel returns keeps the
+kernel's result, and ``entries`` boxes the packed rows on each read.
+``den`` need not be the least (a product of two den-6 matrices can be
+integral), so packed forms are compared only over a common
+denominator.  Other modules hand this one vectors and matrices and
+never see the packed form.
 """
 
 from fractions import Fraction
@@ -44,36 +45,30 @@ COL = "col"
 
 
 class _Dense:
-    """Boxed rows, the packed form, or both: each made from the other
-    on first need and kept, as vectors and matrices are immutable."""
+    """The packed form, the only state: set once, as vectors and
+    matrices are immutable."""
 
-    __slots__ = ("_boxed", "_packed")
+    __slots__ = ("_packed",)
 
     @classmethod
     def _of(cls, packed):
-        """A kernel result: never lifted, boxed when its entries are read."""
+        """A kernel result: never lifted or packed again."""
         x = object.__new__(cls)
-        x._boxed, x._packed = None, packed
+        x._packed = packed
         return x
 
     def _rows(self):
-        if self._boxed is None:
-            den, rows = self._packed
-            self._boxed = tuple([tuple([_box(n, den) for n in row]) for row in rows])
-        return self._boxed
-
-    def _pack(self):
-        if self._packed is None:
-            self._packed = pack(self._boxed)
-        return self._packed
+        """The entries, freshly boxed from the packed rows."""
+        den, rows = self._packed
+        return tuple([tuple([_box(n, den) for n in row]) for row in rows])
 
     def _equal(self, other):
-        _, rows, other_rows = _align(self._pack(), other._pack())
+        _, rows, other_rows = _align(self._packed, other._packed)
         return rows == other_rows
 
     def domain(self) -> Domain:
         """The least domain holding every entry: the sentinels decide."""
-        rows = self._pack()[1]
+        rows = self._packed[1]
         if any(_POS in row for row in rows):
             return Domain.TBAR
         return Domain.T if any(_NEG in row for row in rows) else Domain.FT
@@ -90,7 +85,7 @@ class TropVector(_Dense):
             raise ShapeError("vector must have at least one entry")
         if orientation not in (ROW, COL):
             raise ShapeError(f"orientation must be {ROW!r} or {COL!r}, got {orientation!r}")
-        self._boxed, self._packed, self.orientation = (entries,), None, orientation
+        self._packed, self.orientation = pack((entries,)), orientation
 
     @classmethod
     def _of(cls, packed, orientation):
@@ -104,7 +99,7 @@ class TropVector(_Dense):
 
     @property
     def dim(self):
-        return len((self._boxed or self._packed[1])[0])
+        return len(self._packed[1][0])
 
     def __eq__(self, other):
         if not isinstance(other, TropVector):
@@ -125,10 +120,10 @@ class TropVector(_Dense):
         return f"TropVector[{self.orientation}]({body})"
 
     def transpose(self):
-        return TropVector._of(self._pack(), COL if self.orientation == ROW else ROW)
+        return TropVector._of(self._packed, COL if self.orientation == ROW else ROW)
 
     def as_matrix(self):
-        den, (row,) = self._pack()
+        den, (row,) = self._packed
         return TropMatrix._of((den, [row] if self.orientation == ROW else [(n,) for n in row]))
 
 
@@ -151,17 +146,17 @@ class TropMatrix(_Dense):
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("matrix rows must all have the same length")
-        self._boxed, self._packed = rows, None
+        self._packed = pack(rows)
 
     entries = property(_Dense._rows)
 
     @property
     def rows(self):
-        return len(self._boxed or self._packed[1])
+        return len(self._packed[1])
 
     @property
     def cols(self):
-        return len((self._boxed or self._packed[1])[0])
+        return len(self._packed[1][0])
 
     def __eq__(self, other):
         if not isinstance(other, TropMatrix):
@@ -176,18 +171,18 @@ class TropMatrix(_Dense):
         return f"TropMatrix({self.rows}x{self.cols}: {body})"
 
     def row(self, i) -> TropVector:
-        den, rows = self._pack()
+        den, rows = self._packed
         return TropVector._of((den, [rows[i]]), ROW)
 
     def col(self, j) -> TropVector:
-        den, rows = self._pack()
+        den, rows = self._packed
         return TropVector._of((den, [tuple([r[j] for r in rows])]), COL)
 
     def row_vectors(self):
         return [self.row(i) for i in range(self.rows)]
 
     def col_vectors(self):
-        den, rows = self._pack()
+        den, rows = self._packed
         return [TropVector._of((den, [col]), COL) for col in zip(*rows)]
 
     def as_vector(self) -> TropVector:
@@ -235,7 +230,7 @@ def _box(n, den):
 
 def _family(vectors):
     """The packed rows of vectors, over one common denominator."""
-    packs = [x._pack() for x in vectors]
+    packs = [x._packed for x in vectors]
     den = lcm(*[p[0] for p in packs])
     return den, [row for p in packs for row in _rescale(p, den)]
 
@@ -318,12 +313,12 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: (AB)_ij = max_k (A_ik + B_kj)."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    den, arows, brows = _align(a._pack(), b._pack())
+    den, arows, brows = _align(a._packed, b._packed)
     return TropMatrix._of((den, [_combine(row, brows, b.cols) for row in arows]))
 
 
 def transpose(a: TropMatrix) -> TropMatrix:
-    den, rows = a._pack()
+    den, rows = a._packed
     return TropMatrix._of((den, list(zip(*rows))))
 
 
@@ -335,13 +330,13 @@ def stack(vectors, orientation=COL) -> TropMatrix:
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
-    den, (c,), (xs,) = _align(pack(((_lift(lam),),)), x._pack())
+    den, (c,), (xs,) = _align(pack(((_lift(lam),),)), x._packed)
     return TropVector._of((den, [_combine(c, (xs,), len(xs))]), x.orientation)
 
 
 def vec_neg(x: TropVector) -> TropVector:
     """-x: each finite entry negated, the infinities swapped."""
-    den, (xs,) = x._pack()
+    den, (xs,) = x._packed
     negated = tuple([_POS if n is _NEG else _NEG if n is _POS else -n for n in xs])
     return TropVector._of((den, [negated]), x.orientation)
 
@@ -355,13 +350,13 @@ def _check_same_shape(x: TropVector, y: TropVector, orientation_too=True):
 
 def vec_oplus(x: TropVector, y: TropVector) -> TropVector:
     _check_same_shape(x, y)
-    den, (xs,), (ys,) = _align(x._pack(), y._pack())
+    den, (xs,), (ys,) = _align(x._packed, y._packed)
     return TropVector._of((den, [tuple(map(max, xs, ys))]), x.orientation)
 
 
 def vec_leq(x: TropVector, y: TropVector) -> bool:
     _check_same_shape(x, y)
-    _, (xs,), (ys,) = _align(x._pack(), y._pack())
+    _, (xs,), (ys,) = _align(x._packed, y._packed)
     return all(map(le, xs, ys))
 
 
@@ -373,7 +368,7 @@ def bracket(x: TropVector, y: TropVector) -> TropScalar:
     products involving both infinities.
     """
     _check_same_shape(x, y, orientation_too=False)
-    den, (xs,), (ys,) = _align(x._pack(), y._pack())
+    den, (xs,), (ys,) = _align(x._packed, y._packed)
     return _box(_residual(xs, ys), den)
 
 
@@ -392,7 +387,7 @@ def proj_normalize(x: TropVector) -> TropVector:
     any vector containing +inf, have no finite canonicalizing scaling
     and are returned unchanged.  Idempotent.
     """
-    den, (xs,) = x._pack()
+    den, (xs,) = x._packed
     normal = _normalized(xs)
     return x if normal is xs else TropVector._of((den, [normal]), x.orientation)
 
@@ -402,7 +397,7 @@ def hilbert(x: TropVector, y: TropVector) -> TropScalar:
     orientation, else -(<x|y> * <y|x>).  Values are nonnegative
     rationals or +inf."""
     _check_same_shape(x, y, orientation_too=False)
-    den, (xs,), (ys,) = _align(x._pack(), y._pack())
+    den, (xs,), (ys,) = _align(x._packed, y._packed)
     if _normalized(xs) == _normalized(ys):
         return ZERO
     return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))

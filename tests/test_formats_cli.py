@@ -342,6 +342,94 @@ def test_cli_check_counterexamples_unwritable_exit_code(tmp_path, monkeypatch):
     _assert_one_line_error(err.split("\n", 1)[1])  # after the elapsed-time line
 
 
+def test_check_failure_reports_and_counterexample_files(tmp_path, monkeypatch):
+    # a wrong bracket makes P2 fail: both report formats and the
+    # counterexample directory carry each failure's artifacts and replay
+    monkeypatch.setattr(harness, "bracket", lambda x, y: x.entries[0])
+    report = harness.run_property(harness.default_config("P2", seed=1, trials=5))
+    assert not report.ok
+    first = report.failures[0]
+    x_text, y_text = (block for _, block in first.artifacts)
+    assert [name for name, _ in first.artifacts] == ["x.vec", "y.vec"]
+    assert formats.parse_vector(x_text).dim == formats.parse_vector(y_text).dim
+    text = report.to_text()
+    assert (f"--- failure 1 (trial {first.trial}) ---\n{first.description}\n"
+            f"artifact x.vec\n{x_text}artifact y.vec\n{y_text}"
+            "replay: trop bracket x.vec y.vec\n") in text
+    payload = json.loads(report.to_json())
+    assert payload["failures"][0]["artifacts"] == [
+        {"name": "x.vec", "text": x_text}, {"name": "y.vec", "text": y_text}
+    ]
+    out = tmp_path / "out"
+    argv = ["check", "--property", "P2", "--trials", "5", "--seed", "1"]
+    code, stdout, _ = _run(argv + ["--counterexamples", str(out)])
+    assert code == 1 and stdout == text
+    stem = f"p2_trial{first.trial}"
+    assert (out / f"{stem}_x.vec").read_text() == x_text
+    assert (out / f"{stem}_y.vec").read_text() == y_text
+    assert (out / f"{stem}.txt").read_text() == (
+        f"{first.description}\nreplay: trop bracket x.vec y.vec\n"
+    )
+    assert len(list(out.iterdir())) == 3 * len(report.failures)
+    assert _run(argv + ["--format", "json"])[:2] == (1, report.to_json())
+
+
+@pytest.mark.parametrize("domain", ["ft", "t", "tbar"])
+def test_cli_green_d_checks_the_declared_domain(files, domain):
+    # D checks a declared domain as leq-r does, and refuses tbar
+    _, write = files
+    a = write("a.mat", "2 2\n0 1\n-inf 2\n")  # in t, not in ft
+    argv = ["green", a, a, "--domain", domain, "--format", "json"]
+    leq = _run(argv + ["--relation", "leq-r"])
+    code, out, err = _run(argv + ["--relation", "d"])
+    if domain == "ft":
+        assert (code, out, err) == leq
+        assert leq == (2, "", "error: matrix entries lie outside the declared domain ft\n")
+    elif domain == "t":
+        assert code == 0 and json.loads(out)["domain"] == json.loads(leq[1])["domain"] == "t"
+    else:
+        assert (code, out, err) == (2, "", "error: relation D requires entries in T (no +inf)\n")
+
+
+def test_cli_green_leq_l_and_d_json(files):
+    _, write = files
+    a_text = "2 2\n0 1\n-inf 2\n"
+    a, at = write("a.mat", a_text), write("at.mat", "2 2\n0 -inf\n1 2\n")
+    assert _run(["green", a, at, "--relation", "leq-l"]) == (1, "no\n", "")
+    code, out, _ = _run(["green", a, a, "--relation", "leq-l", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["relation"] == "leq-l" and set(payload["witnesses"]) == {"Y"}
+    y = write("y.mat", payload["witnesses"]["Y"])
+    assert _run(["mul", y, a]) == (0, a_text, "")  # Y*A = A
+    code, out, _ = _run(["green", a, at, "--relation", "d", "--format", "json"])
+    payload = json.loads(out)
+    v = rel_D(formats.parse_matrix(a_text), transpose(formats.parse_matrix(a_text)))
+    assert code == 0 and payload["holds"] is True
+    assert payload["iso"] == formats.format_descriptor(v.iso)
+    assert payload["bridge"] == formats.format_matrix(v.bridge)
+
+
+def test_cli_check_dims_and_entry_domain():
+    argv = ["check", "--property", "P3", "--trials", "6", "--seed", "2"]
+    for extra, cfg in (
+        (["--dims", "2:3"], harness.default_config("P3", 2, 6, dim_range=(2, 3))),
+        (["--dims", "4"], harness.default_config("P3", 2, 6, dim_range=(4, 4))),
+        (["--entry-domain", "tbar"],
+         harness.default_config("P3", 2, 6, pool=harness.EntryPool.for_domain(Domain.TBAR))),
+    ):
+        report = harness.run_property(cfg)
+        assert report.ok
+        assert _run(argv + extra)[:2] == (0, report.to_text())
+
+
+def test_cli_basis_of_the_zero_span(files):
+    # an all -inf matrix spans only the zero vector: an empty basis
+    _, write = files
+    z = write("z.mat", "2 3\n-inf -inf -inf\n-inf -inf -inf\n")
+    assert _run(["basis", z]) == (0, "0 2\n", "")
+    assert _run(["basis", z, "--orientation", "row"]) == (0, "0 3\n", "")
+
+
 def test_cli_trop_max_n_environment(files, monkeypatch):
     # identity(9) has a weak basis of 9 > 8 generators: refused by
     # default, decided once TROP_MAX_N raises both guards

@@ -77,6 +77,31 @@ def test_only_linalg_reads_the_packed_format(source):
     assert not found, f"packed-format helpers used outside linalg.py: {found}"
 
 
+def test_linalg_values_are_set_only_at_construction():
+    # a vector or matrix is one immutable form: its attributes are set
+    # when it is built (__init__, or _of for a kernel result) and no
+    # cache is filled in on a later read
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    builders = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "_of")
+        for node in ast.walk(fn)
+    }
+    late = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in builders
+        and (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+            or isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "setattr"
+                 or getattr(node.func, "attr", None) == "__setattr__")
+        )
+    )
+    assert not late, f"attributes assigned after construction at lines {late}"
+
+
 def test_every_export_is_used_elsewhere():
     # a name trop/__init__.py imports to re-export is read (as a name or
     # an attribute, not merely defined or imported) by another file of
