@@ -8,11 +8,14 @@ basis onto scaled weak basis, and it extends exactly when the
 row-space weak bases of the two basis matrices pair up, one for one,
 up to the scalings.  Since weak bases are unique up to scaling and
 order, the search is complete by construction; positive verdicts are
-still re-verified through the bridge matrix.
+still re-verified through the bridge matrix.  The search runs on exact
+ints: ``d_search_tables`` aligns both weak bases once to a common
+denominator, and only the scalings of a yes are divided back by it.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .convex import col_span, solve_right, span_equal
 from .duality import IsoDescriptor, descriptor_valid, matrix_from_iso
@@ -25,12 +28,10 @@ from .errors import (
 )
 from .linalg import (
     COL,
-    ROW,
     TropMatrix,
-    bracket,
+    d_search_tables,
     map_entries,
     mat_mul,
-    stack,
     transpose,
 )
 from .semiring import Domain, ZERO, finite
@@ -143,10 +144,11 @@ def finitize_witness_ft(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMatr
         raise PreconditionError("finitize_witness_ft: B*P != A")
     if p.domain() == Domain.FT:
         return p
-    finite_ps = [e.value for row in p.entries for e in row if e.is_finite]
+    p_rows = p.entries
+    finite_ps = [e.value for row in p_rows for e in row if e.is_finite]
     b_vals = [e.value for row in b.entries for e in row]
     delta_scalar = finite(min(b_vals) + min(finite_ps) - max(b_vals) - 1)
-    p2 = map_entries(p, lambda e: delta_scalar if e.is_neg_inf else e)
+    p2 = TropMatrix([[delta_scalar if e.is_neg_inf else e for e in row] for row in p_rows])
     if mat_mul(b, p2) != a:
         raise VerificationError("finitize_witness_ft: adjusted witness broke B*P = A")
     return p2
@@ -165,22 +167,8 @@ def definitize_witness_t(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMat
     return p2
 
 
-def _values(scalars):
-    """Exact values of T scalars, None for -inf."""
-    return tuple(s.value if s.is_finite else None for s in scalars)
-
-
 def _pattern(row):
     return tuple(x is None for x in row)
-
-
-def _row_basis(gens):
-    """Weak basis of R(E) for the matrix E whose columns are gens (the
-    column space of E transposed), as rows of values; [] for no gens."""
-    if not gens:
-        return []
-    basis = col_span(stack(gens, ROW)).weak_basis()
-    return [_values(u.entries) for u in basis.generators]
 
 
 def _find(forest, x):
@@ -224,8 +212,9 @@ def _match_rows(forest, rows_e, rows_f, free):
     return None
 
 
-def _lambdas(brackets, forest, e, f):
-    """Exact scalings lambda_j = pot_j + shift for a matched permutation.
+def _lambdas(brackets, forest, e, f, den):
+    """Exact scalings lambda_j = (pot_j + shift) / den for a matched
+    permutation, where pot and the values of e and f are den times exact.
 
     Components of the finite-bracket graph (classes of ``brackets``) are
     fixed in the order of their least coordinate c: the first at
@@ -262,7 +251,7 @@ def _lambdas(brackets, forest, e, f):
                 ]
             )
         lam.update((j, pot[j] + shift) for j in comp)
-    return tuple(finite(lam[j]) for j in range(k))
+    return tuple(finite(Fraction(lam[j], den)) for j in range(k))
 
 
 def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -> GreenVerdict:
@@ -307,12 +296,8 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
     gens_e = basis_a.generators
     gens_f = basis_b.generators
     # brackets between nonzero T vectors are never +inf
-    table_e, table_f = (
-        [_values(bracket(g, h) for h in gens) for g in gens] for gens in (gens_e, gens_f)
-    )
-    rows_e, rows_f = _row_basis(gens_e), _row_basis(gens_f)
+    den, (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = d_search_tables(gens_e, gens_f)
     patterns_e = sorted(map(_pattern, rows_e))
-    grid_e, grid_f = ([_values(g.entries) for g in gens] for gens in (gens_e, gens_f))
     pairs = [(i, j) for i in range(k) for j in range(k)]
     reasons = []
     for sigma in itertools.permutations(range(k)):
@@ -337,7 +322,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         if forest is None:
             reasons.append(f"sigma {sigma}: the row-space weak bases differ")
             continue
-        lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma])
+        lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma], den)
         iso = IsoDescriptor(gens_e, gens_f, sigma, lambdas, (n, COL), (n, COL))
         if not descriptor_valid(iso):
             raise VerificationError("rel_D: matched descriptor failed the row space check")

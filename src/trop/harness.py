@@ -1,6 +1,6 @@
 """Seeded property-check harness.
 
-Each property P1..P15 replays a fixed number of randomized trials and
+Each property P1..P16 replays a fixed number of randomized trials and
 collects counterexamples.  Sampling is driven entirely by Python's
 ``random.Random`` (Mersenne Twister) seeded from the config, so a
 report is a pure function of its configuration: reruns are
@@ -8,6 +8,7 @@ byte-identical.  Wall-clock time is kept on the report object for
 interactive display but never serialized.
 """
 
+import functools
 import itertools
 import json
 import time
@@ -727,16 +728,16 @@ class BridgeOracleIndex:
                 raise TropError("span canonicalization disagrees with span_equal")
 
 
-_P15_INDEX = None
+@functools.cache
+def _oracle_index(grid, n):
+    """The bridge index of a grid (a tuple) at n, built on first use and
+    shared by every run of P15 and P16 in the process."""
+    return BridgeOracleIndex(grid, n)
 
 
 def _p15_oracle_agreement(cfg, s, failures):
-    global _P15_INDEX
     values = [NEG_INF, finite(-1), finite(0), finite(1)]
-    grid = [NEG_INF] + [finite(v) for v in range(-4, 5)]
-    if _P15_INDEX is None:
-        _P15_INDEX = BridgeOracleIndex(grid, n=2)
-    index = _P15_INDEX
+    index = _oracle_index((NEG_INF,) + tuple(finite(v) for v in range(-4, 5)), 2)
     index.validate_keys(s.rng, samples=100)
     all_mats = [
         TropMatrix([flat[0:2], flat[2:4]])
@@ -756,6 +757,25 @@ def _p15_oracle_agreement(cfg, s, failures):
             _fail(failures, trial,
                   f"decision procedure says {got} but exhaustive bridge search says {want}",
                   "trop green A.mat B.mat --relation d", A=a, B=b)
+
+
+def _p16_bridge_net(cfg, s, failures):
+    # one-sided: the grid is not closed under bridges, so a pair the
+    # index does not relate may still be D-related, and only its yes binds
+    index = _oracle_index((NEG_INF, ZERO, finite(1)), 3)
+    pairs = list(index.bridges.items())
+    if cfg.trials < len(pairs):
+        pairs = s.rng.sample(pairs, cfg.trials)
+    for trial, ((rk, ck), d) in enumerate(pairs):
+        # each representative span is spanned by the rows (columns) of
+        # the first grid matrix with that row (column) space
+        a = stack(index.row_reps[rk].generators, ROW)
+        b = stack(index.col_reps[ck].generators)
+        if not rel_D(a, b).holds:
+            _fail(failures, trial,
+                  "decision procedure says False but the grid bridge D has "
+                  "R(D) = R(A) and C(D) = C(B)",
+                  "trop green A.mat B.mat --relation d", A=a, B=b, D=d)
 
 
 PROPERTIES = {
@@ -793,6 +813,10 @@ PROPERTIES = {
     "P15": ("2x2 decisions agree with the exhaustive bridge oracle",
             _p15_oracle_agreement,
             dict(trials=2000, dim_range=(2, 2), domain=Domain.T)),
+    "P16": ("3x3 pairs joined by a {-inf, 0, 1} grid bridge are D-related "
+            "(one-sided: a pair without one proves nothing)",
+            _p16_bridge_net,
+            dict(trials=2000, dim_range=(3, 3), domain=Domain.T)),
 }
 
 

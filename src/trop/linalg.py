@@ -301,12 +301,41 @@ def residuate(gens, targets):
 def basis_indices(gens):
     """Greedy weak basis of generator vectors: each, in ascending order,
     is dropped iff the others still standing recombine to it."""
-    rows = _family(gens)[1]
+    return _basis_indices(_family(gens)[1])
+
+
+def _basis_indices(rows):
     kept = list(range(len(rows)))
     for t in range(len(rows)):
         if _residuate([rows[j] for j in kept if j != t], [rows[t]])[1] is None:
             kept.remove(t)
     return kept
+
+
+def d_search_tables(gens_e, gens_f):
+    """The inputs of the D search for two weak bases of +inf-free
+    vectors of one dim, aligned once to one common denominator den:
+    ``(den, tables_e, tables_f)``.  Each holds, for its basis g_1..g_k,
+    the values of the g_i, the k x k bracket table <g_i|g_j>, and the
+    weak basis of the row space of the matrix whose rows are the g_i;
+    finite values are Python ints times den, and -inf is None."""
+    den, rows = _family([*gens_e, *gens_f])
+    k = len(gens_e)
+    return den, _d_tables(rows[:k]), _d_tables(rows[k:])
+
+
+def _d_tables(rows):
+    cols = list(zip(*rows))
+    return (
+        [_t_values(row) for row in rows],
+        [_t_values([_residual(g, h) for h in rows]) for g in rows],
+        [_t_values(cols[j]) for j in _basis_indices(cols)],
+    )
+
+
+def _t_values(ns):
+    """Packed T entries: finite ones as they are, -inf as None."""
+    return tuple([None if n is _NEG else n for n in ns])
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -330,8 +359,12 @@ def stack(vectors, orientation=COL) -> TropMatrix:
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
-    den, (c,), (xs,) = _align(pack(((_lift(lam),),)), x._packed)
-    return TropVector._of((den, [_combine(c, (xs,), len(xs))]), x.orientation)
+    lam = _lift(lam)
+    v = lam.value
+    den = x._packed[0] if v is None else lcm(x._packed[0], v.denominator)
+    c = _INF[lam.kind] if v is None else v.numerator * (den // v.denominator)
+    (xs,) = _rescale(x._packed, den)
+    return TropVector._of((den, [_combine((c,), (xs,), len(xs))]), x.orientation)
 
 
 def vec_neg(x: TropVector) -> TropVector:

@@ -13,15 +13,17 @@ import contextlib
 import io
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from trop import formats
+from trop import formats, harness
 from trop.cli import main
 from trop.convex import ConvexSpan
+from trop.greens import rel_D
 from trop.harness import (
     EntryPool,
     Sampler,
@@ -157,6 +159,30 @@ def test_criterion_10_oracle_agreement():
     elapsed = time.monotonic() - start
     ok = r.ok and elapsed < 600
     report(10, ok, f"10^4 sampled 2x2 pairs vs exhaustive bridge search in {elapsed:.1f}s")
+
+
+def test_criterion_10_supplement_3x3_bridge_net():
+    # P16 on a seeded sample of the 15,844 realised (row space, column
+    # space) pairs of 3x3 matrices over {-inf, 0, 1}; the full net is
+    # `trop check --property P16 --trials 15844`
+    start = time.monotonic()
+    r = run("P16", 2000)
+    elapsed = time.monotonic() - start
+    report("10-supplement", r.ok, f"2000 grid-bridged 3x3 pairs in {elapsed:.1f}s")
+
+
+def test_p16_catches_a_search_that_tries_only_the_identity(monkeypatch):
+    # permutations are tried in lexicographic order, so a yes through
+    # another sigma is one the identity alone would have refuted
+    def identity_only(a, b):
+        v = rel_D(a, b)
+        return replace(v, holds=v.holds and v.iso.sigma == tuple(range(v.iso.k)))
+
+    monkeypatch.setattr(harness, "rel_D", identity_only)
+    r = run("P16", 200)
+    assert r.failures
+    assert all("grid bridge D has R(D) = R(A)" in f.description for f in r.failures)
+    assert [name for name, _ in r.failures[0].artifacts] == ["A.mat", "B.mat", "D.mat"]
 
 
 def test_criterion_11_extension_calculus():

@@ -30,6 +30,7 @@ from trop.linalg import (
     identity,
     mat_mul,
     scale,
+    stack,
     transpose,
     zero_matrix,
 )
@@ -286,6 +287,18 @@ def test_rel_d_row_matching_backtracks():
     v = rel_D(a, b)
     assert v.holds
     assert v.iso.sigma == (0, 1, 2) and v.iso.lambdas == (ZERO,) * 3
+
+
+@pytest.mark.parametrize("mu, lam", [(2, 3), (Fraction(1, 2), Fraction(3, 2))])
+def test_rel_d_scalings_leave_the_common_denominator(mu, lam):
+    # the search runs on ints over the denominator 6 of A; lambda_1 =
+    # mu - (-1) comes back canonical, an int when it is integral
+    a = TropMatrix([[Fraction(1, 2), 0], [Fraction(-1, 3), Fraction(5, 6)]])
+    b = stack([scale(finite(mu), a.col(0)), scale(finite(-1), a.col(1))])
+    v = rel_D(a, b)
+    assert v.holds and v.iso.sigma == (0, 1)
+    assert v.iso.lambdas == (ZERO, finite(lam))
+    assert [x.value.__class__ for x in v.iso.lambdas] == [int, lam.__class__]
 
 
 def test_rel_d_rejects_pos_inf():

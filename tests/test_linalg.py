@@ -19,11 +19,13 @@ from trop.linalg import (
     TropMatrix,
     TropVector,
     bracket,
+    d_search_tables,
     hilbert,
     identity,
     mat_mul,
     proj_normalize,
     scale,
+    stack,
     transpose,
     vec_leq,
     vec_oplus,
@@ -401,3 +403,38 @@ def test_kernel_result_over_a_non_minimal_denominator():
     assert_same_as_boxed(product)
     assert_same_as_boxed(product.row(0))
     assert_same_as_boxed(scale(finite(Fraction(-1, 6)), product.col(0)))
+
+
+def _t_family(rng, k, dim):
+    """k nonzero T column vectors of one dim, on mixed denominators."""
+    family = []
+    while len(family) < k:
+        entries = [NEG_INF if rng.random() < 0.3
+                   else finite(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+                   for _ in range(dim)]
+        if any(e.is_finite for e in entries):
+            family.append(TropVector(entries, COL))
+    return family
+
+
+def test_d_search_tables_match_the_boxed_path():
+    # every table, each value times den, against bracket and the weak
+    # basis of the row span of the stacked family
+    rng = random.Random(20261018)
+    for trial in range(300):
+        dim = rng.randint(1, 4)
+        e, f = (_t_family(rng, rng.randint(0, 4) if trial % 10 else 0, dim) for _ in "ef")
+        den, *tables = d_search_tables(e, f)
+
+        def times_den(s):
+            if s.is_neg_inf:
+                return None
+            assert (s.value * den).denominator == 1
+            return int(s.value * den)
+
+        for gens, (grid, brackets, rows) in zip((e, f), tables):
+            assert grid == [tuple(map(times_den, g.entries)) for g in gens]
+            assert brackets == [tuple(times_den(bracket(g, h)) for h in gens) for g in gens]
+            basis = col_span(stack(gens, ROW)).weak_basis().generators if gens else ()
+            assert rows == [tuple(map(times_den, u.entries)) for u in basis]
+
