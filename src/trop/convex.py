@@ -1,6 +1,8 @@
 """Finitely generated tropical convex sets (spans) and their calculus.
 
-A span is held as a generator list.  Membership is decided exactly by
+A span is held as its generator matrix: the generators are the columns
+of a column span's matrix and the rows of a row span's, so row_span(a)
+and col_span(a) wrap a itself.  Membership is decided exactly by
 principal coefficients: the recombination max_i <r_i|a> r_i is the
 greatest element of the span below a, so it equals a iff a belongs.
 An element inf*a + b adjoined to a T-span, when scaling by +inf is
@@ -11,30 +13,31 @@ them by any TBAR scalar.
 
 from .errors import DomainError, ShapeError
 from .linalg import (
+    COL,
     ROW,
     TropMatrix,
     TropVector,
-    basis_indices,
     hilbert,
     mat_mul,
     residuate,
     scale,
     stack,
-    transpose,
     vec_oplus,
+    weak_basis_matrix,
     zero_vector,
 )
 from .semiring import POS_INF, Domain, finite
 
 
 class ConvexSpan:
-    """Span of finitely many equally-shaped vectors.
+    """Span of finitely many equally-shaped vectors, built from the
+    vectors and held as their generator matrix (None for no vector).
 
     The generator list may be empty (the zero span, containing only the
     all -inf vector) provided dim and orientation are given explicitly.
     """
 
-    __slots__ = ("generators", "dim", "orientation")
+    __slots__ = ("matrix", "dim", "orientation")
 
     def __init__(self, generators, dim=None, orientation=None):
         generators = tuple(generators)
@@ -46,15 +49,24 @@ class ConvexSpan:
                     raise ShapeError("span generators must share dim and orientation")
         elif dim is None or orientation is None:
             raise ShapeError("empty span needs explicit dim and orientation")
-        self.generators = generators
+        self.matrix = stack(generators, orientation) if generators else None
         self.dim = dim
         self.orientation = orientation
 
+    @property
+    def generators(self):
+        """The generators, a tuple of vectors read off the matrix."""
+        m = self.matrix
+        if m is None:
+            return ()
+        return tuple(m.row_vectors() if self.orientation == ROW else m.col_vectors())
+
     def __len__(self):
-        return len(self.generators)
+        m = self.matrix
+        return 0 if m is None else m.rows if self.orientation == ROW else m.cols
 
     def __repr__(self):
-        return f"ConvexSpan({len(self.generators)} gens, dim={self.dim}, {self.orientation})"
+        return f"ConvexSpan({len(self)} gens, dim={self.dim}, {self.orientation})"
 
     def check_vector(self, a: TropVector):
         """ShapeError unless a has the span's dim and orientation."""
@@ -69,19 +81,19 @@ class ConvexSpan:
         """Evaluate the linear combination max_i coeffs_i * r_i: the
         generator matrix times the coefficient column (a row span: the
         coefficient row times the generator matrix)."""
-        if len(coeffs) != len(self.generators):
-            raise ShapeError(f"expected {len(self.generators)} coefficients")
+        if len(coeffs) != len(self):
+            raise ShapeError(f"expected {len(self)} coefficients")
         if not coeffs:
             return zero_vector(self.dim, self.orientation)
         c = TropVector(coeffs, self.orientation).as_matrix()
         if self.orientation == ROW:
-            return mat_mul(c, stack(self.generators, ROW)).row(0)
-        return mat_mul(stack(self.generators), c).col(0)
+            return mat_mul(c, self.matrix).row(0)
+        return mat_mul(self.matrix, c).col(0)
 
     def member(self, a: TropVector) -> bool:
         """Exact span membership: the principal combination equals a."""
         self.check_vector(a)
-        return residuate(self.generators, [a])[1] is None
+        return residuate(self.matrix, a.as_matrix(), self.orientation)[1] is None
 
     def membership(self, a: TropVector):
         """(is_member, principal coefficients).
@@ -92,8 +104,8 @@ class ConvexSpan:
         <= a, so they witness membership whenever the verdict is true.
         """
         self.check_vector(a)
-        coeffs, bad = residuate(self.generators, [a])
-        return bad is None, coeffs.row(0).entries if coeffs is not None else ()
+        coeffs, bad = residuate(self.matrix, a.as_matrix(), self.orientation)
+        return bad is None, coeffs.as_vector().entries if coeffs is not None else ()
 
     def weak_basis(self) -> "ConvexSpan":
         """Minimal generating sublist, greedy in ascending index order.
@@ -103,16 +115,23 @@ class ConvexSpan:
         All -inf generators are always dropped, so the zero span comes
         back empty.
         """
-        kept = [self.generators[i] for i in basis_indices(self.generators)]
-        return ConvexSpan(kept, dim=self.dim, orientation=self.orientation)
+        basis = weak_basis_matrix(self.matrix, self.orientation)
+        return _spanned(basis, self.dim, self.orientation)
+
+
+def _spanned(m, dim, orientation) -> ConvexSpan:
+    """The span of the columns (rows, for ROW) of m, or the zero span."""
+    s = object.__new__(ConvexSpan)
+    s.matrix, s.dim, s.orientation = m, dim, orientation
+    return s
 
 
 def row_span(a) -> ConvexSpan:
-    return ConvexSpan(a.row_vectors())
+    return _spanned(a, a.cols, ROW)
 
 
 def col_span(a) -> ConvexSpan:
-    return ConvexSpan(a.col_vectors())
+    return _spanned(a, a.rows, COL)
 
 
 def span_equal(s1: ConvexSpan, s2: ConvexSpan) -> bool:
@@ -120,8 +139,8 @@ def span_equal(s1: ConvexSpan, s2: ConvexSpan) -> bool:
     if s1.dim != s2.dim or s1.orientation != s2.orientation:
         raise ShapeError("spans must share dim and orientation")
     return (
-        residuate(s2.generators, s1.generators)[1] is None
-        and residuate(s1.generators, s2.generators)[1] is None
+        residuate(s2.matrix, s1.matrix, s1.orientation)[1] is None
+        and residuate(s1.matrix, s2.matrix, s1.orientation)[1] is None
     )
 
 
@@ -134,16 +153,14 @@ def principal_solution(b, c: TropVector) -> TropVector:
         raise ShapeError("principal_solution expects a matrix")
     if c.dim != b.rows:
         raise ShapeError(f"dimension mismatch: {c.dim} vs {b.rows} rows")
-    return residuate(b.col_vectors(), [c])[0].row(0).transpose()
+    return residuate(b, stack([c]))[0].col(0)
 
 
 def solve_right(b: TropMatrix, a: TropMatrix):
     """(X, None) for the principal solution X of B*X = A when it solves
     it, else (None, j) for the first column j of A outside C(B)."""
-    coeffs, bad = residuate(b.col_vectors(), a.col_vectors())
-    if bad is not None:
-        return None, bad
-    return transpose(coeffs), None
+    x, bad = residuate(b, a)
+    return (x, None) if bad is None else (None, bad)
 
 
 def _require_t_vector(v: TropVector, name):

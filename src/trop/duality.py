@@ -9,7 +9,7 @@ equality check, never assumed.  Its linear extension at A is one product
 G*X of the basis images by the principal coefficients of A over the basis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .convex import (
     ConvexSpan,
@@ -92,7 +92,10 @@ class IsoDescriptor:
     sigma is a 0-based permutation of the basis indices and every
     lambda is a finite rational.  The map extends linearly to the whole
     source span via principal coefficients; whether the extension is a
-    genuine isomorphism is decided by :func:`descriptor_valid`.
+    genuine isomorphism is decided by :func:`descriptor_valid`.  Built
+    once with the descriptor: source_matrix, the matrix E with the e_i
+    as columns, and image_matrix, G = F_sigma * diag lambda with the
+    images as columns (both None when k = 0).
     """
 
     source: tuple
@@ -101,6 +104,8 @@ class IsoDescriptor:
     lambdas: tuple
     source_shape: tuple = None  # (dim, orientation); required when k = 0
     target_shape: tuple = None
+    source_matrix: TropMatrix = field(init=False, repr=False, compare=False)
+    image_matrix: TropMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.source)
@@ -120,15 +125,15 @@ class IsoDescriptor:
             s, t = self.source[0], self.target[0]
             object.__setattr__(self, "source_shape", (s.dim, s.orientation))
             object.__setattr__(self, "target_shape", (t.dim, t.orientation))
+        object.__setattr__(self, "source_matrix", stack(self.source) if k else None)
+        object.__setattr__(self, "image_matrix", stack(self.image_vectors()) if k else None)
 
     @property
     def k(self):
         return len(self.source)
 
     def source_span(self) -> ConvexSpan:
-        if self.k:
-            return ConvexSpan(self.source)
-        return ConvexSpan((), dim=self.source_shape[0], orientation=self.source_shape[1])
+        return ConvexSpan(self.source, *self.source_shape)
 
     def image_vectors(self):
         """The images lambdas_i * target[sigma_i], in source order."""
@@ -154,20 +159,20 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
     having the e_i and the images as respective i-th columns share a
     row space.  The empty descriptor (zero span to zero span) is valid.
     """
-    return f.k == 0 or span_equal(row_span(stack(f.source)), row_span(stack(f.image_vectors())))
+    return f.k == 0 or span_equal(row_span(f.source_matrix), row_span(f.image_matrix))
 
 
-def _extend(f: IsoDescriptor, a: TropMatrix, images) -> TropMatrix:
-    """G*X, for G the matrix of the images and X the principal solution
-    of E*X = A, A of the source span's dim: f extended to each column."""
+def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
+    """G*X, for X the principal solution of E*X = A, A of the source
+    span's dim: f extended to each column."""
     if f.k == 0:
         if a != zero_matrix(a.rows, a.cols):
             raise DomainError("apply_iso: vector is not in the source span")
         return zero_matrix(f.target_shape[0], a.cols)
-    x, bad = solve_right(stack(f.source), a)
+    x, bad = solve_right(f.source_matrix, a)
     if bad is not None:
         raise DomainError("apply_iso: vector is not in the source span")
-    return mat_mul(stack(images), x)
+    return mat_mul(f.image_matrix, x)
 
 
 def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
@@ -179,7 +184,7 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     and is linear whenever the descriptor is valid.
     """
     f.source_span().check_vector(c)
-    out = _extend(f, stack([c]), f.image_vectors()).col(0)
+    out = _extend(f, stack([c])).col(0)
     return out if f.target_shape[1] == COL else out.transpose()
 
 
@@ -187,6 +192,13 @@ def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> TropVecto
     """inf*a + b mapped to inf*g(a) + g(b) for explicit representatives,
     as the TBAR vector (+inf)*g(a) + g(b) (see extended_pair)."""
     return extended_pair(apply_iso(g, a), apply_iso(g, b))
+
+
+def _image_span(f: IsoDescriptor) -> ConvexSpan:
+    """The span of the basis images, in the target's shape."""
+    if f.k and f.target_shape[1] == COL:
+        return col_span(f.image_matrix)
+    return ConvexSpan(f.image_vectors(), *f.target_shape)
 
 
 def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
@@ -199,10 +211,9 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     rather than as a wrong bridge.
     """
     f.source_span().check_vector(a.col(0))
-    images = f.image_vectors()
-    d = _extend(f, a, images)
+    d = _extend(f, a)
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    if not span_equal(col_span(d), ConvexSpan(images, *f.target_shape)):
+    if not span_equal(col_span(d), _image_span(f)):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

@@ -15,7 +15,7 @@ from .convex import ConvexSpan
 from .duality import IsoDescriptor
 from .errors import ParseError
 from .greens import RELATIONS, GreenVerdict
-from .linalg import COL, ROW, TropMatrix, TropVector, stack
+from .linalg import COL, ROW, TropMatrix, TropVector
 from .semiring import (
     format_domain,
     format_scalar,
@@ -140,9 +140,9 @@ def format_span(s: ConvexSpan) -> str:
     """Generators stacked in the span's natural shape (rows of a k x dim
     matrix for row spans, columns of a dim x k matrix for column spans).
     A zero span prints as a `0 dim` generator count header."""
-    if not s.generators:
+    if s.matrix is None:
         return f"0 {s.dim}\n"
-    return format_matrix(stack(s.generators, s.orientation))
+    return format_matrix(s.matrix)
 
 
 def _format_basis_block(vectors, shape):

@@ -30,7 +30,6 @@ from .linalg import (
     COL,
     TropMatrix,
     d_search_tables,
-    map_entries,
     mat_mul,
     transpose,
 )
@@ -161,7 +160,7 @@ def definitize_witness_t(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMat
         raise PreconditionError("definitize_witness_t needs +inf-free A and B")
     if mat_mul(b, p) != a:
         raise PreconditionError("definitize_witness_t: B*P != A")
-    p2 = map_entries(p, lambda e: ZERO if e.is_pos_inf else e)
+    p2 = TropMatrix([[ZERO if e.is_pos_inf else e for e in row] for row in p.entries])
     if mat_mul(b, p2) != a:
         raise VerificationError("definitize_witness_t: adjusted witness broke B*P = A")
     return p2
@@ -293,10 +292,10 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
             "raise max_basis / TROP_MAX_N to override"
         )
 
-    gens_e = basis_a.generators
-    gens_f = basis_b.generators
     # brackets between nonzero T vectors are never +inf
-    den, (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = d_search_tables(gens_e, gens_f)
+    den, (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = d_search_tables(
+        basis_a.matrix, basis_b.matrix
+    )
     patterns_e = sorted(map(_pattern, rows_e))
     pairs = [(i, j) for i in range(k) for j in range(k)]
     reasons = []
@@ -323,7 +322,9 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
             reasons.append(f"sigma {sigma}: the row-space weak bases differ")
             continue
         lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma], den)
-        iso = IsoDescriptor(gens_e, gens_f, sigma, lambdas, (n, COL), (n, COL))
+        iso = IsoDescriptor(
+            basis_a.generators, basis_b.generators, sigma, lambdas, (n, COL), (n, COL)
+        )
         if not descriptor_valid(iso):
             raise VerificationError("rel_D: matched descriptor failed the row space check")
         bridge = matrix_from_iso(a, iso)

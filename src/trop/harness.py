@@ -605,7 +605,7 @@ def _p14_extension_calculus(cfg, s, failures):
             if not span.member(x):
                 _fail(failures, trial, "+inf-free combination escaped the generating span",
                       "trop member x.vec S.mat --orientation col",
-                      S=stack(gens), x=x)
+                      S=span.matrix, x=x)
                 continue
         else:
             apart = span.combine([ZERO if c.is_pos_inf else NEG_INF for c in coeffs])
@@ -767,10 +767,10 @@ def _p16_bridge_net(cfg, s, failures):
     if cfg.trials < len(pairs):
         pairs = s.rng.sample(pairs, cfg.trials)
     for trial, ((rk, ck), d) in enumerate(pairs):
-        # each representative span is spanned by the rows (columns) of
-        # the first grid matrix with that row (column) space
-        a = stack(index.row_reps[rk].generators, ROW)
-        b = stack(index.col_reps[ck].generators)
+        # each representative span is the row (column) span of the
+        # first grid matrix with that row (column) space
+        a = index.row_reps[rk].matrix
+        b = index.col_reps[ck].matrix
         if not rel_D(a, b).holds:
             _fail(failures, trial,
                   "decision procedure says False but the grid bridge D has "

@@ -89,8 +89,8 @@ class TropVector(_Dense):
 
     @classmethod
     def _of(cls, packed, orientation):
-        x = super()._of(packed)
-        x.orientation = orientation
+        x = object.__new__(cls)
+        x._packed, x.orientation = packed, orientation
         return x
 
     @property
@@ -228,11 +228,13 @@ def _box(n, den):
     return finite(Fraction(n, den) if r else q)
 
 
-def _family(vectors):
-    """The packed rows of vectors, over one common denominator."""
-    packs = [x._packed for x in vectors]
-    den = lcm(*[p[0] for p in packs])
-    return den, [row for p in packs for row in _rescale(p, den)]
+def _spanning(m, orientation):
+    """The packed vectors a matrix spans with: its columns (for ROW,
+    its rows) as rows over its den; none when m is None."""
+    if m is None:
+        return 1, []
+    den, rows = m._packed
+    return den, (rows if orientation == ROW else list(zip(*rows)))
 
 
 def _align(p, q):
@@ -288,20 +290,32 @@ def _residuate(grows, trows):
     return coeffs, None
 
 
-def residuate(gens, targets):
-    """Principal coefficients of target vectors over generator vectors,
-    all of one dim (orientation ignored): ``(coeffs, bad)``, with bad as
-    for ``_residuate`` and coeffs the matrix of its coefficient rows, or
-    None when there are no generators or no targets."""
-    den, grows, trows = _align(_family(gens), _family(targets))
+def residuate(gens, targets, orientation=COL):
+    """The principal solution X of gens * X = targets (for ROW, of
+    X * gens = targets): column j of X (row j, for ROW) holds the
+    principal coefficients of column (row) j of targets over the columns
+    (rows) of gens.  Each side is aligned once.  Returns ``(X, bad)``,
+    bad as for ``_residuate`` and X stopping at that target; None stands
+    for a matrix of no vectors, and X is None when either side is."""
+    den, grows, trows = _align(_spanning(gens, orientation), _spanning(targets, orientation))
     coeffs, bad = _residuate(grows, trows)
-    return (TropMatrix._of((den, coeffs)) if grows and trows else None), bad
+    if not (grows and trows):
+        return None, bad
+    x = TropMatrix._of((den, coeffs))
+    return (x if orientation == ROW else transpose(x)), bad
 
 
-def basis_indices(gens):
-    """Greedy weak basis of generator vectors: each, in ascending order,
-    is dropped iff the others still standing recombine to it."""
-    return _basis_indices(_family(gens)[1])
+def weak_basis_matrix(gens, orientation=COL):
+    """The greedy weak basis of the columns (rows, for ROW) of a matrix,
+    as the matrix of those kept, or None for none (or for gens None):
+    each, in ascending order, is dropped iff the others still standing
+    recombine to it."""
+    den, vecs = _spanning(gens, orientation)
+    kept = [vecs[i] for i in _basis_indices(vecs)]
+    if not kept:
+        return None
+    m = TropMatrix._of((den, kept))
+    return m if orientation == ROW else transpose(m)
 
 
 def _basis_indices(rows):
@@ -312,24 +326,24 @@ def _basis_indices(rows):
     return kept
 
 
-def d_search_tables(gens_e, gens_f):
+def d_search_tables(e, f):
     """The inputs of the D search for two weak bases of +inf-free
-    vectors of one dim, aligned once to one common denominator den:
+    vectors of one dim, the columns of matrices e and f (None for no
+    vector), aligned once to one common denominator den:
     ``(den, tables_e, tables_f)``.  Each holds, for its basis g_1..g_k,
     the values of the g_i, the k x k bracket table <g_i|g_j>, and the
-    weak basis of the row space of the matrix whose rows are the g_i;
-    finite values are Python ints times den, and -inf is None."""
-    den, rows = _family([*gens_e, *gens_f])
-    k = len(gens_e)
-    return den, _d_tables(rows[:k]), _d_tables(rows[k:])
+    weak basis of the row space of its matrix; finite values are Python
+    ints times den, and -inf is None."""
+    den, rows_e, rows_f = _align(_spanning(e, ROW), _spanning(f, ROW))  # the matrix rows
+    return den, _d_tables(rows_e), _d_tables(rows_f)
 
 
 def _d_tables(rows):
-    cols = list(zip(*rows))
+    gens = list(zip(*rows))
     return (
-        [_t_values(row) for row in rows],
-        [_t_values([_residual(g, h) for h in rows]) for g in rows],
-        [_t_values(cols[j]) for j in _basis_indices(cols)],
+        [_t_values(g) for g in gens],
+        [_t_values([_residual(g, h) for h in gens]) for g in gens],
+        [_t_values(rows[i]) for i in _basis_indices(rows)],
     )
 
 
@@ -352,9 +366,12 @@ def transpose(a: TropMatrix) -> TropMatrix:
 
 
 def stack(vectors, orientation=COL) -> TropMatrix:
-    """The matrix whose columns (rows, for ROW) are the vectors, of one dim."""
-    rows = TropMatrix._of(_family(vectors))
-    return transpose(rows) if orientation == COL else rows
+    """The matrix whose columns (rows, for ROW) are the vectors, of one
+    dim, over one common denominator."""
+    packs = [x._packed for x in vectors]
+    den = lcm(*[p[0] for p in packs])
+    rows = [row for p in packs for row in _rescale(p, den)]
+    return TropMatrix._of((den, list(zip(*rows)) if orientation == COL else rows))
 
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
@@ -434,7 +451,3 @@ def hilbert(x: TropVector, y: TropVector) -> TropScalar:
     if _normalized(xs) == _normalized(ys):
         return ZERO
     return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))
-
-
-def map_entries(a: TropMatrix, f) -> TropMatrix:
-    return TropMatrix([[f(e) for e in r] for r in a.entries])

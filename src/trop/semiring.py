@@ -104,8 +104,10 @@ ZERO = finite(0)  # multiplicative identity (tropical "one")
 
 
 def oplus(a: TropScalar, b: TropScalar) -> TropScalar:
-    """Tropical addition: max under the total order."""
-    return b if leq(a, b) else a
+    """Tropical addition: max under the total order (b on a tie)."""
+    if a.kind != b.kind:
+        return b if a.kind < b.kind else a
+    return b if a.kind != _FIN or a.value <= b.value else a
 
 
 def otimes(a: TropScalar, b: TropScalar) -> TropScalar:
@@ -115,7 +117,8 @@ def otimes(a: TropScalar, b: TropScalar) -> TropScalar:
         return NEG_INF
     if ak == _POS or bk == _POS:
         return POS_INF
-    return finite(a.value + b.value)
+    x = a.value + b.value
+    return TropScalar(_FIN, x) if x.__class__ is int else finite(x)  # an int is canonical
 
 
 def neg(a: TropScalar) -> TropScalar:

@@ -5,12 +5,14 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trop.convex import (
     ConvexSpan,
+    col_span,
     extended_pair,
     principal_solution,
+    row_span,
     span_equal,
     welldef_criterion,
 )
@@ -24,6 +26,7 @@ from trop.linalg import (
     identity,
     mat_mul,
     scale,
+    transpose,
     vec_leq,
     vec_oplus,
     vector,
@@ -373,3 +376,85 @@ def test_leq_R_exact_on_huge_entries(a, b):
     assert v.holds == holds
     if holds:
         assert v.witnesses == (("X", TropMatrix(list(zip(*coeffs)))),)
+
+
+# TBAR entries on denominators 1, 7 and 10**400 + 1, small and huge,
+# next to both infinities.
+tbar_exact = st.one_of(
+    st.sampled_from((NEG_INF, POS_INF)),
+    st.builds(
+        lambda n, d: finite(Fraction(n, d)),
+        st.one_of(st.integers(-20, 20), st.sampled_from((BIG, -BIG))),
+        st.sampled_from((1, 7, BIG + 1)),
+    ),
+)
+
+
+def _span_forms(gens, dim):
+    """One span in every form: ConvexSpan of the column vectors gens and
+    of their transposes, col_span of the matrix with gens as columns and
+    row_span of its transpose (the last two only for k > 0)."""
+    forms = [ConvexSpan(gens, dim, COL), ConvexSpan([g.transpose() for g in gens], dim, ROW)]
+    if gens:
+        m = TropMatrix(list(zip(*(g.entries for g in gens))))
+        forms += [col_span(m), row_span(transpose(m))]
+    return forms
+
+
+def _as_col(v):
+    return v if v.orientation == COL else v.transpose()
+
+
+def _observe(s, targets, coeffs, others):
+    """What a span answers, every vector read as a column."""
+    def fit(v):
+        return v if v.orientation == s.orientation else v.transpose()
+
+    basis = s.weak_basis()
+    return (
+        len(s),
+        [_as_col(g) for g in s.generators],
+        [s.member(fit(a)) for a in targets],
+        [s.membership(fit(a)) for a in targets],
+        len(basis),
+        [_as_col(g) for g in basis.generators],
+        span_equal(s, basis),
+        [span_equal(s, ConvexSpan([fit(g) for g in t], s.dim, s.orientation)) for t in others],
+        _as_col(s.combine(coeffs)),
+    )
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_span_forms_agree_over_tbar(data):
+    # row_span(m), col_span(m) and ConvexSpan(vectors) hold one span
+    # three ways; each answers every query alike, and as the scalar
+    # operations alone do
+    dim = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, 3))
+    vectors = st.lists(tbar_exact, min_size=dim, max_size=dim).map(
+        lambda es: TropVector(es, COL)
+    )
+    gens = [data.draw(vectors) for _ in range(k)]
+    coeffs = data.draw(st.lists(tbar_exact, min_size=k, max_size=k))
+    member = TropVector(ref_combine(coeffs, gens, dim), COL)
+    targets = [member, zero_vector(dim, COL)] + [data.draw(vectors) for _ in range(2)]
+    others = [gens[::-1] + [member], gens[1:], [data.draw(vectors)]]
+    forms = _span_forms(gens, dim)
+    seen = [_observe(s, targets, coeffs, others) for s in forms]
+    assert all(x == seen[0] for x in seen[1:])
+    assert seen[0][2] == [ref_member(gens, a) for a in targets]
+    assert [c for _, c in seen[0][3]] == [tuple(ref_coeffs(gens, a)) for a in targets]
+    assert seen[0][8].entries == ref_combine(coeffs, gens, dim)
+
+
+def test_matrix_spans_wrap_the_matrix():
+    # row_span and col_span hold the matrix itself, not a copy of its
+    # entries; the generators are views read off it
+    a = TropMatrix([[0, NEG_INF, 2], [Fraction(1, 7), POS_INF, 0]])
+    rows, cols = row_span(a), col_span(a)
+    assert rows.matrix is a and cols.matrix is a
+    assert rows.generators == tuple(a.row_vectors()) and len(rows) == 2 and rows.dim == 3
+    assert cols.generators == tuple(a.col_vectors()) and len(cols) == 3 and cols.dim == 2
+    assert ConvexSpan(a.col_vectors()).matrix == a
+    assert ConvexSpan([], dim=2, orientation=COL).matrix is None

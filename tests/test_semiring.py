@@ -171,3 +171,40 @@ def test_canonical_reduction():
     assert two == finite(2) and hash(two) == hash(finite(2))
     assert format_scalar(two) == "2" and type(two.value) is int
     assert type(otimes(finite(Fraction(1, 2)), finite(Fraction(3, 2))).value) is int
+
+
+# Ints of every size, and Fractions on small and huge coprime
+# denominators, next to both infinities: the int fast paths of oplus and
+# otimes must agree with the Fraction path on each.
+BIG = 10**400
+exact_scalars = st.one_of(
+    st.sampled_from((NEG_INF, POS_INF)),
+    st.integers(-(BIG + 1), BIG + 1).map(finite),
+    st.builds(
+        lambda n, d: finite(Fraction(n, d)),
+        st.one_of(st.integers(-60, 60), st.integers(-(2 * BIG), 2 * BIG)),
+        st.sampled_from((1, 2, 7, BIG + 1)),
+    ),
+)
+
+
+def _via_fraction(a, b):
+    """oplus and otimes of a and b on the Fraction path, the int fast
+    paths bypassed: both values Fractions, the sum re-canonicalized."""
+    if not (a.is_finite and b.is_finite):
+        return (b if leq(a, b) else a), (
+            NEG_INF if NEG_INF in (a, b) else POS_INF
+        )
+    x, y = Fraction(a.value), Fraction(b.value)
+    return (b if x <= y else a), finite(x + y)
+
+
+@given(exact_scalars, exact_scalars)
+def test_int_fast_paths_match_the_fraction_path(a, b):
+    want_sum, want_product = _via_fraction(a, b)
+    got_sum, got_product = oplus(a, b), otimes(a, b)
+    assert got_sum is want_sum  # the max is one of the operands, b on a tie
+    assert got_product == want_product
+    assert hash(got_product) == hash(want_product)
+    assert str(got_product) == str(want_product)
+    assert type(got_product.value) is type(want_product.value)
