@@ -35,6 +35,8 @@ class ConvexSpan:
 
     The generator list may be empty (the zero span, containing only the
     all -inf vector) provided dim and orientation are given explicitly.
+    == compares dim, orientation and matrix, the generators in order;
+    span_equal compares the sets they span.
     """
 
     __slots__ = ("matrix", "dim", "orientation")
@@ -65,8 +67,18 @@ class ConvexSpan:
         m = self.matrix
         return 0 if m is None else m.rows if self.orientation == ROW else m.cols
 
+    def __eq__(self, other):
+        if not isinstance(other, ConvexSpan):
+            return NotImplemented
+        return (self.dim, self.orientation, self.matrix) == (
+            other.dim, other.orientation, other.matrix
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.orientation, self.matrix))
+
     def __repr__(self):
-        return f"ConvexSpan({len(self)} gens, dim={self.dim}, {self.orientation})"
+        return f"ConvexSpan({self.matrix!r}, dim={self.dim}, {self.orientation})"
 
     def check_vector(self, a: TropVector):
         """ShapeError unless a has the span's dim and orientation."""

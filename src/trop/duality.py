@@ -26,8 +26,9 @@ from .linalg import (
     TropMatrix,
     TropVector,
     mat_mul,
-    scale,
+    scale_columns,
     stack,
+    transpose,
     vec_neg,
     zero_matrix,
 )
@@ -87,23 +88,22 @@ def kernel_witness(b: TropMatrix, z: TropVector):
 
 @dataclass(frozen=True)
 class IsoDescriptor:
-    """A candidate span isomorphism e_i -> lambdas_i * target[sigma_i].
+    """A candidate span isomorphism e_i -> lambdas_i * f_sigma(i).
 
-    sigma is a 0-based permutation of the basis indices and every
-    lambda is a finite rational.  The map extends linearly to the whole
-    source span via principal coefficients; whether the extension is a
-    genuine isomorphism is decided by :func:`descriptor_valid`.  Built
-    once with the descriptor: source_matrix, the matrix E with the e_i
-    as columns, and image_matrix, G = F_sigma * diag lambda with the
-    images as columns (both None when k = 0).
+    e_i and f_j are the generators of the source and target spans, sigma
+    is a 0-based permutation of the basis indices and every lambda is a
+    finite rational.  The map extends linearly to the whole source span
+    via principal coefficients; whether the extension is a genuine
+    isomorphism is decided by :func:`descriptor_valid`.  Built once with
+    the descriptor: source_matrix, the matrix E with the e_i as columns,
+    and image_matrix, G = F_sigma * diag lambda with the images as
+    columns (both None when k = 0).
     """
 
-    source: tuple
-    target: tuple
+    source: ConvexSpan
+    target: ConvexSpan
     sigma: tuple
     lambdas: tuple
-    source_shape: tuple = None  # (dim, orientation); required when k = 0
-    target_shape: tuple = None
     source_matrix: TropMatrix = field(init=False, repr=False, compare=False)
     image_matrix: TropMatrix = field(init=False, repr=False, compare=False)
 
@@ -116,40 +116,22 @@ class IsoDescriptor:
         for lam in self.lambdas:
             if not (isinstance(lam, TropScalar) and lam.is_finite):
                 raise DomainError("descriptor scalings must be finite rationals")
-        if k == 0:
-            if self.source_shape is None or self.target_shape is None:
-                raise ShapeError("empty descriptor needs explicit source/target shapes")
-        else:
-            # normalize shapes so equality is insensitive to how the
-            # descriptor was built
-            s, t = self.source[0], self.target[0]
-            object.__setattr__(self, "source_shape", (s.dim, s.orientation))
-            object.__setattr__(self, "target_shape", (t.dim, t.orientation))
-        object.__setattr__(self, "source_matrix", stack(self.source) if k else None)
-        object.__setattr__(self, "image_matrix", stack(self.image_vectors()) if k else None)
+        e, t = self.source.matrix, self.target
+        if e is not None and self.source.orientation == ROW:
+            e = transpose(e)
+        object.__setattr__(self, "source_matrix", e)
+        object.__setattr__(
+            self, "image_matrix", scale_columns(t.matrix, self.sigma, self.lambdas, t.orientation)
+        )
 
     @property
     def k(self):
         return len(self.source)
 
-    def source_span(self) -> ConvexSpan:
-        return ConvexSpan(self.source, *self.source_shape)
 
-    def image_vectors(self):
-        """The images lambdas_i * target[sigma_i], in source order."""
-        return [scale(self.lambdas[i], self.target[self.sigma[i]]) for i in range(self.k)]
-
-
-def identity_descriptor(basis, shape=None) -> IsoDescriptor:
-    basis = tuple(basis)
-    return IsoDescriptor(
-        basis,
-        basis,
-        tuple(range(len(basis))),
-        (ZERO,) * len(basis),
-        source_shape=shape,
-        target_shape=shape,
-    )
+def identity_descriptor(span: ConvexSpan) -> IsoDescriptor:
+    k = len(span)
+    return IsoDescriptor(span, span, tuple(range(k)), (ZERO,) * k)
 
 
 def descriptor_valid(f: IsoDescriptor) -> bool:
@@ -165,13 +147,11 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
 def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
     """G*X, for X the principal solution of E*X = A, A of the source
     span's dim: f extended to each column."""
-    if f.k == 0:
-        if a != zero_matrix(a.rows, a.cols):
-            raise DomainError("apply_iso: vector is not in the source span")
-        return zero_matrix(f.target_shape[0], a.cols)
     x, bad = solve_right(f.source_matrix, a)
     if bad is not None:
         raise DomainError("apply_iso: vector is not in the source span")
+    if x is None:  # k = 0, and A is zero
+        return zero_matrix(f.target.dim, a.cols)
     return mat_mul(f.image_matrix, x)
 
 
@@ -180,12 +160,12 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
 
     c must belong to the span of the source basis E; its principal
     coefficients x give G*x, the one-column case of matrix_from_iso.
-    Agrees with e_i -> lambdas_i * target[sigma_i] on the basis itself,
+    Agrees with e_i -> lambdas_i * f_sigma(i) on the basis itself,
     and is linear whenever the descriptor is valid.
     """
-    f.source_span().check_vector(c)
+    f.source.check_vector(c)
     out = _extend(f, stack([c])).col(0)
-    return out if f.target_shape[1] == COL else out.transpose()
+    return out if f.target.orientation == COL else out.transpose()
 
 
 def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> TropVector:
@@ -196,9 +176,10 @@ def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> TropVecto
 
 def _image_span(f: IsoDescriptor) -> ConvexSpan:
     """The span of the basis images, in the target's shape."""
-    if f.k and f.target_shape[1] == COL:
-        return col_span(f.image_matrix)
-    return ConvexSpan(f.image_vectors(), *f.target_shape)
+    g, t = f.image_matrix, f.target
+    if g is None:
+        return ConvexSpan((), t.dim, t.orientation)
+    return col_span(g) if t.orientation == COL else row_span(transpose(g))
 
 
 def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
@@ -210,7 +191,7 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     descriptor surfaces as a VerificationError naming the failing side
     rather than as a wrong bridge.
     """
-    f.source_span().check_vector(a.col(0))
+    f.source.check_vector(a.col(0))
     d = _extend(f, a)
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")

@@ -145,13 +145,9 @@ def format_span(s: ConvexSpan) -> str:
     return format_matrix(s.matrix)
 
 
-def _format_basis_block(vectors, shape):
-    if vectors:
-        dim, orientation = vectors[0].dim, vectors[0].orientation
-    else:
-        dim, orientation = shape
-    lines = [f"{orientation} {len(vectors)} {dim}"]
-    for v in vectors:
+def _format_basis_block(s: ConvexSpan):
+    lines = [f"{s.orientation} {len(s)} {s.dim}"]
+    for v in s.generators:
         lines.append(" ".join(format_scalar(e) for e in v.entries))
     return lines
 
@@ -163,8 +159,8 @@ def format_descriptor(f: IsoDescriptor) -> str:
     if f.k:
         lines.append(" ".join(str(i + 1) for i in f.sigma))
         lines.append(" ".join(format_scalar(l) for l in f.lambdas))
-    lines.extend(_format_basis_block(f.source, f.source_shape))
-    lines.extend(_format_basis_block(f.target, f.target_shape))
+    lines.extend(_format_basis_block(f.source))
+    lines.extend(_format_basis_block(f.target))
     return "\n".join(lines) + "\n"
 
 
@@ -179,7 +175,7 @@ def _parse_basis_block(cur: _Lines):
     for _ in range(k):
         line, lineno = cur.expect_line("basis generator row")
         vectors.append(TropVector(_parse_scalar_row(line, lineno, dim), orientation))
-    return tuple(vectors), (dim, orientation)
+    return ConvexSpan(vectors, dim, orientation)
 
 
 def _parse_descriptor_block(cur: _Lines) -> IsoDescriptor:
@@ -195,11 +191,9 @@ def _parse_descriptor_block(cur: _Lines) -> IsoDescriptor:
         )
         line, lineno = cur.expect_line("scaling line")
         lambdas = tuple(_parse_scalar_row(line, lineno, k))
-    source, source_shape = _parse_basis_block(cur)
-    target, target_shape = _parse_basis_block(cur)
-    return IsoDescriptor(
-        source, target, sigma, lambdas, source_shape=source_shape, target_shape=target_shape
-    )
+    source = _parse_basis_block(cur)
+    target = _parse_basis_block(cur)
+    return IsoDescriptor(source, target, sigma, lambdas)
 
 
 def parse_descriptor(text: str) -> IsoDescriptor:

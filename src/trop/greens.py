@@ -27,7 +27,6 @@ from .errors import (
     VerificationError,
 )
 from .linalg import (
-    COL,
     TropMatrix,
     d_search_tables,
     mat_mul,
@@ -322,9 +321,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
             reasons.append(f"sigma {sigma}: the row-space weak bases differ")
             continue
         lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma], den)
-        iso = IsoDescriptor(
-            basis_a.generators, basis_b.generators, sigma, lambdas, (n, COL), (n, COL)
-        )
+        iso = IsoDescriptor(basis_a, basis_b, sigma, lambdas)
         if not descriptor_valid(iso):
             raise VerificationError("rel_D: matched descriptor failed the row space check")
         bridge = matrix_from_iso(a, iso)

@@ -181,9 +181,9 @@ class Sampler:
         return self.rng.randint(*dim_range)
 
     def span_member(self, generators, pool=None) -> TropVector:
-        """A random combination of the given vectors."""
-        coeffs = [self.scalar(pool) for _ in generators]
-        return ConvexSpan(generators).combine(coeffs)
+        """A random combination of the given vectors, or of a span's."""
+        span = generators if isinstance(generators, ConvexSpan) else ConvexSpan(generators)
+        return span.combine([self.scalar(pool) for _ in range(len(span))])
 
 
 def bracket_oracle(x: TropVector, y: TropVector) -> TropScalar:

@@ -367,11 +367,26 @@ def transpose(a: TropMatrix) -> TropMatrix:
 
 def stack(vectors, orientation=COL) -> TropMatrix:
     """The matrix whose columns (rows, for ROW) are the vectors, of one
-    dim, over one common denominator."""
+    dim, over one common denominator; ShapeError for vectors of two dims."""
     packs = [x._packed for x in vectors]
+    if len({len(p[1][0]) for p in packs}) > 1:
+        raise ShapeError("stacked vectors must share one dim")
     den = lcm(*[p[0] for p in packs])
     rows = [row for p in packs for row in _rescale(p, den)]
     return TropMatrix._of((den, list(zip(*rows)) if orientation == COL else rows))
+
+
+def scale_columns(gens, sigma, lambdas, orientation=COL):
+    """gens * P_sigma * diag(lambdas), for finite scalars lambdas: the
+    matrix whose column i is lambdas_i times column sigma_i of gens (row
+    sigma_i, for ROW), built in one pass over gens; None when gens is."""
+    if gens is None:
+        return None
+    den, rows, (shifts,) = _align(gens._packed, pack((lambdas,)))
+    return TropMatrix._of((den, [
+        tuple([n if (n := row[s]).__class__ is float else n + c for s, c in zip(sigma, shifts)])
+        for row in (rows if orientation == COL else zip(*rows))
+    ]))
 
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:

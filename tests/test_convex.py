@@ -16,7 +16,9 @@ from trop.convex import (
     span_equal,
     welldef_criterion,
 )
+from trop.duality import identity_descriptor
 from trop.errors import DomainError, ShapeError
+from trop.formats import format_descriptor, parse_descriptor
 from trop.greens import leq_R
 from trop.linalg import (
     COL,
@@ -458,3 +460,33 @@ def test_matrix_spans_wrap_the_matrix():
     assert cols.generators == tuple(a.col_vectors()) and len(cols) == 3 and cols.dim == 2
     assert ConvexSpan(a.col_vectors()).matrix == a
     assert ConvexSpan([], dim=2, orientation=COL).matrix is None
+
+
+def test_span_generators_share_dim_and_orientation():
+    with pytest.raises(ShapeError, match="^span generators must share dim and orientation$"):
+        ConvexSpan([vector([0, 1]), vector([0, 1, 2])])
+    with pytest.raises(ShapeError, match="^span generators must share dim and orientation$"):
+        ConvexSpan([vector([0, 1]), vector([0, 1], COL)])
+
+
+def test_span_equality_is_the_generator_list():
+    # == and hash compare dim, orientation and generator matrix: the same
+    # generators in the same order, however the span was built; span_equal
+    # compares the sets the generators span
+    m = TropMatrix([[0, NEG_INF, 2], [Fraction(1, 7), POS_INF, 0]])
+    parsed = parse_descriptor(format_descriptor(identity_descriptor(col_span(m)))).source
+    forms = [col_span(m), ConvexSpan(m.col_vectors()), parsed]
+    for s in forms:
+        assert all(s == t and hash(s) == hash(t) for t in forms)
+    reordered = ConvexSpan(m.col_vectors()[::-1])
+    redundant = ConvexSpan(m.col_vectors() + [scale(finite(1), m.col(0))])
+    for other in (reordered, redundant):
+        assert span_equal(other, col_span(m)) and other != col_span(m)
+        assert repr(other) != repr(col_span(m))
+    assert repr(parsed) == repr(col_span(m))
+    assert row_span(transpose(m)) != col_span(m)
+    assert ConvexSpan((), 2, COL) == ConvexSpan((), 2, COL)
+    assert hash(ConvexSpan((), 2, COL)) == hash(ConvexSpan((), 2, COL))
+    assert ConvexSpan((), 2, COL) != ConvexSpan((), 3, COL)
+    assert ConvexSpan((), 2, COL) != ConvexSpan((), 2, ROW)
+    assert col_span(m) != m

@@ -144,7 +144,7 @@ def test_kernel_witness_with_zero_entries():
 
 def test_apply_iso_identity():
     basis = (vector([0, 0]), vector([0, 1]))
-    f = identity_descriptor(basis)
+    f = identity_descriptor(ConvexSpan(basis))
     assert descriptor_valid(f)
     c = member_of(basis, [finite(2), finite(-1)])
     assert apply_iso(f, c) == c
@@ -153,19 +153,19 @@ def test_apply_iso_identity():
 def test_apply_iso_single_ray():
     e1 = vector([1, 4])
     f1 = vector([0, 2])
-    f = IsoDescriptor((e1,), (f1,), (0,), (finite(3),))
+    f = IsoDescriptor(ConvexSpan((e1,)), ConvexSpan((f1,)), (0,), (finite(3),))
     assert apply_iso(f, scale(finite(5), e1)) == scale(finite(8), f1)
 
 
 def test_apply_iso_swap_example():
-    e = (TropVector([ZERO, NEG_INF], COL), TropVector([NEG_INF, ZERO], COL))
+    e = ConvexSpan((TropVector([ZERO, NEG_INF], COL), TropVector([NEG_INF, ZERO], COL)))
     f = IsoDescriptor(e, e, (1, 0), (ZERO, ZERO))
     c = TropVector([finite(2), finite(5)], COL)
     assert apply_iso(f, c) == TropVector([finite(5), finite(2)], COL)
 
 
 def test_apply_iso_rejects_outsiders():
-    basis = (vector([0, 0]),)
+    basis = ConvexSpan((vector([0, 0]),))
     f = identity_descriptor(basis)
     with pytest.raises(DomainError):
         apply_iso(f, vector([0, 1]))
@@ -173,7 +173,7 @@ def test_apply_iso_rejects_outsiders():
 
 def test_matrix_from_iso_identity_and_permutation():
     a = TropMatrix([[ZERO, finite(1)], [NEG_INF, finite(2)]])
-    basis = tuple(col_span(a).weak_basis().generators)
+    basis = col_span(a).weak_basis()
     ident = identity_descriptor(basis)
     assert matrix_from_iso(a, ident) == a
 
@@ -188,7 +188,7 @@ def test_matrix_from_iso_identity_and_permutation():
 
 def test_matrix_from_iso_uniform_scaling():
     a = TropMatrix([[finite(1), finite(-1)], [ZERO, finite(2)]])
-    basis = tuple(col_span(a).weak_basis().generators)
+    basis = col_span(a).weak_basis()
     f = IsoDescriptor(
         basis, basis, tuple(range(len(basis))), (finite(1),) * len(basis)
     )
@@ -293,12 +293,13 @@ def test_kernel_witness_random(m, data):
 
 
 def reference_apply_iso(f, c):
-    ok, coeffs = f.source_span().membership(c)
+    ok, coeffs = f.source.membership(c)
     if not ok:
         raise DomainError("apply_iso: vector is not in the source span")
-    acc = zero_vector(*f.target_shape)
+    targets = f.target.generators
+    acc = zero_vector(f.target.dim, f.target.orientation)
     for i in range(f.k):
-        acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), f.target[f.sigma[i]]))
+        acc = vec_oplus(acc, scale(otimes(coeffs[i], f.lambdas[i]), targets[f.sigma[i]]))
     return acc
 
 
@@ -307,8 +308,9 @@ def reference_matrix_from_iso(a, f):
     d = TropMatrix([[col.entries[i] for col in cols] for i in range(cols[0].dim)])
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    tdim, torient = f.target_shape
-    image_span = ConvexSpan(tuple(f.image_vectors()), dim=tdim, orientation=torient)
+    targets = f.target.generators
+    images = [scale(f.lambdas[i], targets[f.sigma[i]]) for i in range(f.k)]
+    image_span = ConvexSpan(images, dim=f.target.dim, orientation=f.target.orientation)
     if not span_equal(col_span(d), image_span):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d
@@ -391,7 +393,9 @@ def test_bridge_matches_column_loop_over_tbar(data):
     rows, mixed, (hi, lo, *_), target, sigma, lambdas, coeff_cols, outsider = data
     rows[mixed][hi], rows[mixed][lo] = POS_INF, NEG_INF
     source = [TropVector(r, COL) for r in rows]
-    f = IsoDescriptor(tuple(source), tuple(target or source), tuple(sigma), tuple(lambdas))
+    f = IsoDescriptor(
+        ConvexSpan(source), ConvexSpan(target or source), tuple(sigma), tuple(lambdas)
+    )
     cols = source + [member_of(source, coeffs) for coeffs in coeff_cols]
     if outsider is not None:
         cols.append(outsider)
@@ -401,7 +405,7 @@ def test_bridge_matches_column_loop_over_tbar(data):
 
 def test_matrix_from_iso_rejects_an_invalid_swap():
     a = TropMatrix([[NEG_INF, ZERO], [ZERO, finite(1)]])
-    basis = tuple(col_span(a).weak_basis().generators)
+    basis = col_span(a).weak_basis()
     swap = IsoDescriptor(basis, basis, (1, 0), (ZERO, ZERO))
     assert not descriptor_valid(swap)
     with pytest.raises(VerificationError, match="^matrix_from_iso: row spaces differ$"):
@@ -410,23 +414,23 @@ def test_matrix_from_iso_rejects_an_invalid_swap():
 
 def test_matrix_from_iso_rejects_columns_outside_the_source_span():
     a = TropMatrix([[ZERO, ZERO], [ZERO, finite(1)]])
-    f = identity_descriptor((TropVector([ZERO, ZERO], COL),))
+    f = identity_descriptor(ConvexSpan((TropVector([ZERO, ZERO], COL),)))
     with pytest.raises(DomainError, match="^apply_iso: vector is not in the source span$"):
         matrix_from_iso(a, f)
 
 
 def test_matrix_from_iso_rejects_a_row_oriented_source():
     a = TropMatrix([[ZERO, ZERO], [ZERO, finite(1)]])
-    f = identity_descriptor(tuple(row_span(a).weak_basis().generators))
+    f = identity_descriptor(row_span(a).weak_basis())
     with pytest.raises(ShapeError):
         matrix_from_iso(a, f)
     column = TropMatrix([[ZERO], [ZERO], [ZERO]])
     with pytest.raises(ShapeError):
-        matrix_from_iso(column, identity_descriptor((vector([0, 0]),)))
+        matrix_from_iso(column, identity_descriptor(ConvexSpan((vector([0, 0]),))))
 
 
 def test_matrix_from_iso_empty_descriptor():
-    f = IsoDescriptor((), (), (), (), source_shape=(3, COL), target_shape=(2, COL))
+    f = IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 2, COL), (), ())
     assert descriptor_valid(f)
     d = matrix_from_iso(zero_matrix(3, 2), f)
     assert d == zero_matrix(2, 2)

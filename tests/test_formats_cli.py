@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from trop import formats, harness
 from trop.cli import main
+from trop.convex import ConvexSpan
 from trop.duality import IsoDescriptor, identity_descriptor
 from trop.errors import ParseError
 from trop.greens import RELATIONS, GreenVerdict, leq_R, rel_D
@@ -51,13 +52,12 @@ def descriptors(draw):
     k = draw(st.integers(0, 3))
     shapes = [(draw(st.integers(1, 3)), draw(st.sampled_from((ROW, COL)))) for _ in "st"]
     source, target = (
-        tuple(TropVector(draw(scalar_lists(dim)), orient) for _ in range(k))
+        ConvexSpan([TropVector(draw(scalar_lists(dim)), orient) for _ in range(k)], dim, orient)
         for dim, orient in shapes
     )
     sigma = tuple(draw(st.permutations(range(k))))
     lambdas = tuple(draw(st.lists(finite_scalars, min_size=k, max_size=k)))
-    return IsoDescriptor(source, target, sigma, lambdas,
-                         source_shape=shapes[0], target_shape=shapes[1])
+    return IsoDescriptor(source, target, sigma, lambdas)
 
 
 @st.composite
@@ -124,12 +124,19 @@ def test_round_trip_fuzz(m, v, f, verdict):
 
 
 def test_descriptor_round_trip():
-    basis = (TropVector([ZERO, finite(1)], COL), TropVector([finite(2), NEG_INF], COL))
+    basis = ConvexSpan(
+        (TropVector([ZERO, finite(1)], COL), TropVector([finite(2), NEG_INF], COL))
+    )
     f = IsoDescriptor(basis, basis, (1, 0), (finite(Fraction(1, 3)), ZERO))
     assert formats.parse_descriptor(formats.format_descriptor(f)) == f
 
-    empty = identity_descriptor((), shape=(3, COL))
+    empty = identity_descriptor(ConvexSpan((), 3, COL))
     assert formats.parse_descriptor(formats.format_descriptor(empty)) == empty
+
+    apart = IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 2, ROW), (), ())
+    assert formats.format_descriptor(apart) == "0\ncol 0 3\nrow 0 2\n"
+    assert formats.parse_descriptor(formats.format_descriptor(apart)) == apart
+    assert apart != IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 3, ROW), (), ())
 
 
 def test_verdict_round_trip_order_relation():

@@ -24,6 +24,7 @@ from trop.linalg import (
     mat_mul,
     proj_normalize,
     scale,
+    scale_columns,
     stack,
     transpose,
     vec_leq,
@@ -55,15 +56,12 @@ HUGE = (
     POS_INF,
 )
 
-mixed_scalars = st.one_of(
-    st.just(NEG_INF),
-    st.just(POS_INF),
-    st.builds(
-        lambda n, d: finite(Fraction(n, d)),
-        st.one_of(st.integers(-30, 30), st.integers(-BIG, BIG)),
-        st.sampled_from((1, 2, 3, 7, BIG + 1)),
-    ),
+mixed_finite = st.builds(
+    lambda n, d: finite(Fraction(n, d)),
+    st.one_of(st.integers(-30, 30), st.integers(-BIG, BIG)),
+    st.sampled_from((1, 2, 3, 7, BIG + 1)),
 )
+mixed_scalars = st.one_of(st.just(NEG_INF), st.just(POS_INF), mixed_finite)
 
 
 def ref_bracket(x, y):
@@ -390,6 +388,44 @@ def test_kernel_results_match_their_boxed_form(data):
         results += kernel_witness(b, z)
     for r in results:
         assert_same_as_boxed(r)
+
+
+def test_stack_rejects_vectors_of_two_dims():
+    with pytest.raises(ShapeError, match="^stacked vectors must share one dim$"):
+        stack([vector([0, 1], COL), vector([0, 1, 2], COL)])
+    with pytest.raises(ShapeError, match="^stacked vectors must share one dim$"):
+        stack([vector([0, 1, 2]), vector([0, 1])], ROW)
+
+
+def test_scale_columns_example():
+    f = TropMatrix([[0, NEG_INF], [POS_INF, Fraction(1, 7)]])
+    lambdas = (finite(2), finite(Fraction(-1, 3)))
+    g = TropMatrix([[NEG_INF, Fraction(-1, 3)], [Fraction(15, 7), POS_INF]])
+    assert scale_columns(f, (1, 0), lambdas) == g
+    assert scale_columns(transpose(f), (1, 0), lambdas, ROW) == g
+    assert scale_columns(None, (), ()) is None
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_scale_columns_matches_scaling_each_generator(data):
+    # G = F * P_sigma * diag(lambdas) in one pass over F, against one
+    # scale per generator and a stack; k = 0 has no G
+    dim, k = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+    orientation = data.draw(st.sampled_from((ROW, COL)))
+    rows = [data.draw(st.lists(mixed_scalars, min_size=dim, max_size=dim)) for _ in range(k)]
+    if k and dim > 1:
+        mixed = data.draw(st.integers(0, k - 1))
+        rows[mixed][0], rows[mixed][-1] = POS_INF, NEG_INF
+    gens = [TropVector(r, orientation) for r in rows]
+    sigma = data.draw(st.permutations(range(k)))
+    lambdas = data.draw(st.lists(mixed_finite, min_size=k, max_size=k))
+    g = scale_columns(stack(gens, orientation) if k else None, sigma, lambdas, orientation)
+    if not k:
+        assert g is None
+        return
+    assert g == stack([scale(lambdas[i], gens[sigma[i]]) for i in range(k)])
+    assert_same_as_boxed(g)
 
 
 def test_kernel_result_over_a_non_minimal_denominator():
