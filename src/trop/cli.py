@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import formats
@@ -60,17 +61,9 @@ def _load_span(path, orientation):
     return row_span(m) if orientation == ROW else col_span(m)
 
 
-def cmd_bracket(args):
-    x = _load_vector(args.x)
-    y = _load_vector(args.y)
-    print(format_scalar(bracket(x, y)))
-    return 0
-
-
-def cmd_metric(args):
-    x = _load_vector(args.x)
-    y = _load_vector(args.y)
-    print(format_scalar(hilbert(x, y)))
+def cmd_pair(args):
+    """bracket or metric: one scalar of two vectors."""
+    print(format_scalar(args.op(_load_vector(args.x), _load_vector(args.y))))
     return 0
 
 
@@ -193,8 +186,12 @@ def cmd_check(args):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise TropError(f"cannot create {outdir}: {exc}") from None
+        seen = Counter()  # a trial's second and later failures get _2, _3, ...
         for failure in report.failures:
+            seen[failure.trial] += 1
             stem = f"{report.property_id.lower()}_trial{failure.trial}"
+            if seen[failure.trial] > 1:
+                stem += f"_{seen[failure.trial]}"
             for name, block in failure.artifacts:
                 _write(outdir / f"{stem}_{name}", block)
             note = failure.description + "\n"
@@ -215,12 +212,12 @@ def build_parser():
     p = sub.add_parser("bracket", help="residuation bracket <x|y> of two vectors")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_bracket)
+    p.set_defaults(func=cmd_pair, op=bracket)
 
     p = sub.add_parser("metric", help="Hilbert projective distance of two vectors")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_metric)
+    p.set_defaults(func=cmd_pair, op=hilbert)
 
     p = sub.add_parser("mul", help="tropical matrix product")
     p.add_argument("a")

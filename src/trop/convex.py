@@ -51,6 +51,10 @@ class ConvexSpan:
                     raise ShapeError("span generators must share dim and orientation")
         elif dim is None or orientation is None:
             raise ShapeError("empty span needs explicit dim and orientation")
+        elif orientation not in (ROW, COL):
+            raise ShapeError(f"orientation must be {ROW!r} or {COL!r}, got {orientation!r}")
+        elif dim < 1:
+            raise ShapeError(f"span dim must be at least 1, got {dim}")
         self.matrix = stack(generators, orientation) if generators else None
         self.dim = dim
         self.orientation = orientation
@@ -166,13 +170,6 @@ def principal_solution(b, c: TropVector) -> TropVector:
     if c.dim != b.rows:
         raise ShapeError(f"dimension mismatch: {c.dim} vs {b.rows} rows")
     return residuate(b, stack([c]))[0].col(0)
-
-
-def solve_right(b: TropMatrix, a: TropMatrix):
-    """(X, None) for the principal solution X of B*X = A when it solves
-    it, else (None, j) for the first column j of A outside C(B)."""
-    x, bad = residuate(b, a)
-    return (x, None) if bad is None else (None, bad)
 
 
 def _require_t_vector(v: TropVector, name):

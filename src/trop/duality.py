@@ -16,7 +16,6 @@ from .convex import (
     col_span,
     extended_pair,
     row_span,
-    solve_right,
     span_equal,
 )
 from .errors import DomainError, PreconditionError, ShapeError, VerificationError
@@ -26,6 +25,7 @@ from .linalg import (
     TropMatrix,
     TropVector,
     mat_mul,
+    residuate,
     scale_columns,
     stack,
     transpose,
@@ -147,7 +147,7 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
 def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
     """G*X, for X the principal solution of E*X = A, A of the source
     span's dim: f extended to each column."""
-    x, bad = solve_right(f.source_matrix, a)
+    x, bad = residuate(f.source_matrix, a)
     if bad is not None:
         raise DomainError("apply_iso: vector is not in the source span")
     if x is None:  # k = 0, and A is zero
@@ -174,20 +174,13 @@ def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> TropVecto
     return extended_pair(apply_iso(g, a), apply_iso(g, b))
 
 
-def _image_span(f: IsoDescriptor) -> ConvexSpan:
-    """The span of the basis images, in the target's shape."""
-    g, t = f.image_matrix, f.target
-    if g is None:
-        return ConvexSpan((), t.dim, t.orientation)
-    return col_span(g) if t.orientation == COL else row_span(transpose(g))
-
-
 def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     """Apply the isomorphism to every column of A and verify the result.
 
     The bridge D = G*X (G the basis images, X the principal solution
     of E*X = A over the source basis E) satisfies R(D) = R(A) and
-    C(D) = span of the basis images; both are re-checked here, so an invalid
+    C(D) = span of the images = the target span (sigma permutes, every
+    lambda is finite); both are re-checked here, so an invalid
     descriptor surfaces as a VerificationError naming the failing side
     rather than as a wrong bridge.
     """
@@ -195,6 +188,6 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     d = _extend(f, a)
     if not span_equal(row_span(d), row_span(a)):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    if not span_equal(col_span(d), _image_span(f)):
+    if not span_equal(col_span(d), f.target):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

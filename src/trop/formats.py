@@ -36,19 +36,16 @@ def format_vector(x: TropVector) -> str:
 
 
 class _Lines:
-    """Line cursor over the input that tracks 1-based line numbers."""
+    """Cursor over the input's non-blank lines, numbered from 1."""
 
     def __init__(self, text):
-        self.lines = text.splitlines()
-        self.pos = 0
+        lines = text.splitlines()
+        self.end = len(lines)  # the line number a missing line reports
+        self.numbered = ((i, line) for i, line in enumerate(lines, 1) if line.strip())
 
     def next_content_line(self):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line, self.pos
-        return None, self.pos
+        lineno, line = next(self.numbered, (self.end, None))
+        return line, lineno
 
     def expect_line(self, what):
         line, lineno = self.next_content_line()
@@ -56,13 +53,9 @@ class _Lines:
             raise ParseError(f"missing {what}", line=lineno)
         return line, lineno
 
-    @property
-    def exhausted(self):
-        return all(not l.strip() for l in self.lines[self.pos :])
-
     def require_exhausted(self, what):
-        if not self.exhausted:
-            _, lineno = self.next_content_line()
+        line, lineno = self.next_content_line()
+        if line is not None:
             raise ParseError(f"trailing content after {what}", line=lineno)
 
 
@@ -130,9 +123,9 @@ def parse_vector(text: str, orientation=None) -> TropVector:
     return v
 
 
-def parse_orientation(name: str):
+def parse_orientation(name: str, line=None):
     if name not in (ROW, COL):
-        raise ParseError(f"unknown orientation {name!r} (expected row or col)")
+        raise ParseError(f"unknown orientation {name!r} (expected row or col)", line)
     return name
 
 
@@ -167,7 +160,7 @@ def format_descriptor(f: IsoDescriptor) -> str:
 def _parse_basis_block(cur: _Lines):
     line, lineno = cur.expect_line("basis header")
     tokens = _parse_tokens(line, lineno, 3, "basis header fields")
-    orientation = parse_orientation(tokens[0])
+    orientation = parse_orientation(tokens[0], lineno)
     k, dim = _parse_counts(tokens[1:], lineno, "basis header counts must be integers")
     if dim < 1:
         raise ParseError(f"bad basis shape {k} generators x {dim}", line=lineno)
@@ -228,7 +221,7 @@ def parse_verdict(text: str) -> GreenVerdict:
         raise ParseError(f"unknown relation {relation!r}", line=lineno)
     if holds_token not in ("yes", "no"):
         raise ParseError("verdict must be yes or no", line=lineno)
-    domain = parse_domain(domain_token)
+    domain = parse_domain(domain_token, lineno)
     witnesses = []
     iso = None
     bridge = None

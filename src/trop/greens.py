@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .convex import col_span, solve_right, span_equal
+from .convex import col_span, span_equal
 from .duality import IsoDescriptor, descriptor_valid, matrix_from_iso
 from .errors import (
     DomainError,
@@ -30,6 +30,7 @@ from .linalg import (
     TropMatrix,
     d_search_tables,
     mat_mul,
+    residuate,
     transpose,
 )
 from .semiring import Domain, ZERO, finite
@@ -84,7 +85,7 @@ def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
     recombined and compared with the column of A.
     """
     dom = _validate_pair(a, b, domain)
-    x, bad = solve_right(b, a)
+    x, bad = residuate(b, a)
     if bad is None:
         return GreenVerdict(LEQ_R, True, dom, witnesses=(("X", x),))
     return GreenVerdict(

@@ -12,6 +12,7 @@ these boxed scalars but ints over a shared denominator (see ``linalg``).
 import re
 from enum import IntEnum
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import ParseError, SizeLimitError
 
@@ -34,6 +35,7 @@ class Domain(IntEnum):
     TBAR = 2
 
 
+@total_ordering
 class TropScalar:
     """A rational number, -inf, or +inf, totally ordered.
 
@@ -68,16 +70,9 @@ class TropScalar:
         return hash((self.kind, self.value))
 
     def __le__(self, other):
+        if not isinstance(other, TropScalar):
+            return NotImplemented
         return leq(self, other)
-
-    def __lt__(self, other):
-        return leq(self, other) and self != other
-
-    def __ge__(self, other):
-        return leq(other, self)
-
-    def __gt__(self, other):
-        return leq(other, self) and self != other
 
     def __repr__(self):
         return f"TropScalar({format_scalar(self)})"
@@ -174,11 +169,11 @@ def format_scalar(a: TropScalar) -> str:
         raise SizeLimitError("scalar has too many digits to print") from None
 
 
-def parse_domain(name: str) -> Domain:
+def parse_domain(name: str, line=None) -> Domain:
     try:
         return Domain[name.upper()]
     except KeyError:
-        raise ParseError(f"unknown domain {name!r} (expected ft, t, or tbar)") from None
+        raise ParseError(f"unknown domain {name!r} (expected ft, t, or tbar)", line) from None
 
 
 def format_domain(d: Domain) -> str:

@@ -10,7 +10,9 @@ test_greens.test_rel_d_transpose_counterexample).
 """
 
 import contextlib
+import hashlib
 import io
+import itertools
 import os
 import time
 from dataclasses import replace
@@ -30,6 +32,7 @@ from trop.harness import (
     default_config,
     run_property,
 )
+from trop.linalg import scale
 from trop.semiring import (
     Domain,
     NEG_INF,
@@ -203,6 +206,47 @@ def test_p14_reaches_the_decomposition_check(monkeypatch):
     monkeypatch.setattr(ConvexSpan, "combine", recording)
     assert run_property(default_config("P14")).ok
     assert any(has_pos_inf)
+
+
+def test_p14_numbers_its_second_phase_after_the_first(monkeypatch):
+    # a broken extension fails the second phase, whose trials follow the
+    # first phase's, so no two failures of P14 share a trial number
+    shifts = itertools.count()
+    monkeypatch.setattr(
+        harness, "extend_iso_pair", lambda g, a, b: scale(finite(next(shifts)), a)
+    )
+    r = run_property(default_config("P14", trials=30))
+    assert r.failures
+    assert {f.trial for f in r.failures} <= set(range(30, 33))
+
+
+# sha256 of the text reports of P1-P16 at seed 0 with 20 trials each,
+# and of each run's generator state after it: a passing report shows no
+# draw, but the end state moves with every draw a run makes
+REPORT_STREAM_DIGEST = "0e3d852929ea7f7b22d1840d07e4dfca08696f2125a8e5372f6fbc65d9e3e5a5"
+
+
+def report_stream_digest(trials=20):
+    samplers = []
+    init = harness.Sampler.__init__
+
+    def recording(self, rng, pool):
+        init(self, rng, pool)
+        samplers.append(self)
+
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.Sampler, "__init__", recording)
+        for i in range(1, 17):
+            r = run_property(default_config(f"P{i}", seed=0, trials=trials))
+            digest.update(r.to_text().encode())
+            digest.update(repr(samplers[-1].rng.getstate()).encode())
+    return digest.hexdigest()
+
+
+def test_report_streams_are_pinned():
+    # P16 shares its cached 3x3 index with criterion 10
+    assert report_stream_digest() == REPORT_STREAM_DIGEST
 
 
 def _artifact_stream(seed, count):

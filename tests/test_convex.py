@@ -1,6 +1,7 @@
 """Spans, membership, weak bases, and the extension calculus."""
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -490,3 +491,35 @@ def test_span_equality_is_the_generator_list():
     assert ConvexSpan((), 2, COL) != ConvexSpan((), 3, COL)
     assert ConvexSpan((), 2, COL) != ConvexSpan((), 2, ROW)
     assert col_span(m) != m
+
+
+def test_empty_span_checks_orientation_and_dim():
+    assert len(ConvexSpan([], 1, ROW)) == 0
+    with pytest.raises(ShapeError, match="^orientation must be 'row' or 'col', got 'diag'$"):
+        ConvexSpan([], 3, "diag")
+    with pytest.raises(ShapeError, match="^span dim must be at least 1, got 0$"):
+        ConvexSpan([], 0, COL)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ConvexSpan([]), "empty span needs explicit dim and orientation"),
+        (lambda: span_00_01().combine([ZERO]), "expected 2 coefficients"),
+        (
+            lambda: span_equal(col_span(identity(2)), row_span(identity(2))),
+            "spans must share dim and orientation",
+        ),
+        (
+            lambda: principal_solution(vector([0, 1]), vector([0, 1], COL)),
+            "principal_solution expects a matrix",
+        ),
+        (
+            lambda: principal_solution(identity(2), vector([0, 0, 0], COL)),
+            "dimension mismatch: 3 vs 2 rows",
+        ),
+    ],
+)
+def test_span_shape_errors(call, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Duality maps, kernel witnesses, and isomorphism descriptors."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -438,3 +439,54 @@ def test_matrix_from_iso_empty_descriptor():
     with pytest.raises(DomainError, match="^apply_iso: vector is not in the source span$"):
         matrix_from_iso(TropMatrix([[NEG_INF, NEG_INF], [NEG_INF, ZERO], [NEG_INF, NEG_INF]]), f)
     assert apply_iso(f, zero_vector(3, COL)) == zero_vector(2, COL)
+
+
+def _two_generators():
+    return ConvexSpan([vector([0, 1], COL), vector([1, 0], COL)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: theta_prime(identity(2), vector([0, 0])),
+            ShapeError,
+            "theta_prime expects a column vector of dim 2",
+        ),
+        (
+            lambda: theta_prime(TropMatrix([[0], [0]]), vector([0, 1], COL)),
+            DomainError,
+            "theta_prime: vector is not in the column space (use lenient mode to force)",
+        ),
+        (
+            lambda: kernel_witness(identity(2), vector([0, 1], COL)),
+            ShapeError,
+            "kernel_witness expects a row vector of dim 2",
+        ),
+        (
+            lambda: IsoDescriptor(
+                _two_generators(), ConvexSpan([vector([0, 1], COL)]), (0,), (ZERO,)
+            ),
+            ShapeError,
+            "descriptor parts must have equal length",
+        ),
+        (
+            lambda: IsoDescriptor(_two_generators(), _two_generators(), (0, 0), (ZERO, ZERO)),
+            ShapeError,
+            "sigma must be a permutation of 0..k-1",
+        ),
+        (
+            lambda: IsoDescriptor(_two_generators(), _two_generators(), (1, 0), (ZERO, NEG_INF)),
+            DomainError,
+            "descriptor scalings must be finite rationals",
+        ),
+        (
+            lambda: IsoDescriptor(_two_generators(), _two_generators(), (1, 0), (ZERO, 0)),
+            DomainError,
+            "descriptor scalings must be finite rationals",
+        ),
+    ],
+)
+def test_duality_and_descriptor_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from trop import formats, harness
 from trop.cli import main
 from trop.convex import ConvexSpan
 from trop.duality import IsoDescriptor, identity_descriptor
-from trop.errors import ParseError
+from trop.errors import ParseError, TropError
 from trop.greens import RELATIONS, GreenVerdict, leq_R, rel_D
 from trop.linalg import (
     COL,
@@ -525,3 +526,53 @@ def test_cli_exit_contract_fuzz(argv, contents):
     assert code in (0, 1, 2)
     if code == 2:
         _assert_one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line",
+    [
+        (formats.parse_matrix, "2 2\n0 1\n", "missing matrix row", 2),
+        (formats.parse_matrix, "2 2\n\n0 1\n\n\n", "missing matrix row", 5),
+        (formats.parse_matrix, "1 1\n0\n\n7 7\n", "trailing content after matrix body", 4),
+        (formats.parse_descriptor, "0\ndiag 0 2\ncol 0 2\n",
+         "unknown orientation 'diag' (expected row or col)", 2),
+        (formats.parse_descriptor, "0\ncol 0 2\n\ncol 0 0\n",
+         "bad basis shape 0 generators x 0", 4),
+        (formats.parse_descriptor, "0\ncol 0 2\n", "missing basis header", 2),
+        (formats.parse_verdict, "x yes t\n", "unknown relation 'x'", 1),
+        (formats.parse_verdict, "\nd maybe t\n", "verdict must be yes or no", 2),
+        (formats.parse_verdict, "d no xyz\n", "unknown domain 'xyz' (expected ft, t, or tbar)", 1),
+        (formats.parse_verdict, "d no t\n\nbogus\n", "unexpected verdict block 'bogus'", 3),
+    ],
+)
+def test_parse_error_messages_and_lines(parse, text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line) == (f"{message} (line {line})", line)
+
+
+def test_counterexample_files_keep_every_failure_of_a_trial(tmp_path, monkeypatch):
+    # a metric that is 1 on (x, x) and -1 otherwise fails three P4
+    # checks in each trial; each failure keeps its own files
+    monkeypatch.setattr(harness, "hilbert", lambda x, y: finite(1 if x is y else -1))
+    report = harness.run_property(harness.default_config("P4", trials=2))
+    assert [f.trial for f in report.failures] == [0, 0, 0, 1, 1, 1]
+    out = tmp_path / "out"
+    argv = ["check", "--property", "P4", "--trials", "2", "--counterexamples", str(out)]
+    assert _run(argv)[:2] == (1, report.to_text())
+    stems = ["p4_trial0", "p4_trial0_2", "p4_trial0_3", "p4_trial1", "p4_trial1_2", "p4_trial1_3"]
+    for stem, failure in zip(stems, report.failures):
+        assert (out / f"{stem}.txt").read_text() == (
+            f"{failure.description}\nreplay: trop metric x.vec y.vec\n"
+        )
+        for name, block in failure.artifacts:
+            assert (out / f"{stem}_{name}").read_text() == block
+    assert len(list(out.iterdir())) == 4 * len(stems)
+
+
+def test_harness_rejects_unknown_properties():
+    with pytest.raises(TropError, match="^unknown property 'P99'$"):
+        harness.default_config("P99")
+    cfg = replace(harness.default_config("P1"), property_id="P99")
+    with pytest.raises(TropError, match="^unknown property 'P99'$"):
+        harness.run_property(cfg)

@@ -1,6 +1,7 @@
 """Green's relations: order witnesses, transfers, and the D decision."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -379,3 +380,28 @@ def test_rel_d_is_an_equivalence_at_desk_scale():
         v1 = _perm_scale(rng, a)
         v2 = _perm_scale(rng, v1)
         assert rel_D(a, v1).holds and rel_D(v1, v2).holds and rel_D(a, v2).holds
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: rel(identity(2), identity(2), "d"),
+            ValueError,
+            "rel expects one of r/l/h, got 'd'",
+        ),
+        (
+            lambda: finitize_witness_ft(TropMatrix([[0]]), TropMatrix([[0]]), TropMatrix([[POS_INF]])),
+            PreconditionError,
+            "witness P must not contain +inf",
+        ),
+        (
+            lambda: definitize_witness_t(TropMatrix([[0]]), TropMatrix([[POS_INF]]), TropMatrix([[0]])),
+            PreconditionError,
+            "definitize_witness_t needs +inf-free A and B",
+        ),
+    ],
+)
+def test_witness_transfer_and_rel_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 """Scalar arithmetic: frozen examples plus algebraic laws."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from trop.semiring import (
     neg,
     oplus,
     otimes,
+    parse_domain,
     parse_scalar,
 )
 
@@ -208,3 +210,26 @@ def test_int_fast_paths_match_the_fraction_path(a, b):
     assert hash(got_product) == hash(want_product)
     assert str(got_product) == str(want_product)
     assert type(got_product.value) is type(want_product.value)
+
+
+def test_order_operators_follow_leq():
+    for a in PROBE:
+        for b in PROBE:
+            assert (a <= b, a < b, a >= b, a > b) == (
+                leq(a, b), leq(a, b) and a != b, leq(b, a), leq(b, a) and a != b
+            )
+    assert sorted(reversed(PROBE)) == list(PROBE)
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_ordering_against_a_non_scalar_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(ZERO, 3)
+    with pytest.raises(TypeError):
+        op(Fraction(1, 2), ZERO)
+
+
+def test_parse_domain_rejects_unknown_names():
+    assert [parse_domain(name) for name in ("ft", "T", "tbar")] == list(Domain)
+    with pytest.raises(ParseError, match=r"^unknown domain 'xyz' \(expected ft, t, or tbar\)$"):
+        parse_domain("xyz")
