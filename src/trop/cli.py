@@ -257,10 +257,10 @@ def build_parser():
     p = sub.add_parser("check", help="run a seeded property check")
     p.add_argument("--property", required=True, choices=sorted(PROPERTIES))
     p.add_argument("--trials", type=int)
-    p.add_argument("--dims", help="dimension range lo:hi")
+    p.add_argument("--dims", help="dimension range lo:hi (P1-P14)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entry-domain", choices=("ft", "t", "tbar"),
-                   help="override the property's sampling domain")
+                   help="override the property's sampling domain (P1-P10)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--counterexamples", help="directory for failure artifacts")
     p.set_defaults(func=cmd_check)

@@ -28,7 +28,6 @@ from .linalg import (
     residuate,
     scale_columns,
     stack,
-    transpose,
     vec_neg,
     zero_matrix,
 )
@@ -90,24 +89,25 @@ def kernel_witness(b: TropMatrix, z: TropVector):
 class IsoDescriptor:
     """A candidate span isomorphism e_i -> lambdas_i * f_sigma(i).
 
-    e_i and f_j are the generators of the source and target spans, sigma
-    is a 0-based permutation of the basis indices and every lambda is a
-    finite rational.  The map extends linearly to the whole source span
-    via principal coefficients; whether the extension is a genuine
-    isomorphism is decided by :func:`descriptor_valid`.  Built once with
-    the descriptor: source_matrix, the matrix E with the e_i as columns,
-    and image_matrix, G = F_sigma * diag lambda with the images as
-    columns (both None when k = 0).
+    e_i and f_j are the generators of the source and target spans, both
+    column spans, sigma is a 0-based permutation of the basis indices and
+    every lambda is a finite rational.  The map extends linearly to the
+    whole source span via principal coefficients; whether the extension
+    is a genuine isomorphism is decided by :func:`descriptor_valid`.
+    Built once with the descriptor: image_matrix, G = F_sigma * diag
+    lambda with the images as columns (None when k = 0); E, the e_i as
+    columns, is the source span's matrix.
     """
 
     source: ConvexSpan
     target: ConvexSpan
     sigma: tuple
     lambdas: tuple
-    source_matrix: TropMatrix = field(init=False, repr=False, compare=False)
     image_matrix: TropMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if ROW in (self.source.orientation, self.target.orientation):
+            raise ShapeError("descriptor bases must be column spans")
         k = len(self.source)
         if not (len(self.target) == len(self.sigma) == len(self.lambdas) == k):
             raise ShapeError("descriptor parts must have equal length")
@@ -116,12 +116,8 @@ class IsoDescriptor:
         for lam in self.lambdas:
             if not (isinstance(lam, TropScalar) and lam.is_finite):
                 raise DomainError("descriptor scalings must be finite rationals")
-        e, t = self.source.matrix, self.target
-        if e is not None and self.source.orientation == ROW:
-            e = transpose(e)
-        object.__setattr__(self, "source_matrix", e)
         object.__setattr__(
-            self, "image_matrix", scale_columns(t.matrix, self.sigma, self.lambdas, t.orientation)
+            self, "image_matrix", scale_columns(self.target.matrix, self.sigma, self.lambdas)
         )
 
     @property
@@ -141,13 +137,13 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
     having the e_i and the images as respective i-th columns share a
     row space.  The empty descriptor (zero span to zero span) is valid.
     """
-    return f.k == 0 or span_equal(row_span(f.source_matrix), row_span(f.image_matrix))
+    return f.k == 0 or span_equal(row_span(f.source.matrix), row_span(f.image_matrix))
 
 
 def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
     """G*X, for X the principal solution of E*X = A, A of the source
     span's dim: f extended to each column."""
-    x, bad = residuate(f.source_matrix, a)
+    x, bad = residuate(f.source.matrix, a)
     if bad is not None:
         raise DomainError("apply_iso: vector is not in the source span")
     if x is None:  # k = 0, and A is zero
@@ -164,8 +160,7 @@ def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
     and is linear whenever the descriptor is valid.
     """
     f.source.check_vector(c)
-    out = _extend(f, stack([c])).col(0)
-    return out if f.target.orientation == COL else out.transpose()
+    return _extend(f, stack([c])).col(0)
 
 
 def extend_iso_pair(g: IsoDescriptor, a: TropVector, b: TropVector) -> TropVector:

@@ -4,9 +4,9 @@ verdicts.
 All formats round-trip bit-exactly: parse(print(x)) == x.  A matrix is
 a `rows cols` header line followed by that many rows of whitespace
 separated scalar tokens; vectors are 1 x n or n x 1 matrices.  Spans
-travel as a generator matrix plus an orientation flag.  Descriptor and
-basis blocks carry their own headers and may declare zero generators
-(the zero span), which the plain matrix reader rejects.
+travel as a generator matrix plus an orientation flag.  A descriptor's
+bases are column spans, each a `col k dim` headed block that may declare
+zero generators (the zero span), which the plain matrix reader rejects.
 """
 
 import re
@@ -15,7 +15,7 @@ from .convex import ConvexSpan
 from .duality import IsoDescriptor
 from .errors import ParseError
 from .greens import RELATIONS, GreenVerdict
-from .linalg import COL, ROW, TropMatrix, TropVector
+from .linalg import COL, TropMatrix, TropVector
 from .semiring import (
     format_domain,
     format_scalar,
@@ -40,7 +40,7 @@ class _Lines:
 
     def __init__(self, text):
         lines = text.splitlines()
-        self.end = len(lines)  # the line number a missing line reports
+        self.end = max(len(lines), 1)  # the line number a missing line reports
         self.numbered = ((i, line) for i, line in enumerate(lines, 1) if line.strip())
 
     def next_content_line(self):
@@ -123,12 +123,6 @@ def parse_vector(text: str, orientation=None) -> TropVector:
     return v
 
 
-def parse_orientation(name: str, line=None):
-    if name not in (ROW, COL):
-        raise ParseError(f"unknown orientation {name!r} (expected row or col)", line)
-    return name
-
-
 def format_span(s: ConvexSpan) -> str:
     """Generators stacked in the span's natural shape (rows of a k x dim
     matrix for row spans, columns of a dim x k matrix for column spans).
@@ -139,7 +133,7 @@ def format_span(s: ConvexSpan) -> str:
 
 
 def _format_basis_block(s: ConvexSpan):
-    lines = [f"{s.orientation} {len(s)} {s.dim}"]
+    lines = [f"{COL} {len(s)} {s.dim}"]
     for v in s.generators:
         lines.append(" ".join(format_scalar(e) for e in v.entries))
     return lines
@@ -147,7 +141,7 @@ def _format_basis_block(s: ConvexSpan):
 
 def format_descriptor(f: IsoDescriptor) -> str:
     """Descriptor block: k, sigma (1-based), lambda line, then source and
-    target bases as `orientation k dim` headed generator row lists."""
+    target bases as `col k dim` headed generator row lists."""
     lines = [str(f.k)]
     if f.k:
         lines.append(" ".join(str(i + 1) for i in f.sigma))
@@ -160,15 +154,16 @@ def format_descriptor(f: IsoDescriptor) -> str:
 def _parse_basis_block(cur: _Lines):
     line, lineno = cur.expect_line("basis header")
     tokens = _parse_tokens(line, lineno, 3, "basis header fields")
-    orientation = parse_orientation(tokens[0], lineno)
+    if tokens[0] != COL:
+        raise ParseError(f"expected a col basis header, found {tokens[0]!r}", line=lineno)
     k, dim = _parse_counts(tokens[1:], lineno, "basis header counts must be integers")
     if dim < 1:
         raise ParseError(f"bad basis shape {k} generators x {dim}", line=lineno)
     vectors = []
     for _ in range(k):
         line, lineno = cur.expect_line("basis generator row")
-        vectors.append(TropVector(_parse_scalar_row(line, lineno, dim), orientation))
-    return ConvexSpan(vectors, dim, orientation)
+        vectors.append(TropVector(_parse_scalar_row(line, lineno, dim), COL))
+    return ConvexSpan(vectors, dim, COL)
 
 
 def _parse_descriptor_block(cur: _Lines) -> IsoDescriptor:

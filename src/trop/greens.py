@@ -27,11 +27,12 @@ from .errors import (
     VerificationError,
 )
 from .linalg import (
+    COL,
+    ROW,
     TropMatrix,
     d_search_tables,
     mat_mul,
     residuate,
-    transpose,
 )
 from .semiring import Domain, ZERO, finite
 
@@ -77,33 +78,27 @@ def _validate_pair(a: TropMatrix, b: TropMatrix, domain):
     return domain
 
 
-def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
-    """A <=_R B: every column of A lies in the column space of B.
-
-    The witness X is assembled from principal solutions, and the
-    verdict is exactly the statement B*X = A: each column of B*X is
-    recombined and compared with the column of A.
-    """
+def _leq(relation, label, orientation, a, b, domain):
+    """A <= B on one side: C(A) within C(B), with witness X: B*X = A, or
+    for ROW R(A) within R(B), with Y: Y*B = A.  The witness is the
+    principal solution, and the verdict is exactly its equation."""
     dom = _validate_pair(a, b, domain)
-    x, bad = residuate(b, a)
+    x, bad = residuate(b, a, orientation)
     if bad is None:
-        return GreenVerdict(LEQ_R, True, dom, witnesses=(("X", x),))
-    return GreenVerdict(
-        LEQ_R,
-        False,
-        dom,
-        reasons=(f"column {bad + 1} of A is not in the column space of B",),
-    )
+        return GreenVerdict(relation, True, dom, witnesses=((label, x),))
+    side = "column" if orientation == COL else "row"
+    reason = f"{side} {bad + 1} of A is not in the {side} space of B"
+    return GreenVerdict(relation, False, dom, reasons=(reason,))
+
+
+def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
+    """A <=_R B: C(A) within C(B), with witness X: B*X = A."""
+    return _leq(LEQ_R, "X", COL, a, b, domain)
 
 
 def leq_L(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
-    """A <=_L B: every row of A lies in the row space of B (transpose dual)."""
-    v = leq_R(transpose(a), transpose(b), domain)
-    if v.holds:
-        ((_, x),) = v.witnesses
-        return GreenVerdict(LEQ_L, True, v.domain, witnesses=(("Y", transpose(x)),))
-    reasons = tuple(r.replace("column", "row") for r in v.reasons)
-    return GreenVerdict(LEQ_L, False, v.domain, reasons=reasons)
+    """A <=_L B: R(A) within R(B), with witness Y: Y*B = A."""
+    return _leq(LEQ_L, "Y", ROW, a, b, domain)
 
 
 def rel(a: TropMatrix, b: TropMatrix, which: str, domain=None) -> GreenVerdict:
@@ -275,7 +270,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         raise SizeLimitError(
             f"rel_D guards at n <= {max_n} (got {n}); raise max_n / TROP_MAX_N to override"
         )
-    span_b = col_span(b)  # also checks every bridge below
+    span_b = col_span(b)
     basis_a = col_span(a).weak_basis()
     basis_b = span_b.weak_basis()
     k = len(basis_a)
@@ -326,6 +321,8 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         if not descriptor_valid(iso):
             raise VerificationError("rel_D: matched descriptor failed the row space check")
         bridge = matrix_from_iso(a, iso)
+        # matrix_from_iso checks C(bridge) against the weak basis of C(B):
+        # only this check, against B itself, certifies that basis spans C(B)
         if not span_equal(col_span(bridge), span_b):
             raise VerificationError("rel_D: bridge failed column space check")
         return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)

@@ -801,22 +801,22 @@ PROPERTIES = {
             dict(trials=200, dim_range=(2, 6), domain=Domain.TBAR)),
     "P11": ("right order agrees between membership and principal solutions",
             _p11_landr_consistency,
-            dict(trials=300, dim_range=(2, 5), domain=Domain.TBAR)),
+            dict(trials=300, dim_range=(2, 5), domain=None)),
     "P12": ("verdicts inherit across domains and witnesses transfer", _p12_inheritance,
-            dict(trials=200, dim_range=(2, 5), domain=Domain.FT)),
+            dict(trials=200, dim_range=(2, 5), domain=None)),
     "P13": ("perm/scale pairs and their transposes are D-related; A D A^T is "
             "consistent across the D-class and holds at n = 2", _p13_d_positive,
-            dict(trials=100, dim_range=(2, 5), domain=Domain.T)),
+            dict(trials=100, dim_range=(2, 5), domain=None)),
     "P14": ("extension calculus: equality criterion, well-definedness, linearity",
             _p14_extension_calculus,
-            dict(trials=300, dim_range=(2, 5), domain=Domain.T)),
+            dict(trials=300, dim_range=(2, 5), domain=None)),
     "P15": ("2x2 decisions agree with the exhaustive bridge oracle",
             _p15_oracle_agreement,
-            dict(trials=2000, dim_range=(2, 2), domain=Domain.T)),
+            dict(trials=2000, dim_range=None, domain=None)),
     "P16": ("3x3 pairs joined by a {-inf, 0, 1} grid bridge are D-related "
             "(one-sided: a pair without one proves nothing)",
             _p16_bridge_net,
-            dict(trials=2000, dim_range=(3, 3), domain=Domain.T)),
+            dict(trials=2000, dim_range=None, domain=None)),
 }
 
 
@@ -826,11 +826,16 @@ def default_config(property_id, seed=0, trials=None, dim_range=None, pool=None):
     if trials is not None and trials < 0:
         raise TropError(f"trials must be >= 0, got {trials}")
     _, _, defaults = PROPERTIES[property_id]
+    if dim_range is not None and defaults["dim_range"] is None:
+        raise TropError(f"{property_id} checks fixed sizes and takes no dimension range")
+    if pool is not None and defaults["domain"] is None:
+        raise TropError(f"{property_id} draws from fixed entry pools and takes no entry domain")
     return HarnessConfig(
         property_id=property_id,
         trials=trials if trials is not None else defaults["trials"],
-        dim_range=dim_range if dim_range is not None else defaults["dim_range"],
-        pool=pool if pool is not None else EntryPool.for_domain(defaults["domain"]),
+        dim_range=dim_range or defaults["dim_range"],
+        # a fixed-pool property reads only the finite scalars of its pool
+        pool=pool or EntryPool.for_domain(defaults["domain"] or Domain.FT),
         seed=seed,
     )
 

@@ -376,16 +376,16 @@ def stack(vectors, orientation=COL) -> TropMatrix:
     return TropMatrix._of((den, list(zip(*rows)) if orientation == COL else rows))
 
 
-def scale_columns(gens, sigma, lambdas, orientation=COL):
+def scale_columns(gens, sigma, lambdas):
     """gens * P_sigma * diag(lambdas), for finite scalars lambdas: the
-    matrix whose column i is lambdas_i times column sigma_i of gens (row
-    sigma_i, for ROW), built in one pass over gens; None when gens is."""
+    matrix whose column i is lambdas_i times column sigma_i of gens,
+    built in one pass over gens; None when gens is."""
     if gens is None:
         return None
     den, rows, (shifts,) = _align(gens._packed, pack((lambdas,)))
     return TropMatrix._of((den, [
         tuple([n if (n := row[s]).__class__ is float else n + c for s, c in zip(sigma, shifts)])
-        for row in (rows if orientation == COL else zip(*rows))
+        for row in rows
     ]))
 
 

@@ -144,7 +144,7 @@ def test_kernel_witness_with_zero_entries():
 
 
 def test_apply_iso_identity():
-    basis = (vector([0, 0]), vector([0, 1]))
+    basis = (vector([0, 0], COL), vector([0, 1], COL))
     f = identity_descriptor(ConvexSpan(basis))
     assert descriptor_valid(f)
     c = member_of(basis, [finite(2), finite(-1)])
@@ -152,8 +152,8 @@ def test_apply_iso_identity():
 
 
 def test_apply_iso_single_ray():
-    e1 = vector([1, 4])
-    f1 = vector([0, 2])
+    e1 = vector([1, 4], COL)
+    f1 = vector([0, 2], COL)
     f = IsoDescriptor(ConvexSpan((e1,)), ConvexSpan((f1,)), (0,), (finite(3),))
     assert apply_iso(f, scale(finite(5), e1)) == scale(finite(8), f1)
 
@@ -166,10 +166,10 @@ def test_apply_iso_swap_example():
 
 
 def test_apply_iso_rejects_outsiders():
-    basis = ConvexSpan((vector([0, 0]),))
+    basis = ConvexSpan((vector([0, 0], COL),))
     f = identity_descriptor(basis)
     with pytest.raises(DomainError):
-        apply_iso(f, vector([0, 1]))
+        apply_iso(f, vector([0, 1], COL))
 
 
 def test_matrix_from_iso_identity_and_permutation():
@@ -421,13 +421,14 @@ def test_matrix_from_iso_rejects_columns_outside_the_source_span():
 
 
 def test_matrix_from_iso_rejects_a_row_oriented_source():
+    # a row source cannot even be described; a wrong dim is caught on use
     a = TropMatrix([[ZERO, ZERO], [ZERO, finite(1)]])
-    f = identity_descriptor(row_span(a).weak_basis())
-    with pytest.raises(ShapeError):
-        matrix_from_iso(a, f)
+    with pytest.raises(ShapeError, match="^descriptor bases must be column spans$"):
+        identity_descriptor(row_span(a).weak_basis())
     column = TropMatrix([[ZERO], [ZERO], [ZERO]])
-    with pytest.raises(ShapeError):
-        matrix_from_iso(column, identity_descriptor(ConvexSpan((vector([0, 0]),))))
+    f = identity_descriptor(ConvexSpan((vector([0, 0], COL),)))
+    with pytest.raises(ShapeError, match="^dimension mismatch: 3 vs span dim 2$"):
+        matrix_from_iso(column, f)
 
 
 def test_matrix_from_iso_empty_descriptor():
@@ -443,6 +444,10 @@ def test_matrix_from_iso_empty_descriptor():
 
 def _two_generators():
     return ConvexSpan([vector([0, 1], COL), vector([1, 0], COL)])
+
+
+def _one_generator(orientation):
+    return ConvexSpan([vector([0, 1], orientation)])
 
 
 @pytest.mark.parametrize(
@@ -485,6 +490,19 @@ def _two_generators():
             DomainError,
             "descriptor scalings must be finite rationals",
         ),
+    ]
+    + [
+        (
+            lambda s=source, t=target: IsoDescriptor(s, t, (0,) * len(s), (ZERO,) * len(s)),
+            ShapeError,
+            "descriptor bases must be column spans",
+        )
+        for source, target in (
+            (_one_generator(ROW), _one_generator(ROW)),
+            (_one_generator(ROW), _one_generator(COL)),
+            (_one_generator(COL), _one_generator(ROW)),
+            (ConvexSpan((), 2, COL), ConvexSpan((), 2, ROW)),
+        )
     ],
 )
 def test_duality_and_descriptor_errors(call, error, message):

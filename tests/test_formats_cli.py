@@ -51,10 +51,9 @@ vectors = st.tuples(st.integers(1, 4), st.sampled_from((ROW, COL))).flatmap(
 @st.composite
 def descriptors(draw):
     k = draw(st.integers(0, 3))
-    shapes = [(draw(st.integers(1, 3)), draw(st.sampled_from((ROW, COL)))) for _ in "st"]
     source, target = (
-        ConvexSpan([TropVector(draw(scalar_lists(dim)), orient) for _ in range(k)], dim, orient)
-        for dim, orient in shapes
+        ConvexSpan([TropVector(draw(scalar_lists(dim)), COL) for _ in range(k)], dim, COL)
+        for dim in (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     )
     sigma = tuple(draw(st.permutations(range(k))))
     lambdas = tuple(draw(st.lists(finite_scalars, min_size=k, max_size=k)))
@@ -134,10 +133,10 @@ def test_descriptor_round_trip():
     empty = identity_descriptor(ConvexSpan((), 3, COL))
     assert formats.parse_descriptor(formats.format_descriptor(empty)) == empty
 
-    apart = IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 2, ROW), (), ())
-    assert formats.format_descriptor(apart) == "0\ncol 0 3\nrow 0 2\n"
+    apart = IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 2, COL), (), ())
+    assert formats.format_descriptor(apart) == "0\ncol 0 3\ncol 0 2\n"
     assert formats.parse_descriptor(formats.format_descriptor(apart)) == apart
-    assert apart != IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 3, ROW), (), ())
+    assert apart != IsoDescriptor(ConvexSpan((), 3, COL), ConvexSpan((), 3, COL), (), ())
 
 
 def test_verdict_round_trip_order_relation():
@@ -430,6 +429,20 @@ def test_cli_check_dims_and_entry_domain():
         assert _run(argv + extra)[:2] == (0, report.to_text())
 
 
+@pytest.mark.parametrize(
+    "pid, flag, value, message",
+    [(f"P{i}", "--entry-domain", "tbar", "draws from fixed entry pools and takes no entry domain")
+     for i in range(11, 17)]
+    + [(pid, "--dims", "2:3", "checks fixed sizes and takes no dimension range")
+       for pid in ("P15", "P16")],
+)
+def test_cli_check_rejects_a_flag_the_property_does_not_read(pid, flag, value, message):
+    # these properties draw every entry from their own pools (and P15,
+    # P16 use fixed sizes), so the flag would change nothing
+    argv = ["check", "--property", pid, "--trials", "1", flag, value]
+    assert _run(argv) == (2, "", f"error: {pid} {message}\n")
+
+
 def test_cli_basis_of_the_zero_span(files):
     # an all -inf matrix spans only the zero vector: an empty basis
     _, write = files
@@ -534,11 +547,19 @@ def test_cli_exit_contract_fuzz(argv, contents):
         (formats.parse_matrix, "2 2\n0 1\n", "missing matrix row", 2),
         (formats.parse_matrix, "2 2\n\n0 1\n\n\n", "missing matrix row", 5),
         (formats.parse_matrix, "1 1\n0\n\n7 7\n", "trailing content after matrix body", 4),
+        (formats.parse_matrix, "", "missing matrix header", 1),
         (formats.parse_descriptor, "0\ndiag 0 2\ncol 0 2\n",
-         "unknown orientation 'diag' (expected row or col)", 2),
+         "expected a col basis header, found 'diag'", 2),
+        (formats.parse_descriptor, "0\nrow 0 2\ncol 0 2\n",
+         "expected a col basis header, found 'row'", 2),
+        (formats.parse_descriptor, "0\ncol 0 2\n\nrow 1 2\n0 0\n",
+         "expected a col basis header, found 'row'", 4),
         (formats.parse_descriptor, "0\ncol 0 2\n\ncol 0 0\n",
          "bad basis shape 0 generators x 0", 4),
         (formats.parse_descriptor, "0\ncol 0 2\n", "missing basis header", 2),
+        (formats.parse_verdict, "", "missing verdict line", 1),
+        (formats.parse_verdict, "d yes t\niso\n1\n1\n0\nrow 1 1\n0\n",
+         "expected a col basis header, found 'row'", 6),
         (formats.parse_verdict, "x yes t\n", "unknown relation 'x'", 1),
         (formats.parse_verdict, "\nd maybe t\n", "verdict must be yes or no", 2),
         (formats.parse_verdict, "d no xyz\n", "unknown domain 'xyz' (expected ft, t, or tbar)", 1),

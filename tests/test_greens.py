@@ -1,5 +1,6 @@
 """Green's relations: order witnesses, transfers, and the D decision."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -7,17 +8,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trop import convex
 from trop.convex import col_span, row_span, span_equal
 from trop.errors import (
     DomainError,
     PreconditionError,
     ShapeError,
     SizeLimitError,
+    VerificationError,
 )
+from trop.formats import format_verdict
 from trop.greens import (
+    LEQ_L,
+    LEQ_R,
+    RELATIONS,
+    REL_D,
     REL_H,
     REL_L,
     REL_R,
+    GreenVerdict,
     definitize_witness_t,
     finitize_witness_ft,
     leq_L,
@@ -27,10 +36,12 @@ from trop.greens import (
 )
 from trop.harness import BridgeOracleIndex, EntryPool, Sampler
 from trop.linalg import (
+    COL,
     TropMatrix,
     identity,
     mat_mul,
     scale,
+    scale_columns,
     stack,
     transpose,
     zero_matrix,
@@ -87,10 +98,22 @@ def test_leq_l_identity_and_duality():
     assert not leq_L(identity(2), zero_matrix(2, 2)).holds
 
 
+def transposed_leq_l(a, b):
+    """A <=_L B as A^T <=_R B^T: witness and reasons transposed back."""
+    v = leq_R(transpose(a), transpose(b))
+    if v.holds:
+        ((_, x),) = v.witnesses
+        return GreenVerdict(LEQ_L, True, v.domain, witnesses=(("Y", transpose(x)),))
+    reasons = tuple(r.replace("column", "row") for r in v.reasons)
+    return GreenVerdict(LEQ_L, False, v.domain, reasons=reasons)
+
+
 @given(square_pairs())
 def test_leq_l_is_transpose_dual(pair):
     a, b = pair
-    assert leq_L(a, b).holds == leq_R(transpose(a), transpose(b)).holds
+    want = transposed_leq_l(a, b)
+    assert leq_L(a, b) == want
+    assert format_verdict(leq_L(a, b)) == format_verdict(want)
 
 
 def test_rel_reflexive():
@@ -302,6 +325,24 @@ def test_rel_d_scalings_leave_the_common_denominator(mu, lam):
     assert [x.value.__class__ for x in v.iso.lambdas] == [int, lam.__class__]
 
 
+def test_rel_d_certifies_that_the_weak_basis_spans_c_b(monkeypatch):
+    # matrix_from_iso checks the bridge against the weak basis of C(B)
+    # only; a basis that lost a generator passes there, and rel_D's own
+    # check against B is all that refuses the yes
+    a = TropMatrix([[ZERO, ZERO], [ZERO, ZERO]])
+    b = TropMatrix([[ZERO, finite(1)], [ZERO, ZERO]])
+    assert not rel_D(a, b).holds
+    weak_basis_matrix = convex.weak_basis_matrix
+
+    def drop_the_second_of_b(gens, orientation=COL):
+        m = weak_basis_matrix(gens, orientation)
+        return stack([m.col(0)]) if gens is b else m
+
+    monkeypatch.setattr(convex, "weak_basis_matrix", drop_the_second_of_b)
+    with pytest.raises(VerificationError, match="^rel_D: bridge failed column space check$"):
+        rel_D(a, b)
+
+
 def test_rel_d_rejects_pos_inf():
     a = TropMatrix([[POS_INF, ZERO], [ZERO, ZERO]])
     with pytest.raises(DomainError):
@@ -405,3 +446,49 @@ def test_rel_d_is_an_equivalence_at_desk_scale():
 def test_witness_transfer_and_rel_errors(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# sha256 of the format_verdict text (or the error) of all six relations
+# over seeded FT/T/TBAR pairs; the bench goldens pin only leq-r, h and d
+GREEN_VERDICT_DIGEST = "91f1a621fdb4bd0e830d4f9d2e1db08f3a51fdd420f9692c5b2af4e3ab888c25"
+
+
+def _green_pair(s, trial):
+    """A seeded pair (A, B), biased per trial towards leq-r, leq-l and
+    the R and L classes: B random, A = B*X, A = Y*B, B with A's columns
+    permuted and rescaled, or the same for rows."""
+    n = s.dim((1, 4))
+    a, b = s.matrix(n, n), s.matrix(n, n)
+    perm = s.rng.sample(range(n), n)
+    lambdas = [s.finite_scalar() for _ in perm]
+    kind = trial % 5
+    if kind == 1:
+        a = mat_mul(b, a)
+    elif kind == 2:
+        a = mat_mul(a, b)
+    elif kind == 3:
+        b = scale_columns(a, perm, lambdas)
+    elif kind == 4:
+        b = transpose(scale_columns(transpose(a), perm, lambdas))
+    return a, b
+
+
+def green_verdict_digest(pairs=300):
+    rng = random.Random(20261019)
+    pools = [EntryPool.for_domain(d) for d in (Domain.FT, Domain.T, Domain.TBAR)]
+    deciders = {LEQ_R: leq_R, LEQ_L: leq_L, REL_D: rel_D}
+    digest = hashlib.sha256()
+    for trial in range(pairs):
+        a, b = _green_pair(Sampler(rng, pools[trial % 3]), trial)
+        for relation in RELATIONS:
+            decide = deciders.get(relation) or (lambda a, b: rel(a, b, relation))
+            try:
+                text = format_verdict(decide(a, b))
+            except DomainError as exc:  # D over TBAR
+                text = f"error: {exc}\n"
+            digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def test_green_verdict_texts_are_pinned():
+    assert green_verdict_digest() == GREEN_VERDICT_DIGEST
