@@ -68,12 +68,11 @@ class EntryPool:
     """Scalar sampling spec: small rationals plus optional infinities.
 
     Numerators are drawn uniformly from [-num_bound, num_bound] and
-    denominators from the given tuple; small exact values maximize the
-    ties and collisions where max-plus degeneracies live.
+    denominators from (1, 2, 3); small exact values maximize the ties
+    and collisions where max-plus degeneracies live.
     """
 
     num_bound: int = 8
-    denominators: tuple = (1, 2, 3)
     p_neg_inf: float = 0.0
     p_pos_inf: float = 0.0
 
@@ -169,7 +168,7 @@ class Sampler:
     def finite_scalar(self, pool=None) -> TropScalar:
         pool = pool or self.pool
         num = self.rng.randint(-pool.num_bound, pool.num_bound)
-        den = self.rng.choice(pool.denominators)
+        den = self.rng.choice((1, 2, 3))
         return finite(Fraction(num, den))
 
     def vector(self, dim, orientation=ROW, pool=None) -> TropVector:
@@ -673,12 +672,9 @@ def _p14_extension_calculus(cfg, s, failures):
 
 
 def span_key(span: ConvexSpan):
-    """Canonical hash key for span equality over T: the weak basis,
-    projectively normalized and sorted.  Weak bases of +inf-free spans
-    are unique up to scaling and order, which this normalization kills."""
-    basis = span.weak_basis()
-    rows = sorted(proj_normalize(g).entries for g in basis.generators)
-    return (span.dim, span.orientation, tuple(rows))
+    """Canonical hash key for span equality over T: the set of its weak basis
+    vectors, projectively normalized, which is unique for +inf-free spans."""
+    return frozenset(map(proj_normalize, span.weak_basis().generators))
 
 
 class BridgeOracleIndex:
@@ -698,6 +694,7 @@ class BridgeOracleIndex:
         self.row_reps = {}  # key -> representative span
         self.col_reps = {}
         self.bridges = {}  # (row key, column key) -> first realizing D
+        self._keys = {}  # generator set -> key: a span is its generator set
         for flat in itertools.product(self.grid, repeat=n * n):
             d = TropMatrix([flat[i * n : (i + 1) * n] for i in range(n)])
             rk = self._classify(row_span(d), self.row_reps)
@@ -705,22 +702,23 @@ class BridgeOracleIndex:
             self.bridges.setdefault((rk, ck), d)
 
     def _classify(self, span, reps):
-        key = span_key(span)
-        rep = reps.get(key)
-        if rep is None:
-            reps[key] = span
-        elif not span_equal(rep, span):
-            raise TropError("span canonicalization collided on unequal spans")
+        gens = frozenset(span.generators)
+        key = self._keys.get(gens)
+        if key is None:
+            key = self._keys[gens] = span_key(span)
+            rep = reps.setdefault(key, span)
+            if rep is not span and not span_equal(rep, span):
+                raise TropError("span canonicalization collided on unequal spans")
         return key
 
     def bridge(self, a, b):
         """A grid matrix D with R(D) = R(a) and C(D) = C(b), or None."""
         return self.bridges.get((span_key(row_span(a)), span_key(col_span(b))))
 
-    def validate_keys(self, rng: Random, samples=200):
-        """Spot-check that distinct keys really mean distinct spans."""
-        reps = sorted(self.row_reps.items()) + sorted(self.col_reps.items())
-        for _ in range(samples):
+    def validate_keys(self, rng: Random):
+        """Spot-check 100 sampled pairs: distinct keys mean distinct spans."""
+        reps = list(self.row_reps.items()) + list(self.col_reps.items())
+        for _ in range(100):
             (k1, s1), (k2, s2) = rng.sample(reps, 2)
             if s1.orientation != s2.orientation or s1.dim != s2.dim:
                 continue
@@ -737,14 +735,13 @@ def _oracle_index(grid, n):
 
 def _p15_oracle_agreement(cfg, s, failures):
     values = [NEG_INF, finite(-1), finite(0), finite(1)]
-    index = _oracle_index((NEG_INF,) + tuple(finite(v) for v in range(-4, 5)), 2)
-    index.validate_keys(s.rng, samples=100)
-    all_mats = [
-        TropMatrix([flat[0:2], flat[2:4]])
-        for flat in itertools.product(values, repeat=4)
-    ]
+    all_mats = [TropMatrix([f[0:2], f[2:4]]) for f in itertools.product(values, repeat=4)]
     total_pairs = len(all_mats) ** 2
-    if cfg.trials >= total_pairs:
+    if cfg.trials > total_pairs:
+        raise TropError(f"P15 has {total_pairs} pairs, fewer than trials {cfg.trials}")
+    index = _oracle_index((NEG_INF,) + tuple(finite(v) for v in range(-4, 5)), 2)
+    index.validate_keys(s.rng)
+    if cfg.trials == total_pairs:
         pairs = itertools.product(all_mats, all_mats)
     else:
         pairs = (
@@ -764,6 +761,8 @@ def _p16_bridge_net(cfg, s, failures):
     # index does not relate may still be D-related, and only its yes binds
     index = _oracle_index((NEG_INF, ZERO, finite(1)), 3)
     pairs = list(index.bridges.items())
+    if cfg.trials > len(pairs):
+        raise TropError(f"P16 has {len(pairs)} pairs, fewer than trials {cfg.trials}")
     if cfg.trials < len(pairs):
         pairs = s.rng.sample(pairs, cfg.trials)
     for trial, ((rk, ck), d) in enumerate(pairs):

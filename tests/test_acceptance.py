@@ -188,6 +188,32 @@ def test_p16_catches_a_search_that_tries_only_the_identity(monkeypatch):
     assert [name for name, _ in r.failures[0].artifacts] == ["A.mat", "B.mat", "D.mat"]
 
 
+# the bridge indexes of P15 (n = 2) and P16 (n = 3): counts of row
+# representatives, column representatives and bridges, and sha256 of
+# each bridge's row representative, column representative and first D,
+# formatted, in bridges order
+BRIDGE_INDEX_PINS = {
+    2: (191, 191, 2247, "a8d861ea9edbf5e2cae1c0e26c6253b14ead6bd9ce2dff1c32b6d71d825a9d24"),
+    3: (953, 953, 15844, "1d3e827b61be03c66ae452149d994c3f46ed9c9e0b26881084ed25efb9ee7805"),
+}
+
+
+@pytest.mark.parametrize("grid, n", [
+    ((NEG_INF,) + tuple(finite(v) for v in range(-4, 5)), 2),
+    ((NEG_INF, ZERO, finite(1)), 3),
+])
+def test_bridge_indexes_are_pinned(grid, n):
+    # the grids P15 and P16 use, so the cached indexes are the ones pinned
+    index = harness._oracle_index(grid, n)
+    rows = {k: formats.format_matrix(s.matrix) for k, s in index.row_reps.items()}
+    cols = {k: formats.format_matrix(s.matrix) for k, s in index.col_reps.items()}
+    digest = hashlib.sha256()
+    for (rk, ck), d in index.bridges.items():
+        digest.update((rows[rk] + cols[ck] + formats.format_matrix(d)).encode())
+    got = (len(index.row_reps), len(index.col_reps), len(index.bridges), digest.hexdigest())
+    assert got == BRIDGE_INDEX_PINS[n]
+
+
 def test_criterion_11_extension_calculus():
     r = run("P14", 10_000)
     report(11, r.ok, "equality criterion 10^4 + extension map 10^3")

@@ -443,6 +443,15 @@ def test_cli_check_rejects_a_flag_the_property_does_not_read(pid, flag, value, m
     assert _run(argv) == (2, "", f"error: {pid} {message}\n")
 
 
+@pytest.mark.parametrize("pid, pairs", [("P15", 65536), ("P16", 15844)])
+def test_cli_check_rejects_more_trials_than_pairs(pid, pairs):
+    # P15 and P16 check a fixed set of pairs: trials past it would be
+    # reported but never run
+    argv = ["check", "--property", pid, "--trials", str(pairs + 1)]
+    message = f"error: {pid} has {pairs} pairs, fewer than trials {pairs + 1}\n"
+    assert _run(argv) == (2, "", message)
+
+
 def test_cli_basis_of_the_zero_span(files):
     # an all -inf matrix spans only the zero vector: an empty basis
     _, write = files

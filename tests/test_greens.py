@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trop import convex
+from trop import convex, harness
 from trop.convex import col_span, row_span, span_equal
 from trop.errors import (
     DomainError,
     PreconditionError,
     ShapeError,
     SizeLimitError,
+    TropError,
     VerificationError,
 )
 from trop.formats import format_verdict
@@ -369,7 +370,8 @@ def test_rel_d_shape_and_domain_checks():
 def test_bridge_oracle_agrees_on_small_sample():
     rng = random.Random(5)
     vals = [NEG_INF, finite(-1), ZERO, finite(1)]
-    index = BridgeOracleIndex([NEG_INF] + [finite(v) for v in range(-4, 5)])
+    # P15's index, so the suite builds it once
+    index = harness._oracle_index((NEG_INF,) + tuple(finite(v) for v in range(-4, 5)), 2)
     for _ in range(25):
         a = TropMatrix([[rng.choice(vals) for _ in range(2)] for _ in range(2)])
         b = TropMatrix([[rng.choice(vals) for _ in range(2)] for _ in range(2)])
@@ -378,6 +380,22 @@ def test_bridge_oracle_agrees_on_small_sample():
         if bridge is not None:
             assert span_equal(row_span(bridge), row_span(a))
             assert span_equal(col_span(bridge), col_span(b))
+
+
+def test_bridge_index_refuses_a_key_shared_by_unequal_spans(monkeypatch):
+    # one key for every span: the zero span and span{(0)} collide
+    monkeypatch.setattr(harness, "span_key", lambda span: 0)
+    with pytest.raises(TropError, match="collided on unequal spans"):
+        BridgeOracleIndex((NEG_INF, ZERO), 1)
+
+
+def test_bridge_index_refuses_keys_that_split_equal_spans(monkeypatch):
+    # one key per generator set: {(0, 0)} and {(0, 0), (-inf, -inf)} span
+    # the same set under two keys, which only the sampled check can see
+    monkeypatch.setattr(harness, "span_key", lambda span: frozenset(span.generators))
+    index = BridgeOracleIndex((NEG_INF, ZERO), 2)
+    with pytest.raises(TropError, match="disagrees with span_equal"):
+        index.validate_keys(random.Random(0))
 
 
 @settings(deadline=None, max_examples=30)
