@@ -311,6 +311,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
             continue
         rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
         forest = None
+        # not just a fast path: it forces equal row-basis sizes, which _match_rows does not
         if sorted(map(_pattern, rows_s)) == patterns_e:
             forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)))
         if forest is None:

@@ -211,7 +211,8 @@ def bracket_oracle(x: TropVector, y: TropVector) -> TropScalar:
 def _member_oracle(gens, a: TropVector) -> bool:
     """Span membership by the recombination max_i <g_i|a> g_i = a, with
     the coefficients from bracket_oracle and the sum in boxed scalars."""
-    terms = [[otimes(bracket_oracle(g, a), e) for e in g.entries] for g in gens]
+    coeffs = [bracket_oracle(g, a) for g in gens]
+    terms = [[otimes(c, e) for e in g.entries] for c, g in zip(coeffs, gens)]
     return [functools.reduce(oplus, column) for column in zip(*terms)] == list(a.entries)
 
 

@@ -22,7 +22,7 @@ from random import Random
 
 import pytest
 
-from trop import formats, harness
+from trop import formats, harness, linalg
 from trop.cli import main
 from trop.convex import ConvexSpan
 from trop.greens import rel_D
@@ -122,6 +122,37 @@ def test_criterion_06_kernel_witness():
 def test_criterion_07_landr_consistency():
     r = run("P11", 3000)
     report(7, r.ok, "10^3 pairs per domain, two decision routes")
+
+
+def test_p11_membership_route_is_independent_of_residuate(monkeypatch):
+    # leq_R decides through _residuate and the membership route must not:
+    # one that misses the first target splits the two routes apart
+    residuate = linalg._residuate
+
+    def first_target_missed(grows, trows):
+        return residuate(grows, trows)[0][:1], 0
+
+    monkeypatch.setattr(linalg, "_residuate", first_target_missed)
+    r = run("P11", 60, seed=0)
+    assert r.failures
+    assert {f.description for f in r.failures} == {
+        "principal-solution route says False, membership route says True"
+    }
+
+
+def test_member_oracle_asks_one_bracket_per_generator(monkeypatch):
+    calls = []
+    bracket_oracle = harness.bracket_oracle
+
+    def counting(x, y):
+        calls.append(x)
+        return bracket_oracle(x, y)
+
+    monkeypatch.setattr(harness, "bracket_oracle", counting)
+    s = Sampler(Random(0), EntryPool.for_domain(Domain.T))
+    gens = [s.vector(4) for _ in range(3)]
+    assert harness._member_oracle(gens, s.span_member(gens))
+    assert len(calls) == 3
 
 
 def test_criterion_08_inheritance():

@@ -18,7 +18,7 @@ from trop.errors import (
     TropError,
     VerificationError,
 )
-from trop.formats import format_verdict
+from trop.formats import format_verdict, parse_matrix
 from trop.greens import (
     LEQ_L,
     LEQ_R,
@@ -342,6 +342,26 @@ def test_rel_d_certifies_that_the_weak_basis_spans_c_b(monkeypatch):
     monkeypatch.setattr(convex, "weak_basis_matrix", drop_the_second_of_b)
     with pytest.raises(VerificationError, match="^rel_D: bridge failed column space check$"):
         rel_D(a, b)
+
+
+def test_rel_d_needs_row_space_weak_bases_of_one_size():
+    # both weak bases have 3 elements, but the row-space weak bases have
+    # 3 and 4 rows; under sigma (0, 2, 1) each row of A's still matches
+    # its own row of B's, so only the -inf pattern check refuses that
+    # sigma (without it, the descriptor check raises)
+    a = parse_matrix("4 4\n0 1/2 -inf 1/2\n-inf -inf -inf -inf\n"
+                     "-inf -inf -1 -inf\n1/3 -inf 1 -1\n")
+    b = parse_matrix("4 4\n-2 -inf -inf -1\n-1/3 1/3 -inf -inf\n"
+                     "0 -1/2 -inf -1\n-inf -1 -inf -inf\n")
+    assert format_verdict(rel_D(a, b)) == (
+        "d no t\n"
+        "reason: sigma (0, 1, 2): bracket finiteness pattern differs\n"
+        "reason: sigma (0, 2, 1): the row-space weak bases differ\n"
+        "reason: sigma (1, 0, 2): bracket finiteness pattern differs\n"
+        "reason: sigma (1, 2, 0): bracket finiteness pattern differs\n"
+        "reason: sigma (2, 0, 1): bracket finiteness pattern differs\n"
+        "reason: sigma (2, 1, 0): bracket finiteness pattern differs\n"
+    )
 
 
 def test_rel_d_rejects_pos_inf():
