@@ -9,8 +9,6 @@ equality check, never assumed.  Its linear extension at A is one product
 G*X of the basis images by the principal coefficients of A over the basis.
 """
 
-from dataclasses import dataclass, field
-
 from .convex import (
     ConvexSpan,
     col_span,
@@ -85,7 +83,6 @@ def kernel_witness(b: TropMatrix, z: TropVector):
     return x, y
 
 
-@dataclass(frozen=True)
 class IsoDescriptor:
     """A candidate span isomorphism e_i -> lambdas_i * f_sigma(i).
 
@@ -96,28 +93,47 @@ class IsoDescriptor:
     is a genuine isomorphism is decided by :func:`descriptor_valid`.
     Built once with the descriptor: image_matrix, G = F_sigma * diag
     lambda with the images as columns (None when k = 0); E, the e_i as
-    columns, is the source span's matrix.
+    columns, is the source span's matrix.  Fields are read-only, and ==
+    and hash compare (source, target, sigma, lambdas).
     """
 
-    source: ConvexSpan
-    target: ConvexSpan
-    sigma: tuple
-    lambdas: tuple
-    image_matrix: TropMatrix = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "sigma", "lambdas", "image_matrix")
 
-    def __post_init__(self):
-        if ROW in (self.source.orientation, self.target.orientation):
+    def __init__(self, source: ConvexSpan, target: ConvexSpan, sigma: tuple, lambdas: tuple):
+        if ROW in (source.orientation, target.orientation):
             raise ShapeError("descriptor bases must be column spans")
-        k = len(self.source)
-        if not (len(self.target) == len(self.sigma) == len(self.lambdas) == k):
+        k = len(source)
+        if not (len(target) == len(sigma) == len(lambdas) == k):
             raise ShapeError("descriptor parts must have equal length")
-        if sorted(self.sigma) != list(range(k)):
+        if sorted(sigma) != list(range(k)):
             raise ShapeError("sigma must be a permutation of 0..k-1")
-        for lam in self.lambdas:
+        for lam in lambdas:
             if not (isinstance(lam, TropScalar) and lam.is_finite):
                 raise DomainError("descriptor scalings must be finite rationals")
-        object.__setattr__(
-            self, "image_matrix", scale_columns(self.target.matrix, self.sigma, self.lambdas)
+        image = scale_columns(target.matrix, sigma, lambdas)
+        for name, value in zip(self.__slots__, (source, target, sigma, lambdas, image)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.source, self.target, self.sigma, self.lambdas
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "IsoDescriptor(source={!r}, target={!r}, sigma={!r}, lambdas={!r})".format(
+            *self._key()
         )
 
     @property

@@ -14,7 +14,7 @@ denominator, and only the scalings of a yes are divided back by it.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .convex import col_span, span_equal
@@ -45,9 +45,14 @@ REL_D = "d"
 RELATIONS = (LEQ_R, LEQ_L, REL_R, REL_L, REL_H, REL_D)
 
 
-@dataclass(frozen=True)
-class GreenVerdict:
-    """Outcome of a Green's relation test.
+class GreenVerdict(
+    namedtuple(
+        "GreenVerdict",
+        "relation holds domain witnesses iso bridge reasons",
+        defaults=((), None, None, ()),
+    )
+):
+    """Outcome of a Green's relation test: an immutable named tuple.
 
     witnesses holds labelled matrices; the defining equations are
     X: B*X = A,   X2: A*X2 = B,   Y: Y*B = A,   Y2: Y2*A = B.
@@ -56,13 +61,7 @@ class GreenVerdict:
     negative verdict.
     """
 
-    relation: str
-    holds: bool
-    domain: Domain
-    witnesses: tuple = ()
-    iso: IsoDescriptor = None
-    bridge: TropMatrix = None
-    reasons: tuple = ()
+    __slots__ = ()
 
 
 def _validate_pair(a: TropMatrix, b: TropMatrix, domain):

@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from random import Random
 
@@ -63,8 +63,7 @@ from .semiring import (
 )
 
 
-@dataclass(frozen=True)
-class EntryPool:
+class EntryPool(namedtuple("EntryPool", "num_bound p_neg_inf p_pos_inf", defaults=(8, 0.0, 0.0))):
     """Scalar sampling spec: small rationals plus optional infinities.
 
     Numerators are drawn uniformly from [-num_bound, num_bound] and
@@ -72,9 +71,7 @@ class EntryPool:
     and collisions where max-plus degeneracies live.
     """
 
-    num_bound: int = 8
-    p_neg_inf: float = 0.0
-    p_pos_inf: float = 0.0
+    __slots__ = ()
 
     @staticmethod
     def for_domain(domain: Domain) -> "EntryPool":
@@ -85,30 +82,30 @@ class EntryPool:
         return EntryPool(p_neg_inf=0.2, p_pos_inf=0.1)
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    property_id: str
-    trials: int
-    dim_range: tuple
-    pool: EntryPool
-    seed: int = 0
+class HarnessConfig(
+    namedtuple("HarnessConfig", "property_id trials dim_range pool seed", defaults=(0,))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Failure:
-    trial: int
-    description: str
-    artifacts: tuple = ()  # (name, text-block) pairs in the shared formats
-    replay: str = ""  # suggested trop command over the artifact files
+class Failure(namedtuple("Failure", "trial description artifacts replay", defaults=((), ""))):
+    """artifacts: (name, text-block) pairs in the shared formats;
+    replay: a suggested trop command over the artifact files."""
+
+    __slots__ = ()
 
 
-@dataclass
 class RunReport:
-    property_id: str
-    trials: int
-    seed: int
-    failures: list
-    elapsed: float = 0.0  # informational only; excluded from serialization
+    """elapsed is informational only and excluded from serialization."""
+
+    __slots__ = ("property_id", "trials", "seed", "failures", "elapsed")
+
+    def __init__(self, property_id, trials, seed, failures, elapsed=0.0):
+        self.property_id = property_id
+        self.trials = trials
+        self.seed = seed
+        self.failures = failures
+        self.elapsed = elapsed
 
     @property
     def ok(self):

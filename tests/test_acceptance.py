@@ -15,7 +15,6 @@ import io
 import itertools
 import os
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -210,7 +209,7 @@ def test_p16_catches_a_search_that_tries_only_the_identity(monkeypatch):
     # another sigma is one the identity alone would have refuted
     def identity_only(a, b):
         v = rel_D(a, b)
-        return replace(v, holds=v.holds and v.iso.sigma == tuple(range(v.iso.k)))
+        return v._replace(holds=v.holds and v.iso.sigma == tuple(range(v.iso.k)))
 
     monkeypatch.setattr(harness, "rel_D", identity_only)
     r = run("P16", 200)

@@ -165,6 +165,21 @@ def test_apply_iso_swap_example():
     assert apply_iso(f, c) == TropVector([finite(5), finite(2)], COL)
 
 
+def test_descriptor_equality_ignores_image_matrix():
+    e = ConvexSpan((TropVector([ZERO, NEG_INF], COL), TropVector([NEG_INF, ZERO], COL)))
+    f, g = (IsoDescriptor(e, e, (1, 0), (finite(1), ZERO)) for _ in range(2))
+    object.__setattr__(g, "image_matrix", identity(2))
+    assert f.image_matrix != g.image_matrix
+    assert f == g and hash(f) == hash(g)
+    assert f != IsoDescriptor(e, e, (1, 0), (ZERO, ZERO))
+    assert "image_matrix" not in repr(f)
+    for name in ("source", "sigma", "lambdas", "image_matrix"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+
+
 def test_apply_iso_rejects_outsiders():
     basis = ConvexSpan((vector([0, 0], COL),))
     f = identity_descriptor(basis)

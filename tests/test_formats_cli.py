@@ -5,7 +5,6 @@ import io
 import json
 import re
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -600,9 +599,31 @@ def test_counterexample_files_keep_every_failure_of_a_trial(tmp_path, monkeypatc
     assert len(list(out.iterdir())) == 4 * len(stems)
 
 
+def test_harness_records_keep_their_defaults_and_keywords():
+    pool = harness.EntryPool()
+    assert (pool.num_bound, pool.p_neg_inf, pool.p_pos_inf) == (8, 0.0, 0.0)
+    assert harness.EntryPool(4, p_pos_inf=0.1) == harness.EntryPool(
+        num_bound=4, p_neg_inf=0.0, p_pos_inf=0.1
+    )
+    assert pool  # Sampler falls back on its own pool with `pool or self.pool`
+    cfg = harness.HarnessConfig("P1", 10, (1, 3), pool)
+    assert cfg.seed == 0
+    assert cfg == harness.HarnessConfig(
+        pool=pool, dim_range=(1, 3), trials=10, property_id="P1", seed=0
+    )
+    failure = harness.Failure(3, "broken")
+    assert (failure.trial, failure.description, failure.artifacts, failure.replay) == (
+        3, "broken", (), ""
+    )
+    assert failure == harness.Failure(description="broken", trial=3, artifacts=(), replay="")
+    for record, name in ((pool, "num_bound"), (cfg, "seed"), (failure, "replay")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
 def test_harness_rejects_unknown_properties():
     with pytest.raises(TropError, match="^unknown property 'P99'$"):
         harness.default_config("P99")
-    cfg = replace(harness.default_config("P1"), property_id="P99")
+    cfg = harness.default_config("P1")._replace(property_id="P99")
     with pytest.raises(TropError, match="^unknown property 'P99'$"):
         harness.run_property(cfg)

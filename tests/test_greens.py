@@ -241,6 +241,24 @@ def test_rel_d_2x2_transpose():
         assert span_equal(col_span(v.bridge), col_span(transpose(a)))
 
 
+def test_rel_d_verdicts_are_values():
+    # equal inputs built apart give equal verdicts with equal hashes, for
+    # a yes (iso and bridge) and for a no (reasons); the fields are read-only
+    def pair():
+        a = TropMatrix([[ZERO, finite(2)], [NEG_INF, finite(1)]])
+        return a, TropMatrix([[finite(5), ZERO], [finite(4), NEG_INF]])
+
+    yes, no = rel_D(*pair()), rel_D(pair()[0], identity(2))
+    assert yes.holds and yes.iso is not None and yes.bridge is not None
+    assert not no.holds and no.reasons
+    for v, again in ((yes, rel_D(*pair())), (no, rel_D(pair()[0], identity(2)))):
+        assert v == again and v is not again
+        assert hash(v) == hash(again)
+    assert yes != no
+    with pytest.raises(AttributeError):
+        yes.holds = False
+
+
 def test_rel_d_transpose_counterexample():
     # the column space has one basis ray sitting below the two others,
     # the row space has two rays below one; brackets are isomorphism

@@ -16,17 +16,33 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = ["trop"] + [f"trop.{p.stem}" for p in SOURCES if p.stem != "__init__"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_first(module):
+def _fresh_python(code):
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first(module):
+    proc = _fresh_python(f"import {module}")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["trop", "trop.cli"])
+def test_import_loads_no_dataclasses_or_inspect(module):
+    # dataclasses imports inspect, ast, dis and tokenize, a third of the
+    # start-up of every trop process; the records are plain classes
+    proc = _fresh_python(
+        f"import sys; before = set(sys.modules); import {module}; "
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
