@@ -3,14 +3,12 @@
 Order relations reduce to span inclusion and are decided exactly by
 principal solutions; every positive verdict carries a witness that is
 re-multiplied before being returned.  The D relation is decided by
-matching weak bases: an isomorphism of the column spaces maps weak
-basis onto scaled weak basis, and it extends exactly when the
-row-space weak bases of the two basis matrices pair up, one for one,
-up to the scalings.  Since weak bases are unique up to scaling and
-order, the search is complete by construction; positive verdicts are
-still re-verified through the bridge matrix.  The search runs on exact
-ints: ``d_search_tables`` aligns both weak bases once to a common
-denominator, and only the scalings of a yes are divided back by it.
+matching weak bases in ``_d_search``, over the exact ints of
+``d_search_tables`` (both weak bases aligned once to a common
+denominator).  It yields one record per permutation sigma it tries,
+``(sigma, stage, None)`` for a refutation or ``(sigma, None, lambdas)``
+for the first match; ``rel_D`` words the refutations and re-verifies a
+match through the bridge matrix.
 """
 
 import itertools
@@ -205,9 +203,9 @@ def _match_rows(forest, rows_e, rows_f, free):
     return None
 
 
-def _lambdas(brackets, forest, e, f, den):
-    """Exact scalings lambda_j = (pot_j + shift) / den for a matched
-    permutation, where pot and the values of e and f are den times exact.
+def _lambdas(brackets, forest, e, f):
+    """Scalings lambda_j = pot_j + shift for a matched permutation, ints
+    over the denominator of pot and of the values of e and f.
 
     Components of the finite-bracket graph (classes of ``brackets``) are
     fixed in the order of their least coordinate c: the first at
@@ -244,22 +242,62 @@ def _lambdas(brackets, forest, e, f, den):
                 ]
             )
         lam.update((j, pot[j] + shift) for j in comp)
-    return tuple(finite(Fraction(lam[j], den)) for j in range(k))
+    return tuple(lam[j] for j in range(k))
+
+
+def _d_search(tables_e, tables_f):
+    """The D search over the int tables of two weak bases E and F.
+
+    e_i -> lambda_i * f_sigma(i) extends to an isomorphism iff R(E) =
+    R(F_sigma * diag lambda).  Weak bases are unique up to scaling and
+    order, so for each sigma, in lexicographic order, that holds iff the
+    row-space weak bases of E and F_sigma pair up, each pair differing
+    by lambda plus a constant: a backtracking search over one potential
+    forest, seeded with the lambda differences brackets force.  A
+    refuted sigma yields (sigma, stage, None), stage naming the first
+    test it fails; the first match yields (sigma, None, lambdas), ints
+    over the tables' denominator, and ends the search.
+    """
+    (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = tables_e, tables_f
+    k = len(grid_e)
+    patterns_e = sorted(map(_pattern, rows_e))
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    for sigma in itertools.permutations(range(k)):
+        if any(
+            (table_e[i][j] is None) != (table_f[sigma[i]][sigma[j]] is None)
+            for i, j in pairs
+        ):
+            yield sigma, "bracket finiteness pattern differs", None
+            continue
+        brackets = [(j, 0) for j in range(k)]
+        if not all(
+            _link(brackets, i, j, table_e[i][j] - table_f[sigma[i]][sigma[j]])
+            for i, j in pairs
+            if table_e[i][j] is not None
+        ):
+            yield sigma, "bracket differences are inconsistent", None
+            continue
+        rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
+        forest = None
+        # not just a fast path: it forces equal row-basis sizes, which _match_rows does not
+        if sorted(map(_pattern, rows_s)) == patterns_e:
+            forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)))
+        if forest is None:
+            yield sigma, "the row-space weak bases differ", None
+            continue
+        yield sigma, None, _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma])
+        return
 
 
 def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -> GreenVerdict:
     """A D B for +inf-free square matrices: are the column spaces
     isomorphic as semimodules?
 
-    e_i -> lambda_i * f_sigma(i) between the weak bases E of C(A) and F
-    of C(B) extends to an isomorphism iff R(E) = R(F_sigma * diag
-    lambda).  Weak bases are unique up to scaling and order, so for each
-    sigma, in lexicographic order, that holds iff the row-space weak
-    bases of E and F_sigma pair up, each pair differing by lambda plus a
-    constant: a backtracking search over one potential forest, seeded
-    with the lambda differences brackets force.  Refutations are thus
-    complete by construction; the first match is re-verified.  A declared
-    domain is checked as for leq_R, and must not be TBAR.
+    Runs ``_d_search`` on the weak bases of C(A) and C(B): each refuted
+    sigma becomes the reason ``sigma (..): stage``, and the match, if
+    any, the re-verified IsoDescriptor and bridge of a yes.  Refutations
+    are complete by construction.  A declared domain is checked as for
+    leq_R, and must not be TBAR.
     """
     dom = _validate_pair(a, b, domain)
     if dom > Domain.T:
@@ -287,36 +325,13 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         )
 
     # brackets between nonzero T vectors are never +inf
-    den, (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = d_search_tables(
-        basis_a.matrix, basis_b.matrix
-    )
-    patterns_e = sorted(map(_pattern, rows_e))
-    pairs = [(i, j) for i in range(k) for j in range(k)]
+    den, tables_e, tables_f = d_search_tables(basis_a.matrix, basis_b.matrix)
     reasons = []
-    for sigma in itertools.permutations(range(k)):
-        if any(
-            (table_e[i][j] is None) != (table_f[sigma[i]][sigma[j]] is None)
-            for i, j in pairs
-        ):
-            reasons.append(f"sigma {sigma}: bracket finiteness pattern differs")
+    for sigma, stage, lambdas in _d_search(tables_e, tables_f):
+        if stage is not None:
+            reasons.append(f"sigma {sigma}: {stage}")
             continue
-        brackets = [(j, 0) for j in range(k)]
-        if not all(
-            _link(brackets, i, j, table_e[i][j] - table_f[sigma[i]][sigma[j]])
-            for i, j in pairs
-            if table_e[i][j] is not None
-        ):
-            reasons.append(f"sigma {sigma}: bracket differences are inconsistent")
-            continue
-        rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
-        forest = None
-        # not just a fast path: it forces equal row-basis sizes, which _match_rows does not
-        if sorted(map(_pattern, rows_s)) == patterns_e:
-            forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)))
-        if forest is None:
-            reasons.append(f"sigma {sigma}: the row-space weak bases differ")
-            continue
-        lambdas = _lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma], den)
+        lambdas = tuple(finite(Fraction(lam, den)) for lam in lambdas)
         iso = IsoDescriptor(basis_a, basis_b, sigma, lambdas)
         if not descriptor_valid(iso):
             raise VerificationError("rel_D: matched descriptor failed the row space check")

@@ -465,14 +465,11 @@ def _p12_inheritance(cfg, s, failures):
             continue
         # witness transfer, finitary side: B*P = A with -inf entries in P
         bf = s.matrix(n, n, ft)
-        rows = s.matrix(n, n, t).entries
-        cols_fixed = []
-        for j in range(n):
-            col = [rows[i][j] for i in range(n)]
+        cols = [list(c) for c in transpose(s.matrix(n, n, t)).entries]
+        for col in cols:
             if all(e.is_neg_inf for e in col):
                 col[s.rng.randrange(n)] = s.finite_scalar()
-            cols_fixed.append(col)
-        p = TropMatrix([[cols_fixed[j][i] for j in range(n)] for i in range(n)])
+        p = transpose(TropMatrix(cols))
         af = mat_mul(bf, p)
         try:
             p_ft = finitize_witness_ft(bf, af, p)

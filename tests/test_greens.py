@@ -1,6 +1,8 @@
 """Green's relations: order witnesses, transfers, and the D decision."""
 
 import hashlib
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -28,6 +30,9 @@ from trop.greens import (
     REL_L,
     REL_R,
     GreenVerdict,
+    _d_search,
+    _link,
+    _match_rows,
     definitize_witness_t,
     finitize_witness_ft,
     leq_L,
@@ -39,6 +44,7 @@ from trop.harness import BridgeOracleIndex, EntryPool, Sampler
 from trop.linalg import (
     COL,
     TropMatrix,
+    d_search_tables,
     identity,
     mat_mul,
     scale,
@@ -380,6 +386,104 @@ def test_rel_d_needs_row_space_weak_bases_of_one_size():
         "reason: sigma (2, 0, 1): bracket finiteness pattern differs\n"
         "reason: sigma (2, 1, 0): bracket finiteness pattern differs\n"
     )
+
+
+# The search alone, on hand-built int tables: (values of each basis
+# vector, bracket table, row-space weak basis), finite values as ints
+# over one denominator and -inf as None.
+SIGMAS_3 = list(itertools.permutations(range(3)))
+STAGE_FINITE = "bracket finiteness pattern differs"
+STAGE_BRACKETS = "bracket differences are inconsistent"
+STAGE_ROWS = "the row-space weak bases differ"
+
+
+@pytest.mark.parametrize(
+    "table_e, stage",
+    [
+        ([(0, 0, None), (-1, 0, 0), (0, 0, 0)], STAGE_FINITE),
+        ([(0, 0, 0), (-1, 0, 0), (0, 0, 0)], STAGE_BRACKETS),
+        ([(0, 0, 0), (0, 0, 0), (0, 0, 0)], STAGE_ROWS),
+    ],
+)
+def test_d_search_names_the_first_stage_that_fails(table_e, stage):
+    # F's brackets are all 0, and its row-space weak basis has two rows
+    # to E's one: the first table fails all three stages, the second
+    # the last two, the third only the rows; each sigma is named by its
+    # first failing stage, one record per sigma, in permutation order
+    e = ([(0,)] * 3, table_e, [(0, 0, 0)])
+    f = ([(0,)] * 3, [(0, 0, 0)] * 3, [(0, 0, 0), (0, 1, 2)])
+    assert list(_d_search(e, f)) == [(sigma, stage, None) for sigma in SIGMAS_3]
+    # with equal row-space weak bases, the third table matches at once
+    if stage == STAGE_ROWS:
+        assert list(_d_search(e, f[:2] + (e[2],))) == [((0, 1, 2), None, (0, 0, 0))]
+
+
+def test_d_search_stops_at_the_first_match():
+    # E: columns (0, 0, -inf), (-inf, 0, -inf), (-inf, -inf, 0); F has
+    # E's first two columns swapped, so sigma (1, 0, 2) is the first match
+    e = (
+        [(0, 0, None), (None, 0, None), (None, None, 0)],
+        [(0, None, None), (0, 0, None), (None, None, 0)],
+        [(0, None, None), (0, 0, None), (None, None, 0)],
+    )
+    f = (
+        [(None, 0, None), (0, 0, None), (None, None, 0)],
+        [(0, 0, None), (None, 0, None), (None, None, 0)],
+        [(None, 0, None), (0, 0, None), (None, None, 0)],
+    )
+    assert list(_d_search(e, f)) == [
+        ((0, 1, 2), STAGE_FINITE, None),
+        ((0, 2, 1), STAGE_FINITE, None),
+        ((1, 0, 2), None, (0, 0, 0)),
+    ]
+
+
+def test_d_search_sorted_patterns_force_one_row_basis_size():
+    # the tables (den 6) of the 4x4 pair above: row-space weak bases of
+    # 3 and 4 rows; the one sigma that reaches the row stage is refused
+    # there, though _match_rows alone pairs each of E's rows with F's
+    e = (
+        [(0, None, None, 2), (3, None, None, None), (None, None, -6, 6)],
+        [(0, None, None), (-3, 0, None), (None, None, 0)],
+        [(0, 3, None), (None, None, -6), (2, None, 6)],
+    )
+    f = (
+        [(-12, -2, 0, None), (None, 2, -3, -6), (-6, None, -6, None)],
+        [(0, None, None), (None, 0, None), (-6, None, 0)],
+        [(-12, None, -6), (-2, 2, None), (0, -3, -6), (None, -6, None)],
+    )
+    records = list(_d_search(e, f))
+    assert [sigma for sigma, _, _ in records] == SIGMAS_3
+    assert [sigma for sigma, stage, _ in records if stage != STAGE_FINITE] == [(0, 2, 1)]
+    assert records[1] == ((0, 2, 1), STAGE_ROWS, None)
+    rows_s = [(w[0], w[2], w[1]) for w in f[2]]
+    brackets = [(j, 0) for j in range(3)]
+    assert _link(brackets, 1, 0, e[1][1][0] - f[1][2][0])  # the one finite pair off the diagonal
+    assert _match_rows(brackets, e[2], rows_s, range(len(rows_s))) is not None
+
+
+def test_rel_d_words_the_search_records():
+    s = Sampler(random.Random(20261019), EntryPool.for_domain(Domain.T))
+    seen = set()
+    for trial in range(120):
+        a, b = _green_pair(s, trial)
+        verdict = rel_D(a, b)
+        basis_a, basis_b = col_span(a).weak_basis(), col_span(b).weak_basis()
+        if len(basis_a) != len(basis_b):
+            continue
+        den, tables_e, tables_f = d_search_tables(basis_a.matrix, basis_b.matrix)
+        records = list(_d_search(tables_e, tables_f))
+        refuted = [f"sigma {sigma}: {stage}" for sigma, stage, _ in records if stage]
+        seen.add(verdict.holds)
+        if verdict.holds:
+            sigma, stage, lambdas = records[-1]
+            assert stage is None and len(refuted) == len(records) - 1
+            assert verdict.reasons == () and verdict.iso.sigma == sigma
+            assert verdict.iso.lambdas == tuple(finite(Fraction(x, den)) for x in lambdas)
+        else:
+            assert list(verdict.reasons) == refuted
+            assert len(records) == math.factorial(len(basis_a))
+    assert seen == {True, False}
 
 
 def test_rel_d_rejects_pos_inf():

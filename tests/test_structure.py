@@ -93,6 +93,25 @@ def test_only_linalg_reads_the_packed_format(source):
     assert not found, f"packed-format helpers used outside linalg.py: {found}"
 
 
+BOXED_VALUES = {"finite", "Fraction", "TropScalar", "TropMatrix", "TropVector", "ZERO"}
+D_SEARCH = {"_d_search", "_lambdas", "_match_rows", "_link", "_find", "_pattern"}
+
+
+def test_the_d_search_names_no_boxed_value():
+    # the D search runs on the ints of linalg.d_search_tables, and only
+    # rel_D boxes the scalings of a match, so the search's records stay
+    # exact ints that a pruning, a counter or a certificate can read
+    tree = ast.parse((PACKAGE / "greens.py").read_text())
+    bodies = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in D_SEARCH]
+    found = sorted(
+        {(fn.name, name) for fn in bodies for node in ast.walk(fn)
+         for name in (getattr(node, "id", None), getattr(node, "attr", None))
+         if name in BOXED_VALUES}
+    )
+    assert not found, f"boxed values named in the D search: {found}"
+    assert sorted(fn.name for fn in bodies) == sorted(D_SEARCH)
+
+
 def test_linalg_values_are_set_only_at_construction():
     # a vector or matrix is one immutable form: its attributes are set
     # when it is built (__init__, or _of for a kernel result) and no
