@@ -4,7 +4,9 @@ A span is held as its generator matrix: the generators are the columns
 of a column span's matrix and the rows of a row span's, so row_span(a)
 and col_span(a) wrap a itself.  Membership is decided exactly by
 principal coefficients: the recombination max_i <r_i|a> r_i is the
-greatest element of the span below a, so it equals a iff a belongs.
+greatest element of the span below a, so it equals a iff a belongs,
+that is iff the coefficients cover every coordinate where a is not
+-inf (see linalg._residuate).
 An element inf*a + b adjoined to a T-span, when scaling by +inf is
 allowed, is the TBAR vector (+inf)*a + b, so the extension calculus is
 plain vector arithmetic: vec_oplus adds such elements and scale scales
@@ -20,6 +22,7 @@ from .linalg import (
     hilbert,
     mat_mul,
     residuate,
+    same_span,
     scale,
     stack,
     vec_oplus,
@@ -154,10 +157,7 @@ def span_equal(s1: ConvexSpan, s2: ConvexSpan) -> bool:
     """Mutual membership of generators decides span equality."""
     if s1.dim != s2.dim or s1.orientation != s2.orientation:
         raise ShapeError("spans must share dim and orientation")
-    return (
-        residuate(s2.matrix, s1.matrix, s1.orientation)[1] is None
-        and residuate(s1.matrix, s2.matrix, s1.orientation)[1] is None
-    )
+    return same_span(s1.matrix, s2.matrix, s1.orientation)
 
 
 def principal_solution(b, c: TropVector) -> TropVector:

@@ -182,22 +182,26 @@ def _link(forest, i, j, d):
     return True
 
 
-def _match_rows(forest, rows_e, rows_f, free):
+def _match_rows(forest, rows_e, rows_f, free, patterns=None):
     """Pair each row u of rows_e with its own row w of rows_f (indices in
     free) of the same -inf pattern, u - w = lambda + a constant on the
-    finite coordinates; the forest extended accordingly, or None."""
+    finite coordinates; the forest extended accordingly, or None.
+    patterns holds the two lists of row patterns, found here if not given."""
     if not rows_e:
         return forest
+    pats_e, pats_f = patterns or (list(map(_pattern, rows_e)), list(map(_pattern, rows_f)))
     u, rest = rows_e[0], rows_e[1:]
     js = [j for j, x in enumerate(u) if x is not None]
     for q in free:
-        w = rows_f[q]
-        if _pattern(w) != _pattern(u):
+        if pats_f[q] != pats_e[0]:
             continue
+        w = rows_f[q]
         trial = forest[:]
         d0 = u[js[0]] - w[js[0]]
         if all(_link(trial, js[0], j, u[j] - w[j] - d0) for j in js[1:]):
-            found = _match_rows(trial, rest, rows_f, [r for r in free if r != q])
+            found = _match_rows(
+                trial, rest, rows_f, [r for r in free if r != q], (pats_e[1:], pats_f)
+            )
             if found is not None:
                 return found
     return None
@@ -260,7 +264,8 @@ def _d_search(tables_e, tables_f):
     """
     (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = tables_e, tables_f
     k = len(grid_e)
-    patterns_e = sorted(map(_pattern, rows_e))
+    pats_e = list(map(_pattern, rows_e))
+    patterns_e = sorted(pats_e)
     pairs = [(i, j) for i in range(k) for j in range(k)]
     for sigma in itertools.permutations(range(k)):
         if any(
@@ -278,10 +283,11 @@ def _d_search(tables_e, tables_f):
             yield sigma, "bracket differences are inconsistent", None
             continue
         rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
+        pats_s = list(map(_pattern, rows_s))
         forest = None
         # not just a fast path: it forces equal row-basis sizes, which _match_rows does not
-        if sorted(map(_pattern, rows_s)) == patterns_e:
-            forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)))
+        if sorted(pats_s) == patterns_e:
+            forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)), (pats_e, pats_s))
         if forest is None:
             yield sigma, "the row-space weak bases differ", None
             continue

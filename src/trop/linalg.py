@@ -18,6 +18,13 @@ kernel's result, and ``entries`` boxes the packed rows on each read.
 integral), so packed forms are compared only over a common
 denominator.  Other modules hand this one vectors and matrices and
 never see the packed form.
+
+Span membership, weak bases, span equality and principal solutions
+share one kernel, ``_residuate``: it finds each target's principal
+coefficients and, in the same pass, whether they recombine to it, by
+the coordinates they cover (Cuninghame-Green's covering criterion), so
+no recombination is built.  ``same_span`` compares two generator
+matrices over one alignment.
 """
 
 from fractions import Fraction
@@ -281,11 +288,43 @@ def _combine(coeffs, rows, dim):
 def _residuate(grows, trows):
     """Coefficient rows (<g_1|a_t>, ..., <g_k|a_t>) of aligned target rows
     over aligned generator rows, and the first target they do not
-    recombine to (rows stop there), or None."""
+    recombine to (rows stop there), or None.
+
+    max_g <g|a> g <= a always, so a recombines iff every coordinate
+    with a_i != -inf is covered, in the same pass that finds each
+    c = <g|a>: a finite a_i by a finite g_i with a_i - g_i = c (c is
+    the least such difference, so the ties at the minimum cover), and
+    a_i = +inf by g_i = +inf with c != -inf or by g_i != -inf with
+    c = +inf.  Covers are bitmasks over the coordinates."""
     coeffs = []
+    bits = [1 << i for i in range(len(trows[0]))] if trows else []
+    full = (1 << len(bits)) - 1
     for t, a in enumerate(trows):
-        coeffs.append(tuple([_residual(g, a) for g in grows]))
-        if _combine(coeffs[-1], grows, len(a)) != a:
+        need = full if _NEG not in a else sum([bit for bit, q in zip(bits, a) if q is not _NEG])
+        row, cover = [], 0
+        for g in grows:
+            c, ties, tops, pos = _POS, 0, 0, 0
+            for bit, p, q in zip(bits, g, a):
+                if p is _NEG:
+                    continue
+                if q is _POS:  # bounds nothing; covered by an infinite c * g_i
+                    pos |= bit
+                    if p is _POS:
+                        tops |= bit
+                    continue
+                if p is _POS or q is _NEG:
+                    c = _NEG
+                    break
+                d = q - p
+                if d < c:
+                    c, ties = d, bit
+                elif d == c:
+                    ties |= bit
+            else:
+                cover |= pos if c is _POS else ties | tops
+            row.append(c)
+        coeffs.append(tuple(row))
+        if cover != need:
             return coeffs, t
     return coeffs, None
 
@@ -303,6 +342,15 @@ def residuate(gens, targets, orientation=COL):
         return None, bad
     x = TropMatrix._of((den, coeffs))
     return (x if orientation == ROW else transpose(x)), bad
+
+
+def same_span(m1, m2, orientation=COL):
+    """Whether the columns (rows, for ROW) of m1 and of m2 span one set:
+    each side's vectors recombine from the other's.  Both sides are
+    aligned once and no coefficient matrix is built; None stands for a
+    matrix of no vectors."""
+    _, rows1, rows2 = _align(_spanning(m1, orientation), _spanning(m2, orientation))
+    return _residuate(rows2, rows1)[1] is None and _residuate(rows1, rows2)[1] is None
 
 
 def weak_basis_matrix(gens, orientation=COL):

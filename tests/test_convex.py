@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trop import linalg
 from trop.convex import (
     ConvexSpan,
     col_span,
@@ -112,6 +113,129 @@ def _huge_green_pairs(seed, count, n):
 
 HUGE_SPANS = _huge_cases(401, 24, 3, 3)
 HUGE_GREEN_PAIRS = _huge_green_pairs(402, 12, 3)
+
+H = finite(Fraction(BIG, BIG + 1))
+F = finite(Fraction(-BIG - 3, 7))
+
+
+def _cols(*vectors):
+    return [TropVector(v, COL) for v in vectors]
+
+
+# BIG * g_1 and TIE_COEFFS[1] * g_2 agree on the first coordinate
+TIE_GENS = _cols((H, ZERO), (F, finite(BIG)))
+TIE_COEFFS = [finite(BIG), otimes(otimes(H, finite(BIG)), neg(F))]
+
+# (generators, target, verdict): membership is decided by which target
+# coordinates the principal coefficients cover
+COVERING_CASES = {
+    # the all -inf generator gets +inf, and +inf * -inf covers nothing
+    "all -inf generator": (
+        _cols((NEG_INF, NEG_INF), (finite(BIG), H)),
+        TropVector(ref_combine([F], _cols((finite(BIG), H)), 2), COL),
+        True,
+    ),
+    "all -inf generator alone": (
+        _cols((NEG_INF, NEG_INF)), TropVector((finite(BIG), NEG_INF), COL), False
+    ),
+    # <g|a> = +inf, so +inf * g covers the +inf coordinate where g is finite
+    "+inf coordinate, +inf coefficient": (
+        _cols((finite(BIG), NEG_INF), (NEG_INF, ZERO)), TropVector((POS_INF, F), COL), True
+    ),
+    # <g|a> is finite, and only the +inf entry of g reaches +inf
+    "+inf coordinate, +inf generator entry": (
+        _cols((POS_INF, H), (NEG_INF, finite(-BIG))),
+        TropVector(ref_combine([F], _cols((POS_INF, H)), 2), COL),
+        True,
+    ),
+    "+inf coordinate, finite coefficient and entry": (
+        _cols((finite(BIG), H)), TropVector((POS_INF, H), COL), False
+    ),
+    # both generators reach the first coordinate, and g_2 reaches both
+    "tie": (TIE_GENS, TropVector(ref_combine(TIE_COEFFS, TIE_GENS, 2), COL), True),
+    "tie missing a coordinate": (
+        TIE_GENS, TropVector((finite(BIG), finite(-BIG)), COL), False
+    ),
+    "all -inf target": (
+        _cols((POS_INF, F), (NEG_INF, NEG_INF), (finite(BIG), NEG_INF)),
+        TropVector((NEG_INF, NEG_INF), COL),
+        True,
+    ),
+    "all -inf target, no generator": ([], TropVector((NEG_INF, NEG_INF), COL), True),
+}
+
+
+@pytest.mark.parametrize("case", COVERING_CASES, ids=str)
+def test_covering_decides_membership_as_the_scalar_reference(case):
+    gens, a, verdict = COVERING_CASES[case]
+    assert ref_member(gens, a) is verdict
+    for s in (ConvexSpan(gens, 2, COL), ConvexSpan([g.transpose() for g in gens], 2, ROW)):
+        fit = a if s.orientation == COL else a.transpose()
+        assert s.membership(fit) == (verdict, tuple(ref_coeffs(gens, a)))
+
+
+def test_covering_cases_reach_each_rule():
+    # the cases above exercise what their names say
+    gens, a, _ = COVERING_CASES["all -inf generator"]
+    assert ref_coeffs(gens, a)[0] == POS_INF
+    gens, a, _ = COVERING_CASES["+inf coordinate, +inf coefficient"]
+    assert ref_coeffs(gens, a) == [POS_INF, F]
+    gens, a, _ = COVERING_CASES["+inf coordinate, +inf generator entry"]
+    assert a[0] == POS_INF and ref_coeffs(gens, a)[0] == F
+    gens, a, _ = COVERING_CASES["tie"]
+    coeffs = ref_coeffs(gens, a)
+    assert [otimes(c, g[0]) for c, g in zip(coeffs, gens)] == [a[0], a[0]]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_residuate_rows_are_the_brackets_of_each_pair(data):
+    # the coefficient rows of _residuate become X in leq_R and in the D
+    # bridge: each entry is the bracket of its own generator and target,
+    # and the rows stop at the first target the scalar reference refutes
+    dim = data.draw(st.integers(1, 3))
+    entries = st.one_of(st.sampled_from(HUGE), st.integers(-3, 3).map(finite))
+    vectors = st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=3)
+    gens, targets = data.draw(vectors), data.draw(vectors)
+    _, rows = linalg.pack(gens + targets)
+    grows, trows = rows[: len(gens)], rows[len(gens) :]
+    coeffs, bad = linalg._residuate(grows, trows)
+    assert coeffs == [tuple(linalg._residual(g, a) for g in grows) for a in trows[: len(coeffs)]]
+    refuted = [
+        t for t, a in enumerate(targets)
+        if not ref_member(_cols(*gens), TropVector(a, COL))
+    ]
+    assert bad == (refuted[0] if refuted else None)
+    assert len(coeffs) == (len(trows) if bad is None else bad + 1)
+
+
+def test_span_equal_aligns_once_and_builds_no_coefficient_matrix(monkeypatch):
+    calls = []
+    align = linalg._align
+    of = TropMatrix._of
+
+    def counting_align(p, q):
+        calls.append("_align")
+        return align(p, q)
+
+    def counting_of(packed):
+        calls.append("_of")
+        return of(packed)
+
+    m = TropMatrix([[0, NEG_INF, 2], [Fraction(1, 7), POS_INF, 0]])
+    redundant = ConvexSpan(m.col_vectors() + [scale(finite(1), m.col(0))])
+    pairs = [
+        (col_span(m), redundant, True),
+        (row_span(m), row_span(TropMatrix(m.entries[::-1])), True),
+        (col_span(m), ConvexSpan([], 2, COL), False),
+        (row_span(m), row_span(TropMatrix([[0, 0, 0], [1, 1, 1]])), False),
+    ]
+    monkeypatch.setattr(linalg, "_align", counting_align)
+    monkeypatch.setattr(TropMatrix, "_of", staticmethod(counting_of))
+    for s1, s2, equal in pairs:
+        calls.clear()
+        assert span_equal(s1, s2) is equal
+        assert calls == ["_align"]
 
 
 def span_00_01():
