@@ -7,6 +7,9 @@ of spans.  IsoDescriptor records a candidate isomorphism concretely as
 a basis correspondence; validity is always certified by a row-space
 equality check, never assumed.  Its linear extension at A is one product
 G*X of the basis images by the principal coefficients of A over the basis.
+The checks are linalg's: same_span for the descriptor, and bridge_check,
+which certifies R(D) = R(A) and C(D) against a column span over one
+alignment, for the bridge; rel_D runs the same ones in its D frame.
 """
 
 from .convex import (
@@ -14,7 +17,6 @@ from .convex import (
     col_span,
     extended_pair,
     row_span,
-    span_equal,
 )
 from .errors import DomainError, PreconditionError, ShapeError, VerificationError
 from .linalg import (
@@ -22,8 +24,10 @@ from .linalg import (
     ROW,
     TropMatrix,
     TropVector,
+    bridge_check,
     mat_mul,
     residuate,
+    same_span,
     scale_columns,
     stack,
     vec_neg,
@@ -153,7 +157,7 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
     having the e_i and the images as respective i-th columns share a
     row space.  The empty descriptor (zero span to zero span) is valid.
     """
-    return f.k == 0 or span_equal(row_span(f.source.matrix), row_span(f.image_matrix))
+    return f.k == 0 or same_span(f.source.matrix, f.image_matrix, ROW)
 
 
 def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
@@ -191,14 +195,16 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     The bridge D = G*X (G the basis images, X the principal solution
     of E*X = A over the source basis E) satisfies R(D) = R(A) and
     C(D) = span of the images = the target span (sigma permutes, every
-    lambda is finite); both are re-checked here, so an invalid
+    lambda is finite); both are re-checked here, by the bridge
+    certificate rel_D runs (linalg.bridge_check), so an invalid
     descriptor surfaces as a VerificationError naming the failing side
     rather than as a wrong bridge.
     """
     f.source.check_vector(a.col(0))
     d = _extend(f, a)
-    if not span_equal(row_span(d), row_span(a)):
+    failed = bridge_check(d, a, f.target.matrix)
+    if failed == ROW:
         raise VerificationError("matrix_from_iso: row spaces differ")
-    if not span_equal(col_span(d), f.target):
+    if failed == COL:
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

@@ -3,20 +3,19 @@
 Order relations reduce to span inclusion and are decided exactly by
 principal solutions; every positive verdict carries a witness that is
 re-multiplied before being returned.  The D relation is decided by
-matching weak bases in ``_d_search``, over the exact ints of
-``d_search_tables`` (both weak bases aligned once to a common
-denominator).  It yields one record per permutation sigma it tries,
-``(sigma, stage, None)`` for a refutation or ``(sigma, None, lambdas)``
-for the first match; ``rel_D`` words the refutations and re-verifies a
-match through the bridge matrix.
+matching weak bases in ``_d_search``, over the exact ints of a
+``linalg.DFrame`` (A and B aligned once to a common denominator).  It
+yields one record per permutation sigma it tries, ``(sigma, stage,
+None)`` for a refutation or ``(sigma, None, lambdas)`` for the first
+match; ``rel_D`` words the refutations and certifies a match over the
+same frame, boxing only the scalings, the descriptor and the bridge.
 """
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 
-from .convex import col_span, span_equal
-from .duality import IsoDescriptor, descriptor_valid, matrix_from_iso
+from .convex import ConvexSpan, col_span
+from .duality import IsoDescriptor
 from .errors import (
     DomainError,
     PreconditionError,
@@ -27,8 +26,8 @@ from .errors import (
 from .linalg import (
     COL,
     ROW,
+    DFrame,
     TropMatrix,
-    d_search_tables,
     mat_mul,
     residuate,
 )
@@ -182,14 +181,14 @@ def _link(forest, i, j, d):
     return True
 
 
-def _match_rows(forest, rows_e, rows_f, free, patterns=None):
+def _match_rows(forest, rows_e, rows_f, free, patterns):
     """Pair each row u of rows_e with its own row w of rows_f (indices in
     free) of the same -inf pattern, u - w = lambda + a constant on the
     finite coordinates; the forest extended accordingly, or None.
-    patterns holds the two lists of row patterns, found here if not given."""
+    patterns holds the two lists of row patterns."""
     if not rows_e:
         return forest
-    pats_e, pats_f = patterns or (list(map(_pattern, rows_e)), list(map(_pattern, rows_f)))
+    pats_e, pats_f = patterns
     u, rest = rows_e[0], rows_e[1:]
     js = [j for j, x in enumerate(u) if x is not None]
     for q in free:
@@ -295,15 +294,24 @@ def _d_search(tables_e, tables_f):
         return
 
 
+_UNCERTIFIED = {
+    "descriptor": "matched descriptor failed the row space check",
+    ROW: "bridge failed row space check",
+    COL: "bridge failed column space check",
+}
+
+
 def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -> GreenVerdict:
     """A D B for +inf-free square matrices: are the column spaces
     isomorphic as semimodules?
 
-    Runs ``_d_search`` on the weak bases of C(A) and C(B): each refuted
-    sigma becomes the reason ``sigma (..): stage``, and the match, if
-    any, the re-verified IsoDescriptor and bridge of a yes.  Refutations
-    are complete by construction.  A declared domain is checked as for
-    leq_R, and must not be TBAR.
+    Runs ``_d_search`` on the weak bases E of C(A) and F of C(B), in one
+    frame: each refuted sigma becomes the reason ``sigma (..): stage``,
+    and the match, if any, a yes whose certificate runs over the same
+    ints: R(E) = R(G) for G = F_sigma * diag lambda, then the bridge
+    D = G * X (X the principal solution of E * X = A) with R(D) = R(A)
+    and C(D) = C(B).  Refutations are complete by construction.  A
+    declared domain is checked as for leq_R, and must not be TBAR.
     """
     dom = _validate_pair(a, b, domain)
     if dom > Domain.T:
@@ -313,16 +321,14 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         raise SizeLimitError(
             f"rel_D guards at n <= {max_n} (got {n}); raise max_n / TROP_MAX_N to override"
         )
-    span_b = col_span(b)
-    basis_a = col_span(a).weak_basis()
-    basis_b = span_b.weak_basis()
-    k = len(basis_a)
-    if k != len(basis_b):
+    frame = DFrame(a, b)
+    k, k_b = frame.sizes
+    if k != k_b:
         return GreenVerdict(
             REL_D,
             False,
             dom,
-            reasons=(f"weak basis sizes differ: {k} vs {len(basis_b)}",),
+            reasons=(f"weak basis sizes differ: {k} vs {k_b}",),
         )
     if k > max_basis:
         raise SizeLimitError(
@@ -331,20 +337,18 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         )
 
     # brackets between nonzero T vectors are never +inf
-    den, tables_e, tables_f = d_search_tables(basis_a.matrix, basis_b.matrix)
-    reasons = []
-    for sigma, stage, lambdas in _d_search(tables_e, tables_f):
+    refuted = []
+    for sigma, stage, lambdas in _d_search(*frame.tables()):
         if stage is not None:
-            reasons.append(f"sigma {sigma}: {stage}")
+            refuted.append((sigma, stage))
             continue
-        lambdas = tuple(finite(Fraction(lam, den)) for lam in lambdas)
-        iso = IsoDescriptor(basis_a, basis_b, sigma, lambdas)
-        if not descriptor_valid(iso):
-            raise VerificationError("rel_D: matched descriptor failed the row space check")
-        bridge = matrix_from_iso(a, iso)
-        # matrix_from_iso checks C(bridge) against the weak basis of C(B):
-        # only this check, against B itself, certifies that basis spans C(B)
-        if not span_equal(col_span(bridge), span_b):
-            raise VerificationError("rel_D: bridge failed column space check")
+        bridge, failed = frame.certify(sigma, lambdas)
+        if failed is not None:
+            raise VerificationError(f"rel_D: {_UNCERTIFIED[failed]}")
+        basis_a, basis_b = (
+            ConvexSpan([], n, COL) if m is None else col_span(m) for m in frame.bases()
+        )
+        iso = IsoDescriptor(basis_a, basis_b, sigma, frame.scalars(lambdas))
         return GreenVerdict(REL_D, True, dom, iso=iso, bridge=bridge)
-    return GreenVerdict(REL_D, False, dom, reasons=tuple(reasons))
+    reasons = tuple(f"sigma {sigma}: {stage}" for sigma, stage in refuted)
+    return GreenVerdict(REL_D, False, dom, reasons=reasons)

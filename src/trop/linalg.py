@@ -25,9 +25,18 @@ coefficients and, in the same pass, whether they recombine to it, by
 the coordinates they cover (Cuninghame-Green's covering criterion), so
 no recombination is built.  ``same_span`` compares two generator
 matrices over one alignment.
+
+``DFrame`` is the D relation's one frame: A and B aligned once, the
+weak bases of their column spaces, the D search's tables and the
+certificate of a match, all over the same ints.  The weak-basis trials
+already hold the brackets the search and the bridge need, and the
+certificate of a yes is three span checks: the descriptor's row
+spaces, then the bridge's row space against A and its column space
+against B.  ``bridge_check`` is that bridge certificate for matrices.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import le
 
@@ -46,6 +55,7 @@ from .semiring import (
 _NEG = float("-inf")  # the only two floats in packed rows, so tested by identity
 _POS = float("inf")
 _INF = {NEG_INF.kind: _NEG, POS_INF.kind: _POS}
+_BITS = tuple([1 << i for i in range(64)])  # the cover bits of _residuate up to dim 64
 
 ROW = "row"
 COL = "col"
@@ -297,10 +307,11 @@ def _residuate(grows, trows):
     a_i = +inf by g_i = +inf with c != -inf or by g_i != -inf with
     c = +inf.  Covers are bitmasks over the coordinates."""
     coeffs = []
-    bits = [1 << i for i in range(len(trows[0]))] if trows else []
-    full = (1 << len(bits)) - 1
+    dim = len(trows[0]) if trows else 0
+    bits = _BITS if dim <= len(_BITS) else [1 << i for i in range(dim)]  # zip stops at dim
+    full = (1 << dim) - 1
     for t, a in enumerate(trows):
-        need = full if _NEG not in a else sum([bit for bit, q in zip(bits, a) if q is not _NEG])
+        need = full if _NEG not in a else sum(compress(bits, map(_NEG.__ne__, a)))
         row, cover = [], 0
         for g in grows:
             c, ties, tops, pos = _POS, 0, 0, 0
@@ -349,8 +360,29 @@ def same_span(m1, m2, orientation=COL):
     each side's vectors recombine from the other's.  Both sides are
     aligned once and no coefficient matrix is built; None stands for a
     matrix of no vectors."""
-    _, rows1, rows2 = _align(_spanning(m1, orientation), _spanning(m2, orientation))
+    return _same(*_align(_spanning(m1, orientation), _spanning(m2, orientation))[1:])
+
+
+def _same(rows1, rows2):
+    """Whether two aligned families span one set."""
     return _residuate(rows2, rows1)[1] is None and _residuate(rows1, rows2)[1] is None
+
+
+def bridge_check(d, a, c):
+    """The first of R(D) = R(A) and C(D) = C(C) that fails, ROW or COL,
+    or None when both hold: the certificate of a bridge D, with D, A
+    and C aligned once.  None stands for a C of no columns."""
+    packs = [d._packed, a._packed] + ([] if c is None else [c._packed])
+    den = lcm(*[p[0] for p in packs])
+    rows_d, rows_a, *rows_c = [_rescale(p, den) for p in packs]
+    return _bridge_check(list(zip(*rows_d)), rows_a, list(zip(*rows_c[0])) if rows_c else [])
+
+
+def _bridge_check(cols_d, rows_a, cols_c):
+    """bridge_check over the aligned columns of D and of C and rows of A."""
+    if not _same(list(zip(*cols_d)), rows_a):
+        return ROW
+    return None if _same(cols_d, cols_c) else COL
 
 
 def weak_basis_matrix(gens, orientation=COL):
@@ -359,7 +391,7 @@ def weak_basis_matrix(gens, orientation=COL):
     each, in ascending order, is dropped iff the others still standing
     recombine to it."""
     den, vecs = _spanning(gens, orientation)
-    kept = [vecs[i] for i in _basis_indices(vecs)]
+    kept = [vecs[i] for i in _basis_indices(vecs)[0]]
     if not kept:
         return None
     m = TropMatrix._of((den, kept))
@@ -367,32 +399,96 @@ def weak_basis_matrix(gens, orientation=COL):
 
 
 def _basis_indices(rows):
-    kept = list(range(len(rows)))
+    """The greedy weak basis of aligned rows, as the indices kept, and
+    its trials: for each t, the j != t still standing when t was tried
+    and their brackets <rows[j]|rows[t]>, the principal coefficients
+    the trial found."""
+    kept, trials = list(range(len(rows))), []
     for t in range(len(rows)):
-        if _residuate([rows[j] for j in kept if j != t], [rows[t]])[1] is None:
+        others = kept.copy()
+        others.remove(t)  # t stands until its own trial
+        (coeffs,), bad = _residuate(list(map(rows.__getitem__, others)), [rows[t]])
+        trials.append((others, coeffs))
+        if bad is None:
             kept.remove(t)
-    return kept
+    return kept, trials
 
 
-def d_search_tables(e, f):
-    """The inputs of the D search for two weak bases of +inf-free
-    vectors of one dim, the columns of matrices e and f (None for no
-    vector), aligned once to one common denominator den:
-    ``(den, tables_e, tables_f)``.  Each holds, for its basis g_1..g_k,
-    the values of the g_i, the k x k bracket table <g_i|g_j>, and the
-    weak basis of the row space of its matrix; finite values are Python
-    ints times den, and -inf is None."""
-    den, rows_e, rows_f = _align(_spanning(e, ROW), _spanning(f, ROW))  # the matrix rows
-    return den, _d_tables(rows_e), _d_tables(rows_f)
+class DFrame:
+    """Two +inf-free n x n matrices A and B aligned once, to one common
+    denominator den, for deciding and certifying A D B over the same
+    ints.  Building it finds the weak bases E of C(A) and F of C(B); the
+    trials that found them hold the brackets <g|c> of each basis
+    element g over every column c of its side (a kept g stands at every
+    trial, and <g|g> = 0 for a nonzero T vector): over each basis its
+    own bracket table, and over E the principal solution X of
+    E * X = A."""
 
+    __slots__ = ("den", "_rows_a", "_cols", "_kept", "_trials")
 
-def _d_tables(rows):
-    gens = list(zip(*rows))
-    return (
-        [_t_values(g) for g in gens],
-        [_t_values([_residual(g, h) for h in gens]) for g in gens],
-        [_t_values(rows[i]) for i in _basis_indices(rows)],
-    )
+    def __init__(self, a, b):
+        den, self._rows_a, rows_b = _align(a._packed, b._packed)
+        self.den, self._cols = den, (list(zip(*self._rows_a)), list(zip(*rows_b)))
+        self._kept, self._trials = zip(*[_basis_indices(cols) for cols in self._cols])
+
+    @property
+    def sizes(self):
+        """The sizes of E and of F."""
+        return tuple(map(len, self._kept))
+
+    def _basis(self, side):
+        return [self._cols[side][i] for i in self._kept[side]]
+
+    def _over_basis(self, side, ts):
+        """(<g_1|c_t>, ..., <g_k|c_t>) for each column index t in ts."""
+        kept, trials = self._kept[side], self._trials[side]
+        return [
+            tuple([0 if j == t else found[j] for j in kept])
+            for t, found in zip(ts, [dict(zip(*trials[t])) for t in ts])
+        ]
+
+    def tables(self):
+        """The D search's tables of E and of F.  Each holds, for its
+        basis g_1..g_k, the values of the g_i, the k x k bracket table
+        <g_i|g_j>, and the weak basis of the row space of its matrix;
+        finite values are Python ints times den, and -inf is None."""
+        tables = []
+        for side, kept in enumerate(self._kept):
+            rows = list(zip(*self._basis(side)))
+            tables.append((
+                [_t_values(self._cols[side][t]) for t in kept],
+                [_t_values(row) for row in zip(*self._over_basis(side, kept))],
+                [_t_values(rows[i]) for i in _basis_indices(rows)[0]],
+            ))
+        return tuple(tables)
+
+    def scalars(self, ns):
+        """Ints over den as scalars."""
+        return tuple([_box(n, self.den) for n in ns])
+
+    def bases(self):
+        """E and F as matrices over den, None for an empty basis."""
+        return tuple(
+            TropMatrix._of((self.den, list(zip(*basis)))) if basis else None
+            for basis in map(self._basis, (0, 1))
+        )
+
+    def certify(self, sigma, lambdas):
+        """Check the match e_i -> lambdas_i * f_sigma(i), lambdas ints
+        over den, and build its bridge D = G * X, for G = F_sigma * diag
+        lambdas and X the principal solution of E * X = A.  Returns D
+        and the first check that fails, or None: "descriptor" for
+        R(E) != R(G) (D is None then), ROW for R(D) != R(A) and COL for
+        C(D) != C(B)."""
+        e, f = self._basis(0), self._basis(1)
+        g = [tuple([n if n is _NEG else n + lam for n in f[s]]) for s, lam in zip(sigma, lambdas)]
+        if not _same(list(zip(*e)), list(zip(*g))):
+            return None, "descriptor"
+        xs = self._over_basis(0, range(len(self._rows_a)))
+        cols_d = [_combine(x, g, len(self._rows_a)) for x in xs]
+        return TropMatrix._of((self.den, list(zip(*cols_d)))), _bridge_check(
+            cols_d, self._rows_a, self._cols[1]
+        )
 
 
 def _t_values(ns):

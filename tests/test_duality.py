@@ -359,13 +359,29 @@ def check_against_reference(a, f):
         assert_same_outcome(outcome(apply_iso, f, c), outcome(reference_apply_iso, f, c))
 
 
+def _disconnected(rng, n):
+    """-inf on the diagonal and finite ints elsewhere: every bracket
+    between two columns is -inf, so each weak-basis element is its own
+    component of the bracket graph."""
+    return TropMatrix([[NEG_INF if r == c else finite(rng.randint(-9, 9)) for c in range(n)]
+                       for r in range(n)])
+
+
 def test_bridge_matches_column_loop_on_rel_d_isos():
+    # random T matrices, -inf-diagonal ones and zero matrices (k = 0),
+    # each against a perm/scale variant and its transpose
     rng = random.Random(20261018)
-    yes = 0
+    cases = []
     for trial in range(60):
         n = 2 + trial % 4
         s = Sampler(rng, EntryPool(p_neg_inf=rng.choice([0.0, 0.2, 0.4])))
-        a = s.matrix(n, n)
+        cases.append(("random", s, s.matrix(n, n)))
+    s = Sampler(rng, EntryPool(p_neg_inf=0.0))
+    cases += [("disconnected", s, _disconnected(rng, 2 + trial % 3)) for trial in range(24)]
+    cases += [("zero", s, zero_matrix(n, n)) for n in (1, 2, 3)]
+    yes = dict.fromkeys(["random", "disconnected", "zero"], 0)
+    for kind, s, a in cases:
+        n = a.rows
         perm = list(range(n))
         rng.shuffle(perm)
         cols = [scale(s.finite_scalar(), a.col(perm[j])) for j in range(n)]
@@ -373,10 +389,11 @@ def test_bridge_matches_column_loop_on_rel_d_isos():
         for other in (b, transpose(a)):
             verdict = rel_D(a, other)
             if verdict.holds:
-                yes += 1
+                yes[kind] += 1
+                assert kind != "zero" or verdict.iso.k == 0
                 assert_same_outcome(verdict.bridge, reference_matrix_from_iso(a, verdict.iso))
                 check_against_reference(a, verdict.iso)
-    assert yes >= 60
+    assert yes == {"random": 79, "disconnected": 40, "zero": 6}
 
 
 def tbar_descriptors():

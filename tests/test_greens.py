@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trop import convex, harness
+from trop import greens, harness, linalg
 from trop.convex import col_span, row_span, span_equal
 from trop.errors import (
     DomainError,
@@ -33,6 +33,7 @@ from trop.greens import (
     _d_search,
     _link,
     _match_rows,
+    _pattern,
     definitize_witness_t,
     finitize_witness_ft,
     leq_L,
@@ -43,8 +44,8 @@ from trop.greens import (
 from trop.harness import BridgeOracleIndex, EntryPool, Sampler
 from trop.linalg import (
     COL,
+    DFrame,
     TropMatrix,
-    d_search_tables,
     identity,
     mat_mul,
     scale,
@@ -351,21 +352,89 @@ def test_rel_d_scalings_leave_the_common_denominator(mu, lam):
 
 
 def test_rel_d_certifies_that_the_weak_basis_spans_c_b(monkeypatch):
-    # matrix_from_iso checks the bridge against the weak basis of C(B)
-    # only; a basis that lost a generator passes there, and rel_D's own
-    # check against B is all that refuses the yes
+    # the frame's weak basis of C(B) loses its second generator: the
+    # search still matches A's one generator with the one left, and only
+    # the certificate's check of C(D) against B itself refuses the yes
     a = TropMatrix([[ZERO, ZERO], [ZERO, ZERO]])
     b = TropMatrix([[ZERO, finite(1)], [ZERO, ZERO]])
     assert not rel_D(a, b).holds
-    weak_basis_matrix = convex.weak_basis_matrix
+    basis_indices = linalg._basis_indices
+    cols_b = [(0, 0), (1, 0)]  # the columns of B over the frame's den 1
 
-    def drop_the_second_of_b(gens, orientation=COL):
-        m = weak_basis_matrix(gens, orientation)
-        return stack([m.col(0)]) if gens is b else m
+    def drop_the_second_of_b(rows):
+        kept, trials = basis_indices(rows)
+        return (kept[:1] if rows == cols_b else kept), trials
 
-    monkeypatch.setattr(convex, "weak_basis_matrix", drop_the_second_of_b)
+    monkeypatch.setattr(linalg, "_basis_indices", drop_the_second_of_b)
     with pytest.raises(VerificationError, match="^rel_D: bridge failed column space check$"):
         rel_D(a, b)
+
+
+# A yes of rel_D at n = 2 whose bracket graph is connected: shifting one
+# scaling, or one entry of the bridge, breaks the iso.
+CONNECTED = TropMatrix([[ZERO, finite(1)], [finite(2), ZERO]])
+
+
+def test_rel_d_certifies_the_matched_descriptor(monkeypatch):
+    assert rel_D(CONNECTED, CONNECTED).holds
+    lambdas = greens._lambdas
+
+    def shift_the_first(*args):
+        first, *rest = lambdas(*args)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(greens, "_lambdas", shift_the_first)
+    with pytest.raises(
+        VerificationError, match="^rel_D: matched descriptor failed the row space check$"
+    ):
+        rel_D(CONNECTED, CONNECTED)
+
+
+def test_rel_d_certifies_the_bridge_row_space(monkeypatch):
+    # the descriptor is right, but the first column of the bridge
+    # D = G * X comes out one unit over den too high in its first entry
+    combine, calls = linalg._combine, []
+
+    def raise_the_first_entry(coeffs, rows, dim):
+        calls.append(coeffs)
+        first, *rest = combine(coeffs, rows, dim)
+        return (first + (len(calls) == 1), *rest)
+
+    monkeypatch.setattr(linalg, "_combine", raise_the_first_entry)
+    with pytest.raises(VerificationError, match="^rel_D: bridge failed row space check$"):
+        rel_D(CONNECTED, CONNECTED)
+
+
+def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
+    # a yes at n = k = 3 like d-disconnected's (-inf diagonal, every
+    # bracket -inf, B the reversal of A's scaled columns): the frame is
+    # the one alignment of A and B, and the IsoDescriptor the verdict
+    # returns aligns F with its scalings once more.  The weak bases of
+    # C(A), C(B) and of the row spaces of E and F run 3 trials each; X
+    # and the search's brackets come from the first two, and the
+    # certificate runs 6: two each for R(E) = R(G), R(D) = R(A) and
+    # C(D) = C(B)
+    calls = []
+    align, residuate = linalg._align, linalg._residuate
+
+    def counting_align(p, q):
+        calls.append("_align")
+        return align(p, q)
+
+    def counting_residuate(grows, trows):
+        calls.append("_residuate")
+        return residuate(grows, trows)
+
+    rng = random.Random(20261022)
+    a = TropMatrix([[NEG_INF if r == c else finite(rng.randint(-9, 9)) for c in range(3)]
+                    for r in range(3)])
+    b = stack([scale(finite(rng.randint(-9, 9)), a.col(j)) for j in (2, 1, 0)])
+    monkeypatch.setattr(linalg, "_align", counting_align)
+    monkeypatch.setattr(linalg, "_residuate", counting_residuate)
+    verdict = rel_D(a, b)
+    assert verdict.holds and len(verdict.iso.sigma) == 3
+    assert calls.count("_align") == 2
+    assert calls.count("_residuate") == 12 + 6
 
 
 def test_rel_d_needs_row_space_weak_bases_of_one_size():
@@ -459,7 +528,8 @@ def test_d_search_sorted_patterns_force_one_row_basis_size():
     rows_s = [(w[0], w[2], w[1]) for w in f[2]]
     brackets = [(j, 0) for j in range(3)]
     assert _link(brackets, 1, 0, e[1][1][0] - f[1][2][0])  # the one finite pair off the diagonal
-    assert _match_rows(brackets, e[2], rows_s, range(len(rows_s))) is not None
+    patterns = (list(map(_pattern, e[2])), list(map(_pattern, rows_s)))
+    assert _match_rows(brackets, e[2], rows_s, range(len(rows_s)), patterns) is not None
 
 
 def test_rel_d_words_the_search_records():
@@ -468,11 +538,12 @@ def test_rel_d_words_the_search_records():
     for trial in range(120):
         a, b = _green_pair(s, trial)
         verdict = rel_D(a, b)
-        basis_a, basis_b = col_span(a).weak_basis(), col_span(b).weak_basis()
-        if len(basis_a) != len(basis_b):
+        frame = DFrame(a, b)
+        k, k_b = frame.sizes
+        if k != k_b:
             continue
-        den, tables_e, tables_f = d_search_tables(basis_a.matrix, basis_b.matrix)
-        records = list(_d_search(tables_e, tables_f))
+        den = frame.den
+        records = list(_d_search(*frame.tables()))
         refuted = [f"sigma {sigma}: {stage}" for sigma, stage, _ in records if stage]
         seen.add(verdict.holds)
         if verdict.holds:
@@ -482,7 +553,7 @@ def test_rel_d_words_the_search_records():
             assert verdict.iso.lambdas == tuple(finite(Fraction(x, den)) for x in lambdas)
         else:
             assert list(verdict.reasons) == refuted
-            assert len(records) == math.factorial(len(basis_a))
+            assert len(records) == math.factorial(k)
     assert seen == {True, False}
 
 

@@ -18,8 +18,8 @@ from trop.linalg import (
     ROW,
     TropMatrix,
     TropVector,
+    DFrame,
     bracket,
-    d_search_tables,
     hilbert,
     identity,
     mat_mul,
@@ -437,26 +437,27 @@ def test_kernel_result_over_a_non_minimal_denominator():
     assert_same_as_boxed(scale(finite(Fraction(-1, 6)), product.col(0)))
 
 
-def _t_family(rng, k, dim):
-    """k nonzero T column vectors of one dim, on mixed denominators."""
-    family = []
-    while len(family) < k:
-        entries = [NEG_INF if rng.random() < 0.3
-                   else finite(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
-                   for _ in range(dim)]
-        if any(e.is_finite for e in entries):
-            family.append(TropVector(entries, COL))
-    return family
+def _t_matrix(rng, n):
+    """An n x n T matrix on mixed denominators, at times with zero columns."""
+    p_neg_inf = rng.choice((0.0, 0.3, 0.6, 1.0))
+    return TropMatrix([
+        [NEG_INF if rng.random() < p_neg_inf
+         else finite(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+         for _ in range(n)]
+        for _ in range(n)
+    ])
 
 
-def test_d_search_tables_match_the_boxed_path():
-    # every table, each value times den, against bracket and the weak
-    # basis of the row span of the stacked family
+def test_d_frame_matches_the_boxed_path():
+    # the frame's weak bases, and every table, each value times den,
+    # against weak_basis, bracket and the weak basis of the row span of
+    # each basis matrix
     rng = random.Random(20261018)
     for trial in range(300):
-        dim = rng.randint(1, 4)
-        e, f = (_t_family(rng, rng.randint(0, 4) if trial % 10 else 0, dim) for _ in "ef")
-        den, *tables = d_search_tables(*(stack(g) if g else None for g in (e, f)))
+        n = rng.randint(1, 4)
+        a, b = _t_matrix(rng, n), _t_matrix(rng, n)
+        frame = DFrame(a, b)
+        den = frame.den
 
         def times_den(s):
             if s.is_neg_inf:
@@ -464,11 +465,15 @@ def test_d_search_tables_match_the_boxed_path():
             assert (s.value * den).denominator == 1
             return int(s.value * den)
 
-        for gens, (grid, brackets, rows) in zip((e, f), tables):
+        bases = [col_span(m).weak_basis() for m in (a, b)]
+        assert frame.sizes == tuple(map(len, bases))
+        assert frame.bases() == tuple(basis.matrix for basis in bases)
+        for basis, (grid, brackets, rows) in zip(bases, frame.tables()):
+            gens = basis.generators
             assert grid == [tuple(map(times_den, g.entries)) for g in gens]
             assert brackets == [tuple(times_den(bracket(g, h)) for h in gens) for g in gens]
-            basis = col_span(stack(gens, ROW)).weak_basis().generators if gens else ()
-            assert rows == [tuple(map(times_den, u.entries)) for u in basis]
+            row_basis = col_span(stack(gens, ROW)).weak_basis().generators if gens else ()
+            assert rows == [tuple(map(times_den, u.entries)) for u in row_basis]
 
 
 @pytest.mark.parametrize(

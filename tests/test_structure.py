@@ -98,7 +98,7 @@ D_SEARCH = {"_d_search", "_lambdas", "_match_rows", "_link", "_find", "_pattern"
 
 
 def test_the_d_search_names_no_boxed_value():
-    # the D search runs on the ints of linalg.d_search_tables, and only
+    # the D search runs on the ints of a linalg.DFrame, and only
     # rel_D boxes the scalings of a match, so the search's records stay
     # exact ints that a pruning, a counter or a certificate can read
     tree = ast.parse((PACKAGE / "greens.py").read_text())
