@@ -4,13 +4,16 @@ The duality map of a matrix A sends a row-space element x to A*(-x)^T.
 It reverses the residuation bracket and anti-commutes with finite
 scaling, so composing two such maps yields a genuine linear isomorphism
 of spans.  IsoDescriptor records a candidate isomorphism concretely as
-a basis correspondence; validity is always certified by a row-space
-equality check, never assumed.  Its linear extension at A is one product
-G*X of the basis images by the principal coefficients of A over the basis.
-The checks are linalg's: same_span for the descriptor, and bridge_check,
-which certifies R(D) = R(A) and C(D) against a column span over one
-alignment, for the bridge; rel_D runs the same ones in its D frame.
+a basis correspondence, a named tuple of its four fields; validity is
+always certified by a row-space equality check, never assumed.  Its
+linear extension at A is one product G*X: G = F_sigma * diag lambda
+holds the basis images and is built where it is read, and X holds the
+principal coefficients of A over the basis.  Every check is linalg's
+same_span: R(E) = R(G) for the descriptor, and R(D) = R(A) and
+C(D) = C(F) for the bridge; rel_D runs the same ones in its D frame.
 """
+
+from collections import namedtuple
 
 from .convex import (
     ConvexSpan,
@@ -24,7 +27,6 @@ from .linalg import (
     ROW,
     TropMatrix,
     TropVector,
-    bridge_check,
     mat_mul,
     residuate,
     same_span,
@@ -87,7 +89,7 @@ def kernel_witness(b: TropMatrix, z: TropVector):
     return x, y
 
 
-class IsoDescriptor:
+class IsoDescriptor(namedtuple("IsoDescriptor", "source target sigma lambdas")):
     """A candidate span isomorphism e_i -> lambdas_i * f_sigma(i).
 
     e_i and f_j are the generators of the source and target spans, both
@@ -95,15 +97,13 @@ class IsoDescriptor:
     every lambda is a finite rational.  The map extends linearly to the
     whole source span via principal coefficients; whether the extension
     is a genuine isomorphism is decided by :func:`descriptor_valid`.
-    Built once with the descriptor: image_matrix, G = F_sigma * diag
-    lambda with the images as columns (None when k = 0); E, the e_i as
-    columns, is the source span's matrix.  Fields are read-only, and ==
-    and hash compare (source, target, sigma, lambdas).
+    An immutable named tuple, checked on every construction (_replace,
+    copy and pickle included); it stores no derived state.
     """
 
-    __slots__ = ("source", "target", "sigma", "lambdas", "image_matrix")
+    __slots__ = ()
 
-    def __init__(self, source: ConvexSpan, target: ConvexSpan, sigma: tuple, lambdas: tuple):
+    def __new__(cls, source: ConvexSpan, target: ConvexSpan, sigma: tuple, lambdas: tuple):
         if ROW in (source.orientation, target.orientation):
             raise ShapeError("descriptor bases must be column spans")
         k = len(source)
@@ -114,31 +114,11 @@ class IsoDescriptor:
         for lam in lambdas:
             if not (isinstance(lam, TropScalar) and lam.is_finite):
                 raise DomainError("descriptor scalings must be finite rationals")
-        image = scale_columns(target.matrix, sigma, lambdas)
-        for name, value in zip(self.__slots__, (source, target, sigma, lambdas, image)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, source, target, sigma, lambdas)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return self.source, self.target, self.sigma, self.lambdas
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "IsoDescriptor(source={!r}, target={!r}, sigma={!r}, lambdas={!r})".format(
-            *self._key()
-        )
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def k(self):
@@ -157,7 +137,7 @@ def descriptor_valid(f: IsoDescriptor) -> bool:
     having the e_i and the images as respective i-th columns share a
     row space.  The empty descriptor (zero span to zero span) is valid.
     """
-    return f.k == 0 or same_span(f.source.matrix, f.image_matrix, ROW)
+    return same_span(f.source.matrix, scale_columns(f.target.matrix, f.sigma, f.lambdas), ROW)
 
 
 def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
@@ -168,7 +148,7 @@ def _extend(f: IsoDescriptor, a: TropMatrix) -> TropMatrix:
         raise DomainError("apply_iso: vector is not in the source span")
     if x is None:  # k = 0, and A is zero
         return zero_matrix(f.target.dim, a.cols)
-    return mat_mul(f.image_matrix, x)
+    return mat_mul(scale_columns(f.target.matrix, f.sigma, f.lambdas), x)
 
 
 def apply_iso(f: IsoDescriptor, c: TropVector) -> TropVector:
@@ -195,16 +175,15 @@ def matrix_from_iso(a: TropMatrix, f: IsoDescriptor) -> TropMatrix:
     The bridge D = G*X (G the basis images, X the principal solution
     of E*X = A over the source basis E) satisfies R(D) = R(A) and
     C(D) = span of the images = the target span (sigma permutes, every
-    lambda is finite); both are re-checked here, by the bridge
-    certificate rel_D runs (linalg.bridge_check), so an invalid
+    lambda is finite); both are re-checked here, by the two span
+    checks of the bridge certificate rel_D runs, so an invalid
     descriptor surfaces as a VerificationError naming the failing side
     rather than as a wrong bridge.
     """
     f.source.check_vector(a.col(0))
     d = _extend(f, a)
-    failed = bridge_check(d, a, f.target.matrix)
-    if failed == ROW:
+    if not same_span(d, a, ROW):
         raise VerificationError("matrix_from_iso: row spaces differ")
-    if failed == COL:
+    if not same_span(d, f.target.matrix):
         raise VerificationError("matrix_from_iso: column space differs from basis image span")
     return d

@@ -64,7 +64,7 @@ class GreenVerdict(
 def _validate_pair(a: TropMatrix, b: TropMatrix, domain):
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise ShapeError("Green's relations need square matrices of equal size")
-    joined = Domain(max(a.domain(), b.domain()))
+    joined = max(a.domain(), b.domain())
     if domain is None:
         return joined
     if joined > domain:

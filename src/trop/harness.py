@@ -95,17 +95,13 @@ class Failure(namedtuple("Failure", "trial description artifacts replay", defaul
     __slots__ = ()
 
 
-class RunReport:
-    """elapsed is informational only and excluded from serialization."""
+class RunReport(
+    namedtuple("RunReport", "property_id trials seed failures elapsed", defaults=(0.0,))
+):
+    """failures: a tuple of Failure; elapsed is informational only and
+    excluded from serialization."""
 
-    __slots__ = ("property_id", "trials", "seed", "failures", "elapsed")
-
-    def __init__(self, property_id, trials, seed, failures, elapsed=0.0):
-        self.property_id = property_id
-        self.trials = trials
-        self.seed = seed
-        self.failures = failures
-        self.elapsed = elapsed
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -845,4 +841,4 @@ def run_property(cfg: HarnessConfig) -> RunReport:
     start = time.monotonic()
     func(cfg, sampler, failures)
     elapsed = time.monotonic() - start
-    return RunReport(cfg.property_id, cfg.trials, cfg.seed, failures, elapsed)
+    return RunReport(cfg.property_id, cfg.trials, cfg.seed, tuple(failures), elapsed)

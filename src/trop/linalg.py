@@ -32,7 +32,7 @@ certificate of a match, all over the same ints.  The weak-basis trials
 already hold the brackets the search and the bridge need, and the
 certificate of a yes is three span checks: the descriptor's row
 spaces, then the bridge's row space against A and its column space
-against B.  ``bridge_check`` is that bridge certificate for matrices.
+against B.
 """
 
 from fractions import Fraction
@@ -368,23 +368,6 @@ def _same(rows1, rows2):
     return _residuate(rows2, rows1)[1] is None and _residuate(rows1, rows2)[1] is None
 
 
-def bridge_check(d, a, c):
-    """The first of R(D) = R(A) and C(D) = C(C) that fails, ROW or COL,
-    or None when both hold: the certificate of a bridge D, with D, A
-    and C aligned once.  None stands for a C of no columns."""
-    packs = [d._packed, a._packed] + ([] if c is None else [c._packed])
-    den = lcm(*[p[0] for p in packs])
-    rows_d, rows_a, *rows_c = [_rescale(p, den) for p in packs]
-    return _bridge_check(list(zip(*rows_d)), rows_a, list(zip(*rows_c[0])) if rows_c else [])
-
-
-def _bridge_check(cols_d, rows_a, cols_c):
-    """bridge_check over the aligned columns of D and of C and rows of A."""
-    if not _same(list(zip(*cols_d)), rows_a):
-        return ROW
-    return None if _same(cols_d, cols_c) else COL
-
-
 def weak_basis_matrix(gens, orientation=COL):
     """The greedy weak basis of the columns (rows, for ROW) of a matrix,
     as the matrix of those kept, or None for none (or for gens None):
@@ -486,9 +469,11 @@ class DFrame:
             return None, "descriptor"
         xs = self._over_basis(0, range(len(self._rows_a)))
         cols_d = [_combine(x, g, len(self._rows_a)) for x in xs]
-        return TropMatrix._of((self.den, list(zip(*cols_d)))), _bridge_check(
-            cols_d, self._rows_a, self._cols[1]
-        )
+        rows_d = list(zip(*cols_d))
+        d = TropMatrix._of((self.den, rows_d))
+        if not _same(rows_d, self._rows_a):
+            return d, ROW
+        return d, (None if _same(cols_d, self._cols[1]) else COL)
 
 
 def _t_values(ns):

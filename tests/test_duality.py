@@ -1,5 +1,7 @@
 """Duality maps, kernel witnesses, and isomorphism descriptors."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -165,19 +167,22 @@ def test_apply_iso_swap_example():
     assert apply_iso(f, c) == TropVector([finite(5), finite(2)], COL)
 
 
-def test_descriptor_equality_ignores_image_matrix():
+def test_descriptor_is_a_checked_record_of_four_fields():
     e = ConvexSpan((TropVector([ZERO, NEG_INF], COL), TropVector([NEG_INF, ZERO], COL)))
     f, g = (IsoDescriptor(e, e, (1, 0), (finite(1), ZERO)) for _ in range(2))
-    object.__setattr__(g, "image_matrix", identity(2))
-    assert f.image_matrix != g.image_matrix
-    assert f == g and hash(f) == hash(g)
+    assert f == g and hash(f) == hash(g) == hash((e, e, (1, 0), (finite(1), ZERO)))
     assert f != IsoDescriptor(e, e, (1, 0), (ZERO, ZERO))
-    assert "image_matrix" not in repr(f)
-    for name in ("source", "sigma", "lambdas", "image_matrix"):
+    assert f._fields == ("source", "target", "sigma", "lambdas") and f.k == 2
+    for name in f._fields:
         with pytest.raises(AttributeError):
             setattr(f, name, None)
         with pytest.raises(AttributeError):
             delattr(f, name)
+    # _replace, copy and pickle build through the checked constructor
+    with pytest.raises(ShapeError, match="^sigma must be a permutation of 0..k-1$"):
+        f._replace(sigma=(0, 0))
+    for h in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert h == f and h.__class__ is IsoDescriptor and repr(h) == repr(f)
 
 
 def test_apply_iso_rejects_outsiders():

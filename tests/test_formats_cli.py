@@ -616,7 +616,13 @@ def test_harness_records_keep_their_defaults_and_keywords():
         3, "broken", (), ""
     )
     assert failure == harness.Failure(description="broken", trial=3, artifacts=(), replay="")
-    for record, name in ((pool, "num_bound"), (cfg, "seed"), (failure, "replay")):
+    report = harness.RunReport("P1", 10, 0, (failure,))
+    assert report.elapsed == 0.0 and not report.ok
+    assert report == harness.RunReport(
+        failures=(failure,), seed=0, trials=10, property_id="P1", elapsed=0.0
+    )
+    records = ((pool, "num_bound"), (cfg, "seed"), (failure, "replay"), (report, "failures"))
+    for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, 1)
 

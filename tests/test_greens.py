@@ -409,11 +409,10 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
     # a yes at n = k = 3 like d-disconnected's (-inf diagonal, every
     # bracket -inf, B the reversal of A's scaled columns): the frame is
     # the one alignment of A and B, and the IsoDescriptor the verdict
-    # returns aligns F with its scalings once more.  The weak bases of
-    # C(A), C(B) and of the row spaces of E and F run 3 trials each; X
-    # and the search's brackets come from the first two, and the
-    # certificate runs 6: two each for R(E) = R(G), R(D) = R(A) and
-    # C(D) = C(B)
+    # returns only stores its four fields.  The weak bases of C(A), C(B)
+    # and of the row spaces of E and F run 3 trials each; X and the
+    # search's brackets come from the first two, and the certificate
+    # runs 6: two each for R(E) = R(G), R(D) = R(A) and C(D) = C(B)
     calls = []
     align, residuate = linalg._align, linalg._residuate
 
@@ -433,7 +432,7 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
     monkeypatch.setattr(linalg, "_residuate", counting_residuate)
     verdict = rel_D(a, b)
     assert verdict.holds and len(verdict.iso.sigma) == 3
-    assert calls.count("_align") == 2
+    assert calls.count("_align") == 1
     assert calls.count("_residuate") == 12 + 6
 
 

@@ -3,6 +3,7 @@ every import sits at module top, where an import cycle cannot hide, and
 every name the package exports has a use."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -36,13 +37,31 @@ def test_module_imports_first(module):
 @pytest.mark.parametrize("module", ["trop", "trop.cli"])
 def test_import_loads_no_dataclasses_or_inspect(module):
     # dataclasses imports inspect, ast, dis and tokenize, a third of the
-    # start-up of every trop process; the records are plain classes
+    # start-up of every trop process; the records are named tuples
     proc = _fresh_python(
         f"import sys; before = set(sys.modules); import {module}; "
         "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+RECORDS = [
+    ("trop.greens", "GreenVerdict"),
+    ("trop.duality", "IsoDescriptor"),
+    ("trop.harness", "EntryPool"),
+    ("trop.harness", "HarnessConfig"),
+    ("trop.harness", "Failure"),
+    ("trop.harness", "RunReport"),
+]
+
+
+@pytest.mark.parametrize("module, name", RECORDS, ids=[name for _, name in RECORDS])
+def test_every_record_is_a_named_tuple(module, name):
+    # one record idiom: a named tuple subclass that declares no slot of
+    # its own, so fields are read-only and ==, hash and repr cover them all
+    record = getattr(importlib.import_module(module), name)
+    assert issubclass(record, tuple) and vars(record).get("__slots__") == ()
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
