@@ -25,7 +25,7 @@ from .convex import (
     welldef_criterion,
 )
 from .duality import extend_iso_pair, theta, theta_prime, kernel_witness, vec_neg
-from .errors import TropError
+from .errors import ShapeError, TropError
 from .formats import format_matrix, format_vector
 from .greens import (
     definitize_witness_t,
@@ -179,23 +179,24 @@ class Sampler:
         return span.combine([self.scalar(pool) for _ in range(len(span))])
 
 
-def bracket_oracle(x: TropVector, y: TropVector) -> TropScalar:
+def bracket_oracle(x, y) -> TropScalar:
     """The defining maximum of the bracket, computed by breakpoint
-    enumeration and feasibility checks only (independent of the closed
-    form): max{lam : lam*x <= y}."""
+    enumeration and feasibility checks in scalar operations only
+    (independent of the closed form): max{lam : lam*x <= y}.  x and y
+    are vectors of one dim or tuples of their entries, so a caller that
+    asks many brackets of one vector boxes it once."""
+    xs, ys = tuple(x), tuple(y)
+    if len(xs) != len(ys):
+        raise ShapeError(f"dimension mismatch: {len(xs)} vs {len(ys)}")
 
     def feasible(lam):
-        return vec_leq(scale(lam, x), y)
+        return all(leq(otimes(lam, p), q) for p, q in zip(xs, ys))
 
     if feasible(POS_INF):
         return POS_INF
-    breaks = [
-        yi.value - xi.value
-        for xi, yi in zip(x.entries, y.entries)
-        if xi.is_finite and yi.is_finite
-    ]
+    breaks = [otimes(q, neg(p)) for p, q in zip(xs, ys) if p.is_finite and q.is_finite]
     if breaks:
-        c = finite(min(breaks))
+        c = min(breaks)
         if feasible(c):
             return c
     return NEG_INF
@@ -203,10 +204,12 @@ def bracket_oracle(x: TropVector, y: TropVector) -> TropScalar:
 
 def _member_oracle(gens, a: TropVector) -> bool:
     """Span membership by the recombination max_i <g_i|a> g_i = a, with
-    the coefficients from bracket_oracle and the sum in boxed scalars."""
-    coeffs = [bracket_oracle(g, a) for g in gens]
-    terms = [[otimes(c, e) for e in g.entries] for c, g in zip(coeffs, gens)]
-    return [functools.reduce(oplus, column) for column in zip(*terms)] == list(a.entries)
+    the coefficients from bracket_oracle and the sum in boxed scalars;
+    each generator and the target are boxed once."""
+    target, boxed = a.entries, [g.entries for g in gens]
+    coeffs = [bracket_oracle(xs, target) for xs in boxed]
+    terms = [[otimes(c, e) for e in xs] for c, xs in zip(coeffs, boxed)]
+    return [functools.reduce(oplus, column) for column in zip(*terms)] == list(target)
 
 
 def _fail(failures, trial, description, replay="", **artifacts):

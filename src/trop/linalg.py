@@ -10,11 +10,13 @@ common denominator of the finite entries and ``rows`` a list of tuples
 of those entries times ``den`` as Python ints, and the floats -inf/+inf
 as sentinels.  Ints compare exactly with them, so max and order need
 no branch; sums and differences branch on the sentinels, never adding
-a float to an int, and -inf absorbs +inf.  A vector or matrix holds
-its packed form from construction on, and nothing is filled in later:
-one built from scalars packs them once, one a kernel returns keeps the
-kernel's result, and ``entries`` boxes the packed rows on each read.
-``den`` need not be the least (a product of two den-6 matrices can be
+a float to an int, and -inf absorbs +inf.  Packing reads each scalar's
+int pair ``num/den``, and boxing reduces ``n/den`` by one gcd, so
+neither builds a ``Fraction``.  A vector or matrix holds its packed
+form from construction on, and nothing is filled in later: one built
+from scalars packs them once, one a kernel returns keeps the kernel's
+result, and ``entries`` boxes the packed rows on each read.  ``den``
+need not be the least (a product of two den-6 matrices can be
 integral), so packed forms are compared only over a common
 denominator.  Other modules hand this one vectors and matrices and
 never see the packed form.
@@ -35,7 +37,6 @@ spaces, then the bridge's row space against A and its column space
 against B.
 """
 
-from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import le
@@ -50,6 +51,7 @@ from .semiring import (
     finite,
     neg,
     otimes,
+    ratio,
 )
 
 _NEG = float("-inf")  # the only two floats in packed rows, so tested by identity
@@ -230,10 +232,9 @@ def pack(seqs):
     """Pack scalar sequences as ``(den, rows)`` over their least common
     denominator."""
     seqs = tuple(seqs)
-    den = lcm(*{v.denominator for s in seqs for e in s if (v := e.value).__class__ is Fraction})
+    den = lcm(*{e.den for s in seqs for e in s})  # an infinity's den is 1
     return den, [
-        tuple([_INF[e.kind] if (v := e.value) is None else v.numerator * (den // v.denominator)
-               for e in s])
+        tuple([_INF[k] if (k := e.kind) in _INF else e.num * (den // e.den) for e in s])
         for s in seqs
     ]
 
@@ -241,8 +242,7 @@ def pack(seqs):
 def _box(n, den):
     if n.__class__ is float:
         return NEG_INF if n < 0 else POS_INF
-    q, r = divmod(n, den)
-    return finite(Fraction(n, den) if r else q)
+    return ratio(n, den)
 
 
 def _spanning(m, orientation):
@@ -521,9 +521,8 @@ def scale_columns(gens, sigma, lambdas):
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
     lam = _lift(lam)
-    v = lam.value
-    den = x._packed[0] if v is None else lcm(x._packed[0], v.denominator)
-    c = _INF[lam.kind] if v is None else v.numerator * (den // v.denominator)
+    den = lcm(x._packed[0], lam.den)  # an infinity's den is 1
+    c = _INF[k] if (k := lam.kind) in _INF else lam.num * (den // lam.den)
     (xs,) = _rescale(x._packed, den)
     return TropVector._of((den, [_combine((c,), (xs,), len(xs))]), x.orientation)
 

@@ -4,15 +4,21 @@ Scalars are exact rationals extended with -inf and +inf.  Addition is
 maximum (``oplus``), multiplication is ordinary addition (``otimes``).
 The completed semiring TBAR makes +inf absorbing for both operations,
 with the one exceptional product (-inf) * (+inf) = (+inf) * (-inf) = -inf.
-A finite scalar's ``value`` is canonical: an ``int`` when integral, a
-reduced ``Fraction`` otherwise.  Vector and matrix loops do not use
-these boxed scalars but ints over a shared denominator (see ``linalg``).
+A scalar holds its kind and a reduced pair of ints ``num/den``, den >= 1,
+with 0/1 for both infinities, so the four operations run on ints:
+``oplus`` and ``leq`` cross-multiply, ``otimes`` adds over one
+denominator and reduces with one gcd, and ``neg`` negates ``num``.
+``value`` is derived on each read, an ``int`` when integral and a
+reduced ``Fraction`` otherwise; ``finite`` parses a Fraction or a string
+once, at the edge.  Vector and matrix loops do not use these boxed
+scalars but ints over a shared denominator (see ``linalg``).
 """
 
 import re
 from enum import IntEnum
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd
 
 from .errors import ParseError, SizeLimitError
 
@@ -39,15 +45,25 @@ class Domain(IntEnum):
 class TropScalar:
     """A rational number, -inf, or +inf, totally ordered.
 
-    Instances are immutable and hashable; rationals are kept in canonical
-    form (an int, or a reduced ``fractions.Fraction``), so ``==`` is exact.
+    Instances are immutable and hashable.  A finite value is the reduced
+    pair ``num/den`` of ints with den >= 1 and an infinity holds 0/1, so
+    ``==`` on the triple (kind, num, den) is exact.
     """
 
-    __slots__ = ("kind", "value")
+    __slots__ = ("kind", "num", "den")
 
     def __init__(self, kind, value=None):
         self.kind = kind  # _NEG | _FIN | _POS
-        self.value = value  # int or non-integral Fraction when finite, else None
+        # value: an int or a Fraction when finite, else None
+        self.num, self.den = (0, 1) if value is None else (value.numerator, value.denominator)
+
+    @property
+    def value(self):
+        """An int when integral, a reduced Fraction otherwise; None for
+        an infinity.  Read-only: built from (num, den) on each read."""
+        if self.kind != _FIN:
+            return None
+        return self.num if self.den == 1 else Fraction(self.num, self.den)
 
     @property
     def is_finite(self):
@@ -64,7 +80,7 @@ class TropScalar:
     def __eq__(self, other):
         if not isinstance(other, TropScalar):
             return NotImplemented
-        return self.kind == other.kind and self.value == other.value
+        return self.kind == other.kind and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.kind, self.value))
@@ -84,15 +100,32 @@ class TropScalar:
 NEG_INF = TropScalar(_NEG)
 POS_INF = TropScalar(_POS)
 
+_new = object.__new__
+
+
+def _finite(num, den):
+    """The finite scalar num/den, for a reduced pair with den >= 1."""
+    x = _new(TropScalar)
+    x.kind, x.num, x.den = _FIN, num, den
+    return x
+
 
 def finite(x) -> TropScalar:
     """Finite scalar from an int, Fraction, or fraction string like '3/2'."""
-    if x.__class__ is not int:
-        if x.__class__ is not Fraction:
-            x = Fraction(x)
-        if x.denominator == 1:
-            x = x.numerator
-    return TropScalar(_FIN, x)
+    if x.__class__ is int:
+        return _finite(x, 1)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return _finite(x.numerator, x.denominator)
+
+
+def ratio(num, den) -> TropScalar:
+    """The finite scalar num/den, for ints num and den >= 1, reduced
+    with one gcd (none when den is 1)."""
+    if den == 1:
+        return _finite(num, 1)
+    g = gcd(num, den)
+    return _finite(num // g, den // g)
 
 
 ZERO = finite(0)  # multiplicative identity (tropical "one")
@@ -102,7 +135,7 @@ def oplus(a: TropScalar, b: TropScalar) -> TropScalar:
     """Tropical addition: max under the total order (b on a tie)."""
     if a.kind != b.kind:
         return b if a.kind < b.kind else a
-    return b if a.kind != _FIN or a.value <= b.value else a
+    return b if a.num * b.den <= b.num * a.den else a  # an infinity is 0/1
 
 
 def otimes(a: TropScalar, b: TropScalar) -> TropScalar:
@@ -112,14 +145,16 @@ def otimes(a: TropScalar, b: TropScalar) -> TropScalar:
         return NEG_INF
     if ak == _POS or bk == _POS:
         return POS_INF
-    x = a.value + b.value
-    return TropScalar(_FIN, x) if x.__class__ is int else finite(x)  # an int is canonical
+    ad, bd = a.den, b.den
+    if ad == bd:
+        return ratio(a.num + b.num, ad)
+    return ratio(a.num * bd + b.num * ad, ad * bd)
 
 
 def neg(a: TropScalar) -> TropScalar:
     """The order-reversing involution x -> -x, swapping the infinities."""
     if a.kind == _FIN:
-        return TropScalar(_FIN, -a.value)
+        return _finite(-a.num, a.den)
     return NEG_INF if a.kind == _POS else POS_INF
 
 
@@ -127,9 +162,7 @@ def leq(a: TropScalar, b: TropScalar) -> bool:
     """Total order with -inf < rationals < +inf."""
     if a.kind != b.kind:
         return a.kind < b.kind
-    if a.kind != _FIN:
-        return True
-    return a.value <= b.value
+    return a.num * b.den <= b.num * a.den  # an infinity is 0/1
 
 
 def domain_of(a: TropScalar) -> Domain:
@@ -164,7 +197,7 @@ def format_scalar(a: TropScalar) -> str:
     if a.kind == _POS:
         return "inf"
     try:
-        return str(a.value)
+        return str(a.num) if a.den == 1 else f"{a.num}/{a.den}"
     except ValueError:  # past the interpreter's int-to-str digit limit
         raise SizeLimitError("scalar has too many digits to print") from None
 

@@ -1,6 +1,9 @@
 """Scalar arithmetic: frozen examples plus algebraic laws."""
 
+import copy
 import operator
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from trop.semiring import (
     POS_INF,
     ZERO,
     Domain,
+    TropScalar,
     domain_of,
     finite,
     format_scalar,
@@ -21,6 +25,7 @@ from trop.semiring import (
     otimes,
     parse_domain,
     parse_scalar,
+    ratio,
 )
 
 scalars = st.one_of(
@@ -176,8 +181,8 @@ def test_canonical_reduction():
 
 
 # Ints of every size, and Fractions on small and huge coprime
-# denominators, next to both infinities: the int fast paths of oplus and
-# otimes must agree with the Fraction path on each.
+# denominators, next to both infinities: oplus and otimes on int pairs
+# must agree with plain Fraction arithmetic on each.
 BIG = 10**400
 exact_scalars = st.one_of(
     st.sampled_from((NEG_INF, POS_INF)),
@@ -191,8 +196,8 @@ exact_scalars = st.one_of(
 
 
 def _via_fraction(a, b):
-    """oplus and otimes of a and b on the Fraction path, the int fast
-    paths bypassed: both values Fractions, the sum re-canonicalized."""
+    """oplus and otimes of a and b in plain Fraction arithmetic: both
+    values Fractions, the sum re-canonicalized."""
     if not (a.is_finite and b.is_finite):
         return (b if leq(a, b) else a), (
             NEG_INF if NEG_INF in (a, b) else POS_INF
@@ -233,3 +238,108 @@ def test_parse_domain_rejects_unknown_names():
     assert [parse_domain(name) for name in ("ft", "T", "tbar")] == list(Domain)
     with pytest.raises(ParseError, match=r"^unknown domain 'xyz' \(expected ft, t, or tbar\)$"):
         parse_domain("xyz")
+
+
+# Differential check of the int-pair representation against plain
+# Fraction arithmetic.  A reference value is "-inf", "inf" or a Fraction;
+# the scalars are built on every edge (finite of an int, a Fraction or a
+# string, ratio of an unreduced pair, parse_scalar) from seeded draws of
+# both infinities, ints, and rationals whose numerators and
+# denominators run past 2^64.
+REF_KIND = {"-inf": -1, "inf": 1}
+
+
+def _draw(rng):
+    """A (scalar, reference) pair."""
+    r = rng.random()
+    if r < 0.1:
+        return NEG_INF, "-inf"
+    if r < 0.2:
+        return POS_INF, "inf"
+    big = rng.choice((8, 64, 70, 130))
+    n = rng.randint(-(1 << big), 1 << big)
+    d = 1 if r < 0.4 else rng.choice((2, 3, 6, rng.randint(1, 1 << big)))
+    f = Fraction(n, d)
+    edge = rng.randrange(4)
+    if edge == 0:
+        x = finite(f if d != 1 else n)
+    elif edge == 1:
+        x = finite(f"{n}/{d}")
+    elif edge == 2:
+        k = rng.randint(1, 1 << 66)
+        x = ratio(n * k, d * k)
+    else:
+        x = parse_scalar(str(f))
+    return x, f
+
+
+def _ref_value(f):
+    if f in REF_KIND:
+        return None
+    return f.numerator if f.denominator == 1 else f
+
+
+def _ref_leq(f, g):
+    kf, kg = REF_KIND.get(f, 0), REF_KIND.get(g, 0)
+    return kf < kg if kf != kg else kf != 0 or f <= g
+
+
+def _ref_otimes(f, g):
+    if "-inf" in (f, g):
+        return "-inf"
+    if "inf" in (f, g):
+        return "inf"
+    return f + g
+
+
+def _ref_neg(f):
+    return {"-inf": "inf", "inf": "-inf"}.get(f) if f in REF_KIND else -f
+
+
+def _assert_matches(x, f):
+    value = _ref_value(f)
+    assert x.value == value and type(x.value) is type(value)
+    assert x.kind == REF_KIND.get(f, 0)
+    assert hash(x) == hash((x.kind, value))
+    assert str(x) == (f if f in REF_KIND else str(f))
+    assert parse_scalar(format_scalar(x)) == x
+    if x.is_finite:
+        assert (x.num, x.den) == (f.numerator, f.denominator)
+    else:
+        assert (x.num, x.den) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_int_pairs_match_fraction_arithmetic(seed):
+    rng = random.Random(seed)
+    draws = [_draw(rng) for _ in range(120)]
+    for x, f in draws:
+        _assert_matches(x, f)
+        _assert_matches(neg(x), _ref_neg(f))
+        twin = parse_scalar(str(x))
+        assert twin == x and oplus(x, twin) is twin and leq(x, twin) and leq(twin, x)
+    for (x, f), (y, g) in zip(draws, draws[1:] + draws[:1]):
+        assert leq(x, y) == _ref_leq(f, g)
+        assert (x == y) == (_ref_value(f) == _ref_value(g) and REF_KIND.get(f) == REF_KIND.get(g))
+        assert oplus(x, y) is (y if _ref_leq(f, g) else x)  # b on a tie
+        _assert_matches(otimes(x, y), _ref_otimes(f, g))
+
+
+def test_scalars_copy_and_pickle():
+    rng = random.Random(99)
+    for x, f in [_draw(rng) for _ in range(60)]:
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [
+            pickle.loads(pickle.dumps(x, proto)) for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for c in copies:
+            assert c == x and hash(c) == hash(x) and str(c) == str(x)
+            _assert_matches(c, f)
+
+
+def test_value_is_read_only():
+    for x in (ZERO, finite(Fraction(1, 3)), NEG_INF, TropScalar(0, Fraction(-6, 4))):
+        with pytest.raises(AttributeError):
+            x.value = 1
+    assert (TropScalar(0, Fraction(-6, 4)).num, TropScalar(0, Fraction(-6, 4)).den) == (-3, 2)
+    assert TropScalar(0, 5) == finite(5) and TropScalar(1) == POS_INF

@@ -131,6 +131,29 @@ def test_the_d_search_names_no_boxed_value():
     assert sorted(fn.name for fn in bodies) == sorted(D_SEARCH)
 
 
+SCALAR_HOT_PATH = {
+    "semiring.py": {"oplus", "otimes", "neg", "leq", "ratio", "_finite"},
+    "linalg.py": {"pack", "_box"},
+}
+
+
+@pytest.mark.parametrize("source", sorted(SCALAR_HOT_PATH))
+def test_the_scalar_hot_path_names_no_fraction(source):
+    # a scalar is a reduced int pair, so the semiring operations, packing
+    # and boxing run on ints; a Fraction, or a read of the derived
+    # .value, would bring the boxed arithmetic back
+    tree = ast.parse((PACKAGE / source).read_text())
+    names = SCALAR_HOT_PATH[source]
+    bodies = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in names]
+    found = sorted(
+        {(fn.name, name) for fn in bodies for node in ast.walk(fn)
+         for name in (getattr(node, "id", None), getattr(node, "attr", None))
+         if name in ("Fraction", "value")}
+    )
+    assert not found, f"Fraction named on the scalar hot path: {found}"
+    assert sorted(fn.name for fn in bodies) == sorted(names)
+
+
 def test_linalg_values_are_set_only_at_construction():
     # a vector or matrix is one immutable form: its attributes are set
     # when it is built (__init__, or _of for a kernel result) and no
