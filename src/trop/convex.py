@@ -20,6 +20,7 @@ from .linalg import (
     TropMatrix,
     TropVector,
     hilbert,
+    in_span,
     mat_mul,
     residuate,
     same_span,
@@ -112,7 +113,7 @@ class ConvexSpan:
     def member(self, a: TropVector) -> bool:
         """Exact span membership: the principal combination equals a."""
         self.check_vector(a)
-        return residuate(self.matrix, a.as_matrix(), self.orientation)[1] is None
+        return in_span(self.matrix, a, self.orientation)
 
     def membership(self, a: TropVector):
         """(is_member, principal coefficients).

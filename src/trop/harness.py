@@ -60,6 +60,7 @@ from .semiring import (
     neg,
     oplus,
     otimes,
+    ratio,
 )
 
 
@@ -162,7 +163,7 @@ class Sampler:
         pool = pool or self.pool
         num = self.rng.randint(-pool.num_bound, pool.num_bound)
         den = self.rng.choice((1, 2, 3))
-        return finite(Fraction(num, den))
+        return ratio(num, den)
 
     def vector(self, dim, orientation=ROW, pool=None) -> TropVector:
         return TropVector([self.scalar(pool) for _ in range(dim)], orientation)

@@ -25,8 +25,12 @@ Span membership, weak bases, span equality and principal solutions
 share one kernel, ``_residuate``: it finds each target's principal
 coefficients and, in the same pass, whether they recombine to it, by
 the coordinates they cover (Cuninghame-Green's covering criterion), so
-no recombination is built.  ``same_span`` compares two generator
-matrices over one alignment.
+no recombination is built.  Callers that read only the verdict
+(``in_span``, ``same_span``, ``weak_basis_matrix`` and the row-space
+weak bases and certificate of ``DFrame``) stop at the verdict: they
+build no coefficient row, and they leave each target once it is
+covered.  ``same_span`` compares two generator matrices over one
+alignment.
 
 ``DFrame`` is the D relation's one frame: A and B aligned once, the
 weak bases of their column spaces, the D search's tables and the
@@ -295,17 +299,21 @@ def _combine(coeffs, rows, dim):
     return tuple(acc)
 
 
-def _residuate(grows, trows):
+def _residuate(grows, trows, rows=True):
     """Coefficient rows (<g_1|a_t>, ..., <g_k|a_t>) of aligned target rows
     over aligned generator rows, and the first target they do not
-    recombine to (rows stop there), or None.
+    recombine to (rows stop there), or None.  With rows false, the
+    verdict only: the first target not covered, or None, with no
+    coefficient row built and no generator tried once a target is
+    covered.
 
     max_g <g|a> g <= a always, so a recombines iff every coordinate
     with a_i != -inf is covered, in the same pass that finds each
     c = <g|a>: a finite a_i by a finite g_i with a_i - g_i = c (c is
     the least such difference, so the ties at the minimum cover), and
     a_i = +inf by g_i = +inf with c != -inf or by g_i != -inf with
-    c = +inf.  Covers are bitmasks over the coordinates."""
+    c = +inf.  Covers are bitmasks over the coordinates, and a cover
+    only grows towards the one it needs."""
     coeffs = []
     dim = len(trows[0]) if trows else 0
     bits = _BITS if dim <= len(_BITS) else [1 << i for i in range(dim)]  # zip stops at dim
@@ -314,6 +322,8 @@ def _residuate(grows, trows):
         need = full if _NEG not in a else sum(compress(bits, map(_NEG.__ne__, a)))
         row, cover = [], 0
         for g in grows:
+            if not rows and cover == need:
+                break
             c, ties, tops, pos = _POS, 0, 0, 0
             for bit, p, q in zip(bits, g, a):
                 if p is _NEG:
@@ -333,11 +343,13 @@ def _residuate(grows, trows):
                     ties |= bit
             else:
                 cover |= pos if c is _POS else ties | tops
-            row.append(c)
-        coeffs.append(tuple(row))
+            if rows:
+                row.append(c)
+        if rows:
+            coeffs.append(tuple(row))
         if cover != need:
-            return coeffs, t
-    return coeffs, None
+            return (coeffs, t) if rows else t
+    return (coeffs, None) if rows else None
 
 
 def residuate(gens, targets, orientation=COL):
@@ -355,17 +367,24 @@ def residuate(gens, targets, orientation=COL):
     return (x if orientation == ROW else transpose(x)), bad
 
 
+def in_span(gens, x, orientation=COL):
+    """Whether the vector x recombines from the columns (rows, for ROW)
+    of gens, None for no vector: the verdict only, over one alignment."""
+    _, grows, trows = _align(_spanning(gens, orientation), x._packed)
+    return _residuate(grows, trows, False) is None
+
+
 def same_span(m1, m2, orientation=COL):
     """Whether the columns (rows, for ROW) of m1 and of m2 span one set:
     each side's vectors recombine from the other's.  Both sides are
-    aligned once and no coefficient matrix is built; None stands for a
-    matrix of no vectors."""
+    aligned once and no coefficient is kept; None stands for a matrix
+    of no vectors."""
     return _same(*_align(_spanning(m1, orientation), _spanning(m2, orientation))[1:])
 
 
 def _same(rows1, rows2):
     """Whether two aligned families span one set."""
-    return _residuate(rows2, rows1)[1] is None and _residuate(rows1, rows2)[1] is None
+    return _residuate(rows2, rows1, False) is None and _residuate(rows1, rows2, False) is None
 
 
 def weak_basis_matrix(gens, orientation=COL):
@@ -374,11 +393,21 @@ def weak_basis_matrix(gens, orientation=COL):
     each, in ascending order, is dropped iff the others still standing
     recombine to it."""
     den, vecs = _spanning(gens, orientation)
-    kept = [vecs[i] for i in _basis_indices(vecs)[0]]
+    kept = [vecs[i] for i in _basis_kept(vecs)]
     if not kept:
         return None
     m = TropMatrix._of((den, kept))
     return m if orientation == ROW else transpose(m)
+
+
+def _basis_kept(rows):
+    """The greedy weak basis of aligned rows, as the indices kept, from
+    verdicts only (``_basis_indices`` keeps the trials too)."""
+    kept = list(range(len(rows)))
+    for t in range(len(rows)):
+        if _residuate([rows[j] for j in kept if j != t], [rows[t]], False) is None:
+            kept.remove(t)
+    return kept
 
 
 def _basis_indices(rows):
@@ -441,7 +470,7 @@ class DFrame:
             tables.append((
                 [_t_values(self._cols[side][t]) for t in kept],
                 [_t_values(row) for row in zip(*self._over_basis(side, kept))],
-                [_t_values(rows[i]) for i in _basis_indices(rows)[0]],
+                [_t_values(rows[i]) for i in _basis_kept(rows)],
             ))
         return tuple(tables)
 

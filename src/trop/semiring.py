@@ -15,6 +15,7 @@ scalars but ints over a shared denominator (see ``linalg``).
 """
 
 import re
+import sys
 from enum import IntEnum
 from fractions import Fraction
 from functools import total_ordering
@@ -26,7 +27,8 @@ _NEG = -1
 _FIN = 0
 _POS = 1
 
-_SCALAR_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SCALAR_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_MODULUS = sys.hash_info.modulus
 
 
 class Domain(IntEnum):
@@ -83,7 +85,18 @@ class TropScalar:
         return self.kind == other.kind and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.kind, self.value))
+        """hash((kind, value)), with the hash of a non-integral value
+        computed from num and den the way Fraction.__hash__ does."""
+        num, den = self.num, self.den
+        if self.kind != _FIN:
+            return hash((self.kind, None))
+        if den != 1:
+            try:
+                h = hash(hash(abs(num)) * pow(den, -1, _MODULUS))
+            except ValueError:  # den is a multiple of the modulus
+                h = sys.hash_info.inf
+            num = h if num >= 0 else -h  # hashing the tuple maps -1 to -2
+        return hash((self.kind, num))
 
     def __le__(self, other):
         if not isinstance(other, TropScalar):
@@ -182,11 +195,15 @@ def parse_scalar(token: str, line=None, column=None) -> TropScalar:
         return NEG_INF
     if token == "inf":
         return POS_INF
-    try:
-        if _SCALAR_TOKEN.fullmatch(token):
-            return finite(token)
-    except (ValueError, ZeroDivisionError):  # past the int digit limit, or q = 0
-        pass
+    match = _SCALAR_TOKEN.fullmatch(token)
+    if match:
+        p, q = match.groups()
+        try:
+            den = 1 if q is None else int(q)
+            if den:
+                return ratio(int(p), den)
+        except ValueError:  # past the interpreter's int digit limit
+            pass
     raise ParseError(f"bad scalar token {token!r}", line, column)
 
 

@@ -154,6 +154,16 @@ def test_member_oracle_asks_one_bracket_per_generator(monkeypatch):
     assert len(calls) == 3
 
 
+def test_sampler_finite_scalars_are_the_fraction_draws():
+    # finite_scalar builds num/den through ratio: the draws, and so every
+    # report, are those of finite(Fraction(num, den))
+    s, rng = Sampler(Random(20261020), EntryPool(num_bound=9)), Random(20261020)
+    for _ in range(300):
+        x = s.finite_scalar()
+        want = finite(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+        assert (x.kind, x.num, x.den) == (want.kind, want.num, want.den)
+
+
 def test_criterion_08_inheritance():
     r = run("P12", 1000)
     report(8, r.ok, "verdicts across domains + witness transfers")

@@ -21,7 +21,7 @@ from trop.convex import (
 from trop.duality import identity_descriptor
 from trop.errors import DomainError, ShapeError
 from trop.formats import format_descriptor, parse_descriptor
-from trop.greens import leq_R
+from trop.greens import leq_R, rel_D
 from trop.linalg import (
     COL,
     ROW,
@@ -207,6 +207,79 @@ def test_residuate_rows_are_the_brackets_of_each_pair(data):
     ]
     assert bad == (refuted[0] if refuted else None)
     assert len(coeffs) == (len(trows) if bad is None else bad + 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_verdict_only_covering_finds_the_first_target_missed(data):
+    # with rows=False the kernel leaves each target once it is covered
+    # and keeps no coefficient: its verdict is the full pass's, over
+    # huge entries, both infinities and empty sides
+    dim = data.draw(st.integers(1, 4))
+    entries = st.one_of(st.sampled_from(HUGE), st.integers(-3, 3).map(finite))
+    vectors = st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=4)
+    gens, targets = data.draw(vectors), data.draw(vectors)
+    _, rows = linalg.pack(gens + targets)
+    grows, trows = rows[: len(gens)], rows[len(gens) :]
+    assert linalg._residuate(grows, trows, False) == linalg._residuate(grows, trows)[1]
+
+
+class _Unread(tuple):
+    """A generator row that fails if the kernel reads it."""
+
+    def __iter__(self):
+        raise AssertionError("generator tried after its target was covered")
+
+
+def test_verdict_only_covering_leaves_a_covered_target():
+    # g_1 covers both targets (each a scaling of it), so the verdict
+    # never reads g_2; the full pass needs its coefficient and reads it
+    grows, trows = [(0, 1), _Unread((5, 5))], [(0, 1), (2, 3)]
+    assert linalg._residuate(grows, trows, False) is None
+    with pytest.raises(AssertionError, match="after its target was covered"):
+        linalg._residuate(grows, trows)
+
+
+def test_verdict_only_callers_build_no_coefficient_rows(monkeypatch):
+    # member, span_equal (same_span), weak_basis (weak_basis_matrix) and
+    # the row-space weak bases and certificate of rel_D read only the
+    # kernel's verdict, so the kernel hands them no coefficient rows;
+    # member builds no matrix.  Only the frame's column-basis trials of
+    # rel_D keep rows: their brackets are the search's tables and X
+    results, built = [], []
+    residuate, of = linalg._residuate, TropMatrix._of
+
+    def recording_residuate(grows, trows, *args):
+        results.append(got := residuate(grows, trows, *args))
+        return got
+
+    def counting_of(packed):
+        built.append(packed)
+        return of(packed)
+
+    m = TropMatrix([[0, NEG_INF, 2], [Fraction(1, 7), POS_INF, 0]])
+    redundant = ConvexSpan(m.col_vectors() + [scale(finite(1), m.col(0))])
+    monkeypatch.setattr(linalg, "_residuate", recording_residuate)
+    monkeypatch.setattr(TropMatrix, "_of", staticmethod(counting_of))
+    for span, a, verdict in (
+        (col_span(m), m.col(2), True),
+        (col_span(m), TropVector([0, 5], COL), False),
+        (row_span(m), m.row(1), True),
+        (row_span(m), vector([0, 0, POS_INF]), False),
+    ):
+        assert span.member(a) is verdict
+    assert not built
+    assert span_equal(col_span(m), redundant) and not span_equal(row_span(m), row_span(identity(3)))
+    assert len(redundant.weak_basis()) == 3 and len(row_span(m).weak_basis()) == 2
+    assert results and all(r is None or r.__class__ is int for r in results)
+
+    results.clear()
+    a = TropMatrix([[0, 1], [2, 0]])
+    assert rel_D(a, transpose(a)).holds
+    with_rows = [r for r in results if r.__class__ is tuple]
+    # two column trials of each weak basis keep rows; the two row-space
+    # weak bases (two trials each) and the three span checks do not
+    assert len(with_rows) == 4 and len(results) == 4 + 4 + 6
 
 
 def test_span_equal_aligns_once_and_builds_no_coefficient_matrix(monkeypatch):

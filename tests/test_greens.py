@@ -420,9 +420,9 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
         calls.append("_align")
         return align(p, q)
 
-    def counting_residuate(grows, trows):
+    def counting_residuate(grows, trows, *args):
         calls.append("_residuate")
-        return residuate(grows, trows)
+        return residuate(grows, trows, *args)
 
     rng = random.Random(20261022)
     a = TropMatrix([[NEG_INF if r == c else finite(rng.randint(-9, 9)) for c in range(3)]

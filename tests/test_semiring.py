@@ -4,11 +4,13 @@ import copy
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from trop import semiring
 from trop.errors import ParseError, SizeLimitError
 from trop.semiring import (
     NEG_INF,
@@ -161,6 +163,59 @@ def test_parse_scalar_tokens():
                 "\u0663", "", "-", "/2", "2/"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
+
+
+def _fraction_token(token):
+    """finite(Fraction(token)), or ParseError where Fraction refuses."""
+    try:
+        return finite(Fraction(token))
+    except (ValueError, ZeroDivisionError):
+        return ParseError
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_scalar_agrees_with_fraction(seed):
+    # parse_scalar builds the matched token through ratio; on every
+    # signed integer or p/q token in ASCII digits it gives Fraction's
+    # value, and where Fraction refuses (q = 0, or past the int digit
+    # limit) it raises the one ParseError
+    rng = random.Random(seed)
+
+    def digits():
+        return "0" * rng.randint(0, 2) + str(rng.randint(0, 10 ** rng.randint(0, 25)))
+
+    tokens = ["+7", "-0", "0/5", "-4/6", "007/0030", "-00/01", "1/0", "3/00", "9" * 5000,
+              "1/" + "7" * 5000]
+    for _ in range(400):
+        token = rng.choice(("", "+", "-")) + digits()
+        tokens.append(token + "/" + digits() if rng.random() < 0.6 else token)
+    for token in tokens:
+        want = _fraction_token(token)
+        if want is ParseError:
+            with pytest.raises(ParseError, match="^bad scalar token "):
+                parse_scalar(token)
+            continue
+        got = parse_scalar(token)
+        assert (got.kind, got.num, got.den) == (want.kind, want.num, want.den)
+    assert _fraction_token("3/00") is ParseError and _fraction_token("9" * 5000) is ParseError
+
+
+def test_hash_is_the_hash_of_kind_and_value(monkeypatch):
+    # __hash__ computes hash((kind, value)) from num and den, building
+    # no Fraction: negative values, a den that is a multiple of the
+    # modulus (no inverse, so the hash of an infinity), and a value
+    # whose hash would be -1 and is -2
+    p = sys.hash_info.modulus
+    rng = random.Random(20261020)
+    values = [Fraction(1, 2), Fraction(-1, 2), Fraction(-(p + 2), 2), Fraction(1, p),
+              Fraction(-7, 3 * p), Fraction(p + 1, 2 * p), Fraction(-BIG - 3, 7), 0, -1, -BIG]
+    values += [Fraction(rng.randint(-BIG, BIG), rng.choice((2, 7, p - 1, p + 1, BIG + 1)))
+               for _ in range(60)]
+    assert hash(Fraction(-(p + 2), 2)) == -2 and hash(Fraction(1, p)) == sys.hash_info.inf
+    scalars = [finite(v) for v in values] + [NEG_INF, POS_INF]
+    want = [hash((x.kind, x.value)) for x in scalars]
+    monkeypatch.setattr(semiring, "Fraction", None)
+    assert [hash(x) for x in scalars] == want
 
 
 def test_format_scalar_digit_limit():
