@@ -26,19 +26,21 @@ share one kernel, ``_residuate``: it finds each target's principal
 coefficients and, in the same pass, whether they recombine to it, by
 the coordinates they cover (Cuninghame-Green's covering criterion), so
 no recombination is built.  Callers that read only the verdict
-(``in_span``, ``same_span``, ``weak_basis_matrix`` and the row-space
-weak bases and certificate of ``DFrame``) stop at the verdict: they
+(``in_span``, ``same_span``, ``weak_basis_matrix`` and the weak
+bases and span checks of ``DFrame``) stop at the verdict: they
 build no coefficient row, and they leave each target once it is
 covered.  ``same_span`` compares two generator matrices over one
 alignment.
 
 ``DFrame`` is the D relation's one frame: A and B aligned once, the
 weak bases of their column spaces, the D search's tables and the
-certificate of a match, all over the same ints.  The weak-basis trials
-already hold the brackets the search and the bridge need, and the
-certificate of a yes is three span checks: the descriptor's row
-spaces, then the bridge's row space against A and its column space
-against B.
+certificate of a match, all over the same ints.  It finds the weak
+bases by the one greedy that ``weak_basis_matrix`` runs, from verdicts
+only, and then asks ``_residuate`` for the brackets it needs: each
+basis over itself for the search's bracket tables, and the columns of
+A over the weak basis of C(A) for the bridge's X.  The certificate of
+a yes is three span checks: the descriptor's row spaces, then the
+bridge's row space against A and its column space against B.
 """
 
 from itertools import compress
@@ -402,7 +404,7 @@ def weak_basis_matrix(gens, orientation=COL):
 
 def _basis_kept(rows):
     """The greedy weak basis of aligned rows, as the indices kept, from
-    verdicts only (``_basis_indices`` keeps the trials too)."""
+    verdicts only."""
     kept = list(range(len(rows)))
     for t in range(len(rows)):
         if _residuate([rows[j] for j in kept if j != t], [rows[t]], False) is None:
@@ -410,54 +412,27 @@ def _basis_kept(rows):
     return kept
 
 
-def _basis_indices(rows):
-    """The greedy weak basis of aligned rows, as the indices kept, and
-    its trials: for each t, the j != t still standing when t was tried
-    and their brackets <rows[j]|rows[t]>, the principal coefficients
-    the trial found."""
-    kept, trials = list(range(len(rows))), []
-    for t in range(len(rows)):
-        others = kept.copy()
-        others.remove(t)  # t stands until its own trial
-        (coeffs,), bad = _residuate(list(map(rows.__getitem__, others)), [rows[t]])
-        trials.append((others, coeffs))
-        if bad is None:
-            kept.remove(t)
-    return kept, trials
-
-
 class DFrame:
     """Two +inf-free n x n matrices A and B aligned once, to one common
     denominator den, for deciding and certifying A D B over the same
-    ints.  Building it finds the weak bases E of C(A) and F of C(B); the
-    trials that found them hold the brackets <g|c> of each basis
-    element g over every column c of its side (a kept g stands at every
-    trial, and <g|g> = 0 for a nonzero T vector): over each basis its
-    own bracket table, and over E the principal solution X of
-    E * X = A."""
+    ints.  Building it finds the weak bases E of C(A) and F of C(B) by
+    the greedy of ``weak_basis_matrix``.  The brackets the search and
+    the bridge need are principal coefficients: over each basis, those
+    of its own elements are its bracket table (each g covers itself, as
+    <g|g> = 0 for a nonzero T vector), and over E, those of the columns
+    of A are the principal solution X of E * X = A."""
 
-    __slots__ = ("den", "_rows_a", "_cols", "_kept", "_trials")
+    __slots__ = ("den", "_rows_a", "_cols", "_bases")
 
     def __init__(self, a, b):
         den, self._rows_a, rows_b = _align(a._packed, b._packed)
         self.den, self._cols = den, (list(zip(*self._rows_a)), list(zip(*rows_b)))
-        self._kept, self._trials = zip(*[_basis_indices(cols) for cols in self._cols])
+        self._bases = tuple([[cols[i] for i in _basis_kept(cols)] for cols in self._cols])
 
     @property
     def sizes(self):
         """The sizes of E and of F."""
-        return tuple(map(len, self._kept))
-
-    def _basis(self, side):
-        return [self._cols[side][i] for i in self._kept[side]]
-
-    def _over_basis(self, side, ts):
-        """(<g_1|c_t>, ..., <g_k|c_t>) for each column index t in ts."""
-        kept, trials = self._kept[side], self._trials[side]
-        return [
-            tuple([0 if j == t else found[j] for j in kept])
-            for t, found in zip(ts, [dict(zip(*trials[t])) for t in ts])
-        ]
+        return tuple(map(len, self._bases))
 
     def tables(self):
         """The D search's tables of E and of F.  Each holds, for its
@@ -465,11 +440,12 @@ class DFrame:
         <g_i|g_j>, and the weak basis of the row space of its matrix;
         finite values are Python ints times den, and -inf is None."""
         tables = []
-        for side, kept in enumerate(self._kept):
-            rows = list(zip(*self._basis(side)))
+        for basis in self._bases:
+            brackets, _ = _residuate(basis, basis)
+            rows = list(zip(*basis))
             tables.append((
-                [_t_values(self._cols[side][t]) for t in kept],
-                [_t_values(row) for row in zip(*self._over_basis(side, kept))],
+                list(map(_t_values, basis)),
+                [_t_values(row) for row in zip(*brackets)],
                 [_t_values(rows[i]) for i in _basis_kept(rows)],
             ))
         return tuple(tables)
@@ -482,7 +458,7 @@ class DFrame:
         """E and F as matrices over den, None for an empty basis."""
         return tuple(
             TropMatrix._of((self.den, list(zip(*basis)))) if basis else None
-            for basis in map(self._basis, (0, 1))
+            for basis in self._bases
         )
 
     def certify(self, sigma, lambdas):
@@ -490,13 +466,16 @@ class DFrame:
         over den, and build its bridge D = G * X, for G = F_sigma * diag
         lambdas and X the principal solution of E * X = A.  Returns D
         and the first check that fails, or None: "descriptor" for
-        R(E) != R(G) (D is None then), ROW for R(D) != R(A) and COL for
-        C(D) != C(B)."""
-        e, f = self._basis(0), self._basis(1)
+        R(E) != R(G), ROW for a column of A outside C(E) or for
+        R(D) != R(A), and COL for C(D) != C(B).  D is None when the
+        descriptor fails or X misses a column of A."""
+        e, f = self._bases
         g = [tuple([n if n is _NEG else n + lam for n in f[s]]) for s, lam in zip(sigma, lambdas)]
         if not _same(list(zip(*e)), list(zip(*g))):
             return None, "descriptor"
-        xs = self._over_basis(0, range(len(self._rows_a)))
+        xs, outside = _residuate(e, self._cols[0])
+        if outside is not None:
+            return None, ROW
         cols_d = [_combine(x, g, len(self._rows_a)) for x in xs]
         rows_d = list(zip(*cols_d))
         d = TropMatrix._of((self.den, rows_d))

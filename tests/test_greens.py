@@ -351,6 +351,18 @@ def test_rel_d_scalings_leave_the_common_denominator(mu, lam):
     assert [x.value.__class__ for x in v.iso.lambdas] == [int, lam.__class__]
 
 
+def _drop_the_second_generator(monkeypatch, cols):
+    """Make the greedy weak basis of exactly these aligned columns keep
+    only its first generator."""
+    basis_kept = linalg._basis_kept
+
+    def drop_the_second(rows):
+        kept = basis_kept(rows)
+        return kept[:1] if rows == cols else kept
+
+    monkeypatch.setattr(linalg, "_basis_kept", drop_the_second)
+
+
 def test_rel_d_certifies_that_the_weak_basis_spans_c_b(monkeypatch):
     # the frame's weak basis of C(B) loses its second generator: the
     # search still matches A's one generator with the one left, and only
@@ -358,15 +370,21 @@ def test_rel_d_certifies_that_the_weak_basis_spans_c_b(monkeypatch):
     a = TropMatrix([[ZERO, ZERO], [ZERO, ZERO]])
     b = TropMatrix([[ZERO, finite(1)], [ZERO, ZERO]])
     assert not rel_D(a, b).holds
-    basis_indices = linalg._basis_indices
-    cols_b = [(0, 0), (1, 0)]  # the columns of B over the frame's den 1
-
-    def drop_the_second_of_b(rows):
-        kept, trials = basis_indices(rows)
-        return (kept[:1] if rows == cols_b else kept), trials
-
-    monkeypatch.setattr(linalg, "_basis_indices", drop_the_second_of_b)
+    _drop_the_second_generator(monkeypatch, [(0, 0), (1, 0)])  # B's columns over den 1
     with pytest.raises(VerificationError, match="^rel_D: bridge failed column space check$"):
+        rel_D(a, b)
+
+
+def test_rel_d_certifies_that_the_weak_basis_spans_c_a(monkeypatch):
+    # the twin on A's side: the second column of A is outside C(E), so
+    # X recombines no whole A and the certificate refuses the yes
+    # before it builds a bridge
+    a = TropMatrix([[ZERO, finite(1)], [ZERO, ZERO]])
+    b = TropMatrix([[ZERO, ZERO], [ZERO, ZERO]])
+    assert not rel_D(a, b).holds
+    _drop_the_second_generator(monkeypatch, [(0, 0), (1, 0)])  # A's columns over den 1
+    monkeypatch.setattr(linalg, "_combine", lambda *args: pytest.fail("built a bridge"))
+    with pytest.raises(VerificationError, match="^rel_D: bridge failed row space check$"):
         rel_D(a, b)
 
 
@@ -410,9 +428,9 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
     # bracket -inf, B the reversal of A's scaled columns): the frame is
     # the one alignment of A and B, and the IsoDescriptor the verdict
     # returns only stores its four fields.  The weak bases of C(A), C(B)
-    # and of the row spaces of E and F run 3 trials each; X and the
-    # search's brackets come from the first two, and the certificate
-    # runs 6: two each for R(E) = R(G), R(D) = R(A) and C(D) = C(B)
+    # and of the row spaces of E and F run 3 trials each; the search's
+    # two bracket tables and X take one each, and the certificate runs
+    # 6: two each for R(E) = R(G), R(D) = R(A) and C(D) = C(B)
     calls = []
     align, residuate = linalg._align, linalg._residuate
 
@@ -433,7 +451,7 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
     verdict = rel_D(a, b)
     assert verdict.holds and len(verdict.iso.sigma) == 3
     assert calls.count("_align") == 1
-    assert calls.count("_residuate") == 12 + 6
+    assert calls.count("_residuate") == 12 + 3 + 6
 
 
 def test_rel_d_needs_row_space_weak_bases_of_one_size():
