@@ -13,7 +13,6 @@ import itertools
 import json
 import time
 from collections import namedtuple
-from fractions import Fraction
 from random import Random
 
 from .convex import (
@@ -246,8 +245,8 @@ def _p1_bracket_closed_form(cfg, s, failures):
             fail(f"lam={got} does not satisfy lam*x <= y")
             continue
         if got.is_finite:
-            eps = s.rng.choice((Fraction(1), Fraction(1, 2), Fraction(17)))
-            bigger = finite(got.value + eps)
+            eps = s.rng.choice((finite(1), ratio(1, 2), finite(17)))
+            bigger = otimes(got, eps)
             if vec_leq(scale(bigger, x), y):
                 fail(f"lam={got} is not maximal: lam+{eps} still satisfies lam*x <= y")
 

@@ -36,11 +36,13 @@ alignment.
 weak bases of their column spaces, the D search's tables and the
 certificate of a match, all over the same ints.  It finds the weak
 bases by the one greedy that ``weak_basis_matrix`` runs, from verdicts
-only, and then asks ``_residuate`` for the brackets it needs: each
-basis over itself for the search's bracket tables, and the columns of
-A over the weak basis of C(A) for the bridge's X.  The certificate of
-a yes is three span checks: the descriptor's row spaces, then the
-bridge's row space against A and its column space against B.
+only.  The search's bracket tables come from the bracket kernel,
+``_residual``, one entry per pair of basis elements, and the bridge's
+X from ``_residuate``: the columns of A over the weak basis of C(A),
+the one caller besides ``residuate`` that keeps coefficients.  The
+certificate of a yes is three span checks: the descriptor's row
+spaces, then the bridge's row space against A and its column space
+against B.
 """
 
 from itertools import compress
@@ -416,11 +418,10 @@ class DFrame:
     """Two +inf-free n x n matrices A and B aligned once, to one common
     denominator den, for deciding and certifying A D B over the same
     ints.  Building it finds the weak bases E of C(A) and F of C(B) by
-    the greedy of ``weak_basis_matrix``.  The brackets the search and
-    the bridge need are principal coefficients: over each basis, those
-    of its own elements are its bracket table (each g covers itself, as
-    <g|g> = 0 for a nonzero T vector), and over E, those of the columns
-    of A are the principal solution X of E * X = A."""
+    the greedy of ``weak_basis_matrix``.  Each basis's bracket table
+    is ``_residual`` over its pairs of elements, and the principal
+    coefficients of the columns of A over E are the principal solution
+    X of E * X = A."""
 
     __slots__ = ("den", "_rows_a", "_cols", "_bases")
 
@@ -441,11 +442,10 @@ class DFrame:
         finite values are Python ints times den, and -inf is None."""
         tables = []
         for basis in self._bases:
-            brackets, _ = _residuate(basis, basis)
             rows = list(zip(*basis))
             tables.append((
                 list(map(_t_values, basis)),
-                [_t_values(row) for row in zip(*brackets)],
+                [_t_values([_residual(g, h) for h in basis]) for g in basis],
                 [_t_values(rows[i]) for i in _basis_kept(rows)],
             ))
         return tuple(tables)

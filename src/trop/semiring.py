@@ -9,13 +9,14 @@ with 0/1 for both infinities, so the four operations run on ints:
 ``oplus`` and ``leq`` cross-multiply, ``otimes`` adds over one
 denominator and reduces with one gcd, and ``neg`` negates ``num``.
 ``value`` is derived on each read, an ``int`` when integral and a
-reduced ``Fraction`` otherwise; ``finite`` parses a Fraction or a string
-once, at the edge.  Vector and matrix loops do not use these boxed
-scalars but ints over a shared denominator (see ``linalg``).
+reduced ``Fraction`` otherwise, and the hash is that of the triple
+(kind, num, den) that ``==`` compares.  Strings have one grammar, the
+text format's: ``parse_scalar`` reads a token and ``finite`` a finite
+one.  Vector and matrix loops do not use these boxed scalars but ints
+over a shared denominator (see ``linalg``).
 """
 
 import re
-import sys
 from enum import IntEnum
 from fractions import Fraction
 from functools import total_ordering
@@ -28,7 +29,6 @@ _FIN = 0
 _POS = 1
 
 _SCALAR_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_MODULUS = sys.hash_info.modulus
 
 
 class Domain(IntEnum):
@@ -85,18 +85,7 @@ class TropScalar:
         return self.kind == other.kind and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        """hash((kind, value)), with the hash of a non-integral value
-        computed from num and den the way Fraction.__hash__ does."""
-        num, den = self.num, self.den
-        if self.kind != _FIN:
-            return hash((self.kind, None))
-        if den != 1:
-            try:
-                h = hash(hash(abs(num)) * pow(den, -1, _MODULUS))
-            except ValueError:  # den is a multiple of the modulus
-                h = sys.hash_info.inf
-            num = h if num >= 0 else -h  # hashing the tuple maps -1 to -2
-        return hash((self.kind, num))
+        return hash((self.kind, self.num, self.den))
 
     def __le__(self, other):
         if not isinstance(other, TropScalar):
@@ -124,9 +113,13 @@ def _finite(num, den):
 
 
 def finite(x) -> TropScalar:
-    """Finite scalar from an int, Fraction, or fraction string like '3/2'."""
+    """Finite scalar from an int, a Fraction, or a finite token of the
+    text format such as '-7' or '3/2'; any other string, '1.5' and
+    'inf' among them, raises ParseError."""
     if x.__class__ is int:
         return _finite(x, 1)
+    if isinstance(x, str):
+        return _parse_finite(x)
     if x.__class__ is not Fraction:
         x = Fraction(x)
     return _finite(x.numerator, x.denominator)
@@ -195,6 +188,11 @@ def parse_scalar(token: str, line=None, column=None) -> TropScalar:
         return NEG_INF
     if token == "inf":
         return POS_INF
+    return _parse_finite(token, line, column)
+
+
+def _parse_finite(token, line=None, column=None):
+    """Parse a (signed) integer or p/q token in ASCII digits."""
     match = _SCALAR_TOKEN.fullmatch(token)
     if match:
         p, q = match.groups()

@@ -244,8 +244,7 @@ def test_verdict_only_callers_build_no_coefficient_rows(monkeypatch):
     # member, span_equal (same_span), weak_basis (weak_basis_matrix) and
     # the weak bases and span checks of rel_D read only the kernel's
     # verdict, so the kernel hands them no coefficient rows; member
-    # builds no matrix.  Only rel_D's bracket tables (each basis over
-    # itself) and its X (A's columns over E) keep rows
+    # builds no matrix.  Only rel_D's X (A's columns over E) keeps rows
     results, built = [], []
     residuate, of = linalg._residuate, TropMatrix._of
 
@@ -277,9 +276,9 @@ def test_verdict_only_callers_build_no_coefficient_rows(monkeypatch):
     a = TropMatrix([[0, 1], [2, 0]])
     assert rel_D(a, transpose(a)).holds
     with_rows = [r for r in results if r.__class__ is tuple]
-    # the two bracket tables and X keep rows; the four weak bases (two
-    # trials each) and the three span checks do not
-    assert len(with_rows) == 3 and len(results) == 4 + 4 + 6 + 3
+    # X keeps rows; the four weak bases (two trials each) and the three
+    # span checks do not
+    assert len(with_rows) == 1 and len(results) == 4 + 4 + 6 + 1
 
 
 def test_span_equal_aligns_once_and_builds_no_coefficient_matrix(monkeypatch):

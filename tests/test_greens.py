@@ -428,9 +428,10 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
     # bracket -inf, B the reversal of A's scaled columns): the frame is
     # the one alignment of A and B, and the IsoDescriptor the verdict
     # returns only stores its four fields.  The weak bases of C(A), C(B)
-    # and of the row spaces of E and F run 3 trials each; the search's
-    # two bracket tables and X take one each, and the certificate runs
-    # 6: two each for R(E) = R(G), R(D) = R(A) and C(D) = C(B)
+    # and of the row spaces of E and F run 3 trials each; X takes one
+    # (the search's two bracket tables come from the bracket kernel, not
+    # this one), and the certificate runs 6: two each for R(E) = R(G),
+    # R(D) = R(A) and C(D) = C(B)
     calls = []
     align, residuate = linalg._align, linalg._residuate
 
@@ -451,7 +452,7 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
     verdict = rel_D(a, b)
     assert verdict.holds and len(verdict.iso.sigma) == 3
     assert calls.count("_align") == 1
-    assert calls.count("_residuate") == 12 + 3 + 6
+    assert calls.count("_residuate") == 12 + 1 + 6
 
 
 def test_rel_d_needs_row_space_weak_bases_of_one_size():

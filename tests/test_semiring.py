@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from trop import semiring
 from trop.errors import ParseError, SizeLimitError
+from trop.linalg import COL, TropVector, bracket, vector
 from trop.semiring import (
     NEG_INF,
     POS_INF,
@@ -200,11 +201,12 @@ def test_parse_scalar_agrees_with_fraction(seed):
     assert _fraction_token("3/00") is ParseError and _fraction_token("9" * 5000) is ParseError
 
 
-def test_hash_is_the_hash_of_kind_and_value(monkeypatch):
-    # __hash__ computes hash((kind, value)) from num and den, building
-    # no Fraction: negative values, a den that is a multiple of the
-    # modulus (no inverse, so the hash of an infinity), and a value
-    # whose hash would be -1 and is -2
+def test_hash_is_the_hash_of_the_triple(monkeypatch):
+    # __hash__ hashes (kind, num, den), the triple == compares, so equal
+    # scalars hash alike on every edge that builds one, and hashing
+    # builds no Fraction: negative values, dens that are multiples of the
+    # modulus, values whose Fraction hash would be -1 (and is -2), huge
+    # ints and both infinities
     p = sys.hash_info.modulus
     rng = random.Random(20261020)
     values = [Fraction(1, 2), Fraction(-1, 2), Fraction(-(p + 2), 2), Fraction(1, p),
@@ -212,10 +214,33 @@ def test_hash_is_the_hash_of_kind_and_value(monkeypatch):
     values += [Fraction(rng.randint(-BIG, BIG), rng.choice((2, 7, p - 1, p + 1, BIG + 1)))
                for _ in range(60)]
     assert hash(Fraction(-(p + 2), 2)) == -2 and hash(Fraction(1, p)) == sys.hash_info.inf
-    scalars = [finite(v) for v in values] + [NEG_INF, POS_INF]
-    want = [hash((x.kind, x.value)) for x in scalars]
+    families = [
+        [ratio(3 * f.numerator, 3 * f.denominator), finite(f), finite(str(f)),
+         parse_scalar(str(f)), TropScalar(0, f)]
+        for f in map(Fraction, values)
+    ]
+    families += [[NEG_INF, TropScalar(-1), parse_scalar("-inf")],
+                 [POS_INF, TropScalar(1), parse_scalar("inf")]]
+    for family in families:
+        x = family[0]
+        family += [vector([x, ratio(1, 3)]).entries[0], bracket(vector([0]), vector([x])),
+                   copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
     monkeypatch.setattr(semiring, "Fraction", None)
-    assert [hash(x) for x in scalars] == want
+    for family in families:
+        x = family[0]
+        assert all(y == x for y in family)
+        assert {hash(y) for y in family} == {hash((x.kind, x.num, x.den))}
+
+
+def test_finite_reads_strings_with_the_text_grammar():
+    # finite and parse_scalar share the text format's grammar, so a
+    # string lifted into a vector reads as it would in a matrix file
+    for token, value in (("-7", -7), ("+7", 7), ("3/2", Fraction(3, 2)), ("4/6", Fraction(2, 3))):
+        assert finite(token) == finite(Fraction(value)) == parse_scalar(token)
+    for bad in ("1.5", "1e1000", " 3", "1_0", "\u0663", "1/0", "inf", "-inf", "nan"):
+        with pytest.raises(ParseError, match="^bad scalar token "):
+            finite(bad)
+    assert TropVector(["3/2", "-7"], COL) == vector([Fraction(3, 2), -7], COL)
 
 
 def test_format_scalar_digit_limit():
@@ -355,7 +380,7 @@ def _assert_matches(x, f):
     value = _ref_value(f)
     assert x.value == value and type(x.value) is type(value)
     assert x.kind == REF_KIND.get(f, 0)
-    assert hash(x) == hash((x.kind, value))
+    assert hash(x) == hash((x.kind, x.num, x.den))
     assert str(x) == (f if f in REF_KIND else str(f))
     assert parse_scalar(format_scalar(x)) == x
     if x.is_finite:

@@ -154,6 +154,21 @@ def test_the_scalar_hot_path_names_no_fraction(source):
     assert sorted(fn.name for fn in bodies) == sorted(names)
 
 
+def test_only_semiring_imports_fractions():
+    # a scalar is a reduced int pair, and only semiring turns one into a
+    # Fraction (value) or reads one (finite), so no other module can
+    # compute in boxed Fractions
+    importers = [
+        source.name for source in SOURCES
+        if any(
+            node.module == "fractions" if isinstance(node, ast.ImportFrom)
+            else isinstance(node, ast.Import) and "fractions" in [a.name for a in node.names]
+            for node in ast.walk(ast.parse(source.read_text()))
+        )
+    ]
+    assert importers == ["semiring.py"]
+
+
 def test_linalg_values_are_set_only_at_construction():
     # a vector or matrix is one immutable form: its attributes are set
     # when it is built (__init__, or _of for a kernel result) and no
