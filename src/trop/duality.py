@@ -1,6 +1,8 @@
 """Duality maps between row and column spaces, and span isomorphisms.
 
-The duality map of a matrix A sends a row-space element x to A*(-x)^T.
+The duality map of a matrix A sends a row-space element x to A*(-x)^T,
+entry i -<A_i|x>, and its inverse sends y to (-y)^T*A, entry j -<A^j|y>:
+one pass, linalg.dual_map, finds the image and whether x is in the span.
 It reverses the residuation bracket and anti-commutes with finite
 scaling, so composing two such maps yields a genuine linear isomorphism
 of spans.  IsoDescriptor records a candidate isomorphism concretely as
@@ -15,18 +17,14 @@ C(D) = C(F) for the bridge; rel_D runs the same ones in its D frame.
 
 from collections import namedtuple
 
-from .convex import (
-    ConvexSpan,
-    col_span,
-    extended_pair,
-    row_span,
-)
+from .convex import ConvexSpan, extended_pair
 from .errors import DomainError, PreconditionError, ShapeError, VerificationError
 from .linalg import (
     COL,
     ROW,
     TropMatrix,
     TropVector,
+    dual_map,
     mat_mul,
     residuate,
     same_span,
@@ -42,44 +40,45 @@ def theta(a: TropMatrix, x: TropVector, strict: bool = True) -> TropVector:
     """Duality map of A at a row vector x: the column vector A*(-x)^T.
 
     Component i equals -<A_i|x>.  The bracket/scaling/metric laws hold
-    for x in the row space of A; strict mode rejects anything else,
-    lenient mode just evaluates the formula.
+    for x in the row space of A, as decided by the pass that computes
+    the image; strict mode rejects other x, lenient mode maps it too.
     """
     if x.orientation != ROW or x.dim != a.cols:
         raise ShapeError(f"theta expects a row vector of dim {a.cols}")
-    if strict and not row_span(a).member(x):
+    image, member = dual_map(a, x, ROW)
+    if strict and not member:
         raise DomainError("theta: vector is not in the row space (use lenient mode to force)")
-    return mat_mul(a, vec_neg(x).transpose().as_matrix()).col(0)
+    return image
 
 
 def theta_prime(a: TropMatrix, y: TropVector, strict: bool = True) -> TropVector:
-    """Inverse duality map at a column vector y: the row vector (-y)^T*A."""
+    """Inverse duality map at a column vector y: the row vector (-y)^T*A, entry j -<A^j|y>."""
     if y.orientation != COL or y.dim != a.rows:
         raise ShapeError(f"theta_prime expects a column vector of dim {a.rows}")
-    if strict and not col_span(a).member(y):
+    image, member = dual_map(a, y, COL)
+    if strict and not member:
         raise DomainError(
             "theta_prime: vector is not in the column space (use lenient mode to force)"
         )
-    return mat_mul(vec_neg(y).transpose().as_matrix(), a).row(0)
+    return image
 
 
 def kernel_witness(b: TropMatrix, z: TropVector):
     """For a row vector z outside the row space of B, produce columns
     x, y with B*x = B*y but z*x != z*y.
 
-    x is -z transposed; y is recovered by pulling B*x back through the
-    inverse duality map and negating.  Both identities are re-verified
-    before returning; a failure there would be an internal bug.
+    x is -z transposed, so B*x is theta_B(z), from the pass that finds z
+    outside the row space; y is B*x pulled back through the inverse
+    duality map and negated.  Both identities are re-verified by matrix
+    products before returning; a failure there would be an internal bug.
     """
     if z.orientation != ROW or z.dim != b.cols:
         raise ShapeError(f"kernel_witness expects a row vector of dim {b.cols}")
-    if row_span(b).member(z):
+    bx, member = dual_map(b, z, ROW)
+    if member:
         raise PreconditionError("kernel_witness: z lies in the row space of B")
     x = vec_neg(z).transpose()
-    bx = mat_mul(b, x.as_matrix()).col(0)
-    # bx is a combination of the columns of B by construction
-    v = theta_prime(b, bx, strict=False)
-    y = vec_neg(v).transpose()
+    y = vec_neg(theta_prime(b, bx, strict=False)).transpose()
     by = mat_mul(b, y.as_matrix()).col(0)
     if bx != by:
         raise VerificationError("kernel_witness: B*x != B*y")

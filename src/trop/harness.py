@@ -202,6 +202,17 @@ def bracket_oracle(x, y) -> TropScalar:
     return NEG_INF
 
 
+def theta_oracle(a: TropMatrix, x: TropVector, orientation) -> TropVector:
+    """The duality map by its definition, in scalar operations only
+    (independent of the residuation kernel): A*(-x)^T, for x a row
+    vector (ROW), or (-y)^T*A, for y a column vector (COL), each
+    entry the oplus of the otimes products."""
+    negated = [neg(e) for e in x.entries]
+    lines = a.entries if orientation == ROW else zip(*a.entries)
+    image = [functools.reduce(oplus, map(otimes, line, negated)) for line in lines]
+    return TropVector(image, COL if orientation == ROW else ROW)
+
+
 def _member_oracle(gens, a: TropVector) -> bool:
     """Span membership by the recombination max_i <g_i|a> g_i = a, with
     the coefficients from bracket_oracle and the sum in boxed scalars;
@@ -306,18 +317,30 @@ def _p5_duality_roundtrip(cfg, s, failures):
         a = s.matrix(rows, cols)
         x = s.span_member(a.row_vectors())
         y = s.span_member(a.col_vectors())
-        if theta_prime(a, theta(a, x)) != x:
+        tx, ty = theta(a, x), theta_prime(a, y)
+        if tx != theta_oracle(a, x, ROW):
+            _fail(failures, trial, "theta(x) != A*(-x)^T", "trop dual A.mat x.vec",
+                  A=a, x=x, y=y)
+            continue
+        if ty != theta_oracle(a, y, COL):
+            _fail(failures, trial, "theta_prime(y) != (-y)^T*A",
+                  "trop dual --inverse A.mat y.vec", A=a, x=x, y=y)
+            continue
+        if theta_prime(a, tx) != x:
             _fail(failures, trial, "theta_prime(theta(x)) != x on R(A)",
                   "trop dual A.mat x.vec", A=a, x=x, y=y)
             continue
-        if theta(a, theta_prime(a, y)) != y:
+        if theta(a, ty) != y:
             _fail(failures, trial, "theta(theta_prime(y)) != y on C(A)",
                   "trop dual --inverse A.mat y.vec", A=a, x=x, y=y)
             continue
         fin = s.matrix(rows, cols, EntryPool.for_domain(Domain.FT))
         xf = s.span_member(fin.row_vectors(), EntryPool.for_domain(Domain.FT))
         img = theta(fin, xf)
-        if not all(e.is_finite for e in img.entries):
+        if img != theta_oracle(fin, xf, ROW):
+            _fail(failures, trial, "theta(x) != A*(-x)^T on a finitary row-space member",
+                  "trop dual A.mat x.vec", A=fin, x=xf)
+        elif not all(e.is_finite for e in img.entries):
             _fail(failures, trial, "duality image of a finitary row-space member is not finite",
                   "trop dual A.mat x.vec", A=fin, x=xf)
         elif theta_prime(fin, img) != xf:

@@ -21,16 +21,19 @@ integral), so packed forms are compared only over a common
 denominator.  Other modules hand this one vectors and matrices and
 never see the packed form.
 
-Span membership, weak bases, span equality and principal solutions
-share one kernel, ``_residuate``: it finds each target's principal
-coefficients and, in the same pass, whether they recombine to it, by
-the coordinates they cover (Cuninghame-Green's covering criterion), so
-no recombination is built.  Callers that read only the verdict
-(``in_span``, ``same_span``, ``weak_basis_matrix`` and the weak
-bases and span checks of ``DFrame``) stop at the verdict: they
-build no coefficient row, and they leave each target once it is
-covered.  ``same_span`` compares two generator matrices over one
-alignment.
+Span membership, weak bases, span equality, principal solutions and
+the duality maps share one kernel, ``_residuate``: it finds each
+target's principal coefficients and, in the same pass, whether they
+recombine to it, by the coordinates they cover (Cuninghame-Green's
+covering criterion), so no recombination is built.  ``dual_map``
+negates one target's coefficient row: theta_A(x)_i = -<A_i|x> and
+theta'_A(y)_j = -<A^j|y>, so A*(-x)^T and (-y)^T*A need no product,
+and the same pass's verdict is the duality map's membership test.
+Callers that read only the verdict (``in_span``, ``same_span``,
+``weak_basis_matrix`` and the weak bases and span checks of
+``DFrame``) stop at the verdict: they build no coefficient row, and
+they leave each target once it is covered.  ``same_span`` compares two
+generator matrices over one alignment.
 
 ``DFrame`` is the D relation's one frame: A and B aligned once, the
 weak bases of their column spaces, the D search's tables and the
@@ -371,6 +374,20 @@ def residuate(gens, targets, orientation=COL):
     return (x if orientation == ROW else transpose(x)), bad
 
 
+def dual_map(a, x, orientation):
+    """The duality image of the vector x under a and whether x lies in
+    the span of the rows (columns, for COL) of a, from one pass: the
+    image's component i is -<g_i|x> for g_i row (column) i of a, that
+    is A*(-x)^T for ROW and (-x)^T*A for COL, and it is oriented the
+    other way.  Returns ``(image, member)``.  A single target's
+    coefficient row is complete whether or not it is covered, so the
+    image is whole either way."""
+    den, grows, trows = _align(_spanning(a, orientation), x._packed)
+    (coeffs,), bad = _residuate(grows, trows)
+    image = TropVector._of((den, [_negated(coeffs)]), COL if orientation == ROW else ROW)
+    return image, bad is None
+
+
 def in_span(gens, x, orientation=COL):
     """Whether the vector x recombines from the columns (rows, for ROW)
     of gens, None for no vector: the verdict only, over one alignment."""
@@ -538,8 +555,12 @@ def scale(lam: TropScalar, x: TropVector) -> TropVector:
 def vec_neg(x: TropVector) -> TropVector:
     """-x: each finite entry negated, the infinities swapped."""
     den, (xs,) = x._packed
-    negated = tuple([_POS if n is _NEG else _NEG if n is _POS else -n for n in xs])
-    return TropVector._of((den, [negated]), x.orientation)
+    return TropVector._of((den, [_negated(xs)]), x.orientation)
+
+
+def _negated(xs):
+    """Packed -x: each finite entry negated, the infinities swapped."""
+    return tuple([_POS if n is _NEG else _NEG if n is _POS else -n for n in xs])
 
 
 def _check_same_shape(x: TropVector, y: TropVector, orientation_too=True):

@@ -21,8 +21,9 @@ from enum import IntEnum
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
+from numbers import Rational
 
-from .errors import ParseError, SizeLimitError
+from .errors import DomainError, ParseError, SizeLimitError
 
 _NEG = -1
 _FIN = 0
@@ -113,15 +114,19 @@ def _finite(num, den):
 
 
 def finite(x) -> TropScalar:
-    """Finite scalar from an int, a Fraction, or a finite token of the
-    text format such as '-7' or '3/2'; any other string, '1.5' and
-    'inf' among them, raises ParseError."""
+    """Finite scalar from an int, a Fraction or another exact rational,
+    or a finite token of the text format such as '-7' or '3/2'; any
+    other string, '1.5' and 'inf' among them, raises ParseError, and a
+    bool, a float or any other inexact or non-numeric value raises
+    DomainError."""
     if x.__class__ is int:
         return _finite(x, 1)
     if isinstance(x, str):
         return _parse_finite(x)
     if x.__class__ is not Fraction:
-        x = Fraction(x)
+        if x.__class__ is bool or not isinstance(x, Rational):
+            raise DomainError(f"finite scalars are exact rationals, not {type(x).__name__}")
+        x = Fraction(int(x.numerator), int(x.denominator))
     return _finite(x.numerator, x.denominator)
 
 

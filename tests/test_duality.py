@@ -1,6 +1,7 @@
 """Duality maps, kernel witnesses, and isomorphism descriptors."""
 
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trop import duality, linalg
 from trop.convex import ConvexSpan, col_span, row_span, span_equal
 from trop.duality import (
     IsoDescriptor,
@@ -24,7 +26,7 @@ from trop.duality import (
 from trop.errors import DomainError, PreconditionError, ShapeError, VerificationError
 from trop.formats import format_matrix
 from trop.greens import rel_D
-from trop.harness import EntryPool, Sampler
+from trop.harness import EntryPool, Sampler, theta_oracle
 from trop.linalg import (
     COL,
     ROW,
@@ -42,7 +44,7 @@ from trop.linalg import (
     zero_matrix,
     zero_vector,
 )
-from trop.semiring import NEG_INF, POS_INF, ZERO, finite, neg, otimes
+from trop.semiring import NEG_INF, POS_INF, ZERO, Domain, finite, neg, otimes, ratio
 
 finite_scalars = st.fractions(min_value=-9, max_value=9, max_denominator=3).map(finite)
 scalars = st.one_of(st.just(NEG_INF), st.just(POS_INF), finite_scalars)
@@ -118,6 +120,124 @@ def test_theta_shape_errors():
         theta(a, vector([0, 0, 0]))
     with pytest.raises(ShapeError):
         theta(a, TropVector([ZERO, ZERO], COL))
+
+
+GRID = (NEG_INF, ZERO, finite(1), POS_INF)
+
+
+def assert_strict_mode(dual, a, v, member, image, message):
+    """dual(a, v) in strict mode: the image for a member, else the
+    DomainError with the given message."""
+    if member:
+        assert dual(a, v) == image
+    else:
+        refusal = f"^{re.escape(message)} \\(use lenient mode to force\\)$"
+        with pytest.raises(DomainError, match=refusal):
+            dual(a, v)
+
+
+def assert_duality_maps_match_their_definition(a, x, y):
+    # lenient mode is the product formula everywhere, which the harness
+    # oracle computes in boxed scalars; strict mode refuses exactly what
+    # the span membership check refuses
+    want_x = mat_mul(a, vec_neg(x).transpose().as_matrix()).col(0)
+    want_y = mat_mul(vec_neg(y).transpose().as_matrix(), a).row(0)
+    assert want_x == theta_oracle(a, x, ROW) and want_y == theta_oracle(a, y, COL)
+    assert theta(a, x, strict=False) == want_x
+    assert theta_prime(a, y, strict=False) == want_y
+    assert_strict_mode(theta, a, x, row_span(a).member(x), want_x,
+                       "theta: vector is not in the row space")
+    assert_strict_mode(theta_prime, a, y, col_span(a).member(y), want_y,
+                       "theta_prime: vector is not in the column space")
+
+
+def test_duality_maps_match_their_definition_on_the_2x2_grid():
+    # every 2x2 A and every vector over {-inf, 0, 1, +inf}: 4,096 pairs
+    # for each map, the exceptional product (-inf) * (+inf) included
+    for entries in itertools.product(GRID, repeat=4):
+        a = TropMatrix([entries[:2], entries[2:]])
+        for pair in itertools.product(GRID, repeat=2):
+            assert_duality_maps_match_their_definition(a, TropVector(pair, ROW),
+                                                       TropVector(pair, COL))
+
+
+def test_duality_maps_match_their_definition_across_denominators():
+    # A over thirds, the vectors over fifths and sevenths, at dims 1-8;
+    # half the vectors are span members, so both strict outcomes occur
+    rng = random.Random(20261020)
+
+    def entry(den):
+        roll = rng.random()
+        if roll < 0.15:
+            return NEG_INF
+        return POS_INF if roll < 0.2 else ratio(rng.randint(-20, 20), den)
+
+    def vec(gens, dim, den, orientation):
+        if rng.random() < 0.5:
+            return TropVector([entry(den) for _ in range(dim)], orientation)
+        return member_of(gens, [entry(den) for _ in gens])
+
+    members = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        a = TropMatrix([[entry(3) for _ in range(cols)] for _ in range(rows)])
+        x = vec(a.row_vectors(), cols, 5, ROW)
+        y = vec(a.col_vectors(), rows, 7, COL)
+        assert_duality_maps_match_their_definition(a, x, y)
+        members += row_span(a).member(x)
+    assert 100 < members < 250
+
+
+def test_kernel_witness_refuses_exactly_the_row_space_members():
+    def check(b, z):
+        if row_span(b).member(z):
+            with pytest.raises(PreconditionError, match="^kernel_witness: z lies in the row"):
+                kernel_witness(b, z)
+        else:
+            x, y = kernel_witness(b, z)
+            assert x == vec_neg(z).transpose()
+            assert mat_mul(b, x.as_matrix()) == mat_mul(b, y.as_matrix())
+
+    for entries in itertools.product(GRID, repeat=4):
+        b = TropMatrix([entries[:2], entries[2:]])
+        for pair in itertools.product(GRID, repeat=2):
+            check(b, TropVector(pair, ROW))
+    rng = random.Random(20261021)
+    s = Sampler(rng, EntryPool.for_domain(Domain.TBAR))
+    for _ in range(200):
+        b = s.matrix(rng.randint(1, 8), rng.randint(1, 8))
+        check(b, s.span_member(b.row_vectors()) if rng.random() < 0.5 else s.vector(b.cols))
+
+
+def test_duality_maps_take_one_residuation_pass(monkeypatch):
+    # theta and theta_prime align A with the vector once and read image
+    # and verdict from one _residuate, building no product; kernel_witness
+    # makes one pass for theta_B(z) and one for theta'_B(B*x), and its
+    # three products are its re-verifications B*y, z*x and z*y
+    calls = []
+
+    def counting(name, f):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return count
+
+    for name in ("_align", "_residuate", "_combine", "mat_mul"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    monkeypatch.setattr(duality, "mat_mul", linalg.mat_mul)
+    a = TropMatrix([[ZERO, ZERO, NEG_INF], [ZERO, finite(1), ratio(1, 2)]])
+    for dual, v in ((theta, vector([0, 1, POS_INF])),
+                    (theta_prime, vector([ratio(2, 3), 0], COL))):
+        for strict in (True, False):
+            calls.clear()
+            try:
+                dual(a, v, strict)
+            except DomainError:
+                assert strict
+            assert sorted(calls) == ["_align", "_residuate"]
+    calls.clear()
+    kernel_witness(TropMatrix([[ZERO, ZERO]]), vector([0, 1]))
+    assert calls.count("_residuate") == 2 and calls.count("mat_mul") == 3
 
 
 def test_kernel_witness_example():

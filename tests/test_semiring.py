@@ -5,14 +5,15 @@ import operator
 import pickle
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from trop import semiring
-from trop.errors import ParseError, SizeLimitError
-from trop.linalg import COL, TropVector, bracket, vector
+from trop.errors import DomainError, ParseError, SizeLimitError
+from trop.linalg import COL, TropMatrix, TropVector, bracket, vector
 from trop.semiring import (
     NEG_INF,
     POS_INF,
@@ -241,6 +242,28 @@ def test_finite_reads_strings_with_the_text_grammar():
         with pytest.raises(ParseError, match="^bad scalar token "):
             finite(bad)
     assert TropVector(["3/2", "-7"], COL) == vector([Fraction(3, 2), -7], COL)
+
+
+def test_finite_takes_only_exact_values():
+    # ints, Fractions and other rationals lift to plain int pairs; bools,
+    # floats and other inexact or non-numeric values raise DomainError
+    class Count(int):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    for value, want in ((Count(7), finite(7)), (Ratio(4, 6), ratio(2, 3))):
+        got = finite(value)
+        assert got == want and type(got.num) is int and type(got.den) is int
+    for bad in (True, False, 0.1, 2.0, float("nan"), float("inf"), 1j, Decimal("1.5"), None, [1]):
+        name = type(bad).__name__
+        with pytest.raises(DomainError, match=f"^finite scalars are exact rationals, not {name}$"):
+            finite(bad)
+    with pytest.raises(DomainError, match="not float$"):
+        TropVector([0.5])
+    with pytest.raises(DomainError, match="not float$"):
+        TropMatrix([[2.0]])
 
 
 def test_format_scalar_digit_limit():
