@@ -6,6 +6,13 @@ collects counterexamples.  Sampling is driven entirely by Python's
 report is a pure function of its configuration: reruns are
 byte-identical.  Wall-clock time is kept on the report object for
 interactive display but never serialized.
+
+Each trial runs in one ``_trial`` scope that declares its inputs once.
+A failure carries them as artifacts, and a ``TropError`` raised by the
+code under test inside the scope is one more failure of that trial,
+described as ``<ErrorType>: <message>``.  A size guard's refusal
+(``SizeLimitError``) and errors outside any trial, such as more trials
+than a property has pairs, still end the run.
 """
 
 import functools
@@ -13,6 +20,7 @@ import itertools
 import json
 import time
 from collections import namedtuple
+from contextlib import contextmanager
 from random import Random
 
 from .convex import (
@@ -24,7 +32,7 @@ from .convex import (
     welldef_criterion,
 )
 from .duality import extend_iso_pair, theta, theta_prime, kernel_witness, vec_neg
-from .errors import ShapeError, TropError
+from .errors import ShapeError, SizeLimitError, TropError
 from .formats import format_matrix, format_vector
 from .greens import (
     definitize_witness_t,
@@ -223,15 +231,30 @@ def _member_oracle(gens, a: TropVector) -> bool:
     return [functools.reduce(oplus, column) for column in zip(*terms)] == list(target)
 
 
-def _fail(failures, trial, description, replay="", **artifacts):
-    """Record a failure.  Each keyword artifact, a vector or a matrix, is
-    formatted here as ``name.vec`` or ``name.mat``, in argument order."""
-    arts = tuple(
-        (f"{name}.vec", format_vector(v)) if isinstance(v, TropVector)
-        else (f"{name}.mat", format_matrix(v))
-        for name, v in artifacts.items()
-    )
-    failures.append(Failure(trial, description, arts, replay))
+@contextmanager
+def _trial(failures, trial, replay="", **inputs):
+    """The scope of one trial, which yields ``fail(description,
+    replay=..., **artifacts)``.  A failure gets the trial's replay and
+    inputs as artifacts unless it names its own; each artifact, a vector
+    or a matrix, is formatted as ``name.vec`` or ``name.mat``, in
+    argument order.  A TropError raised inside the scope is one more
+    failure of the trial, with the trial's inputs; a SizeLimitError is
+    a guard's refusal, not a verdict, and propagates."""
+
+    def fail(description, replay=replay, **artifacts):
+        arts = tuple(
+            (f"{name}.vec", format_vector(v)) if isinstance(v, TropVector)
+            else (f"{name}.mat", format_matrix(v))
+            for name, v in (artifacts or inputs).items()
+        )
+        failures.append(Failure(trial, description, arts, replay))
+
+    try:
+        yield fail
+    except SizeLimitError:
+        raise
+    except TropError as exc:
+        fail(f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +266,20 @@ def _p1_bracket_closed_form(cfg, s, failures):
         dim = s.dim(cfg.dim_range)
         x = s.vector(dim)
         y = s.vector(dim)
-        got = bracket(x, y)
-        want = bracket_oracle(x, y)
-
-        def fail(description):
-            _fail(failures, trial, description, "trop bracket x.vec y.vec", x=x, y=y)
-
-        if got != want:
-            fail(f"closed form gives {got} but the defining maximum is {want}")
-            continue
-        if not vec_leq(scale(got, x), y):
-            fail(f"lam={got} does not satisfy lam*x <= y")
-            continue
-        if got.is_finite:
-            eps = s.rng.choice((finite(1), ratio(1, 2), finite(17)))
-            bigger = otimes(got, eps)
-            if vec_leq(scale(bigger, x), y):
-                fail(f"lam={got} is not maximal: lam+{eps} still satisfies lam*x <= y")
+        with _trial(failures, trial, "trop bracket x.vec y.vec", x=x, y=y) as fail:
+            got = bracket(x, y)
+            want = bracket_oracle(x, y)
+            if got != want:
+                fail(f"closed form gives {got} but the defining maximum is {want}")
+                continue
+            if not vec_leq(scale(got, x), y):
+                fail(f"lam={got} does not satisfy lam*x <= y")
+                continue
+            if got.is_finite:
+                eps = s.rng.choice((finite(1), ratio(1, 2), finite(17)))
+                bigger = otimes(got, eps)
+                if vec_leq(scale(bigger, x), y):
+                    fail(f"lam={got} is not maximal: lam+{eps} still satisfies lam*x <= y")
 
 
 def _p2_bracket_sign_change(cfg, s, failures):
@@ -267,11 +287,11 @@ def _p2_bracket_sign_change(cfg, s, failures):
         dim = s.dim(cfg.dim_range)
         x = s.vector(dim)
         y = s.vector(dim)
-        lhs = bracket(x, y)
-        rhs = bracket(vec_neg(y), vec_neg(x))
-        if lhs != rhs:
-            _fail(failures, trial, f"<x|y> = {lhs} but <-y|-x> = {rhs}",
-                  "trop bracket x.vec y.vec", x=x, y=y)
+        with _trial(failures, trial, "trop bracket x.vec y.vec", x=x, y=y) as fail:
+            lhs = bracket(x, y)
+            rhs = bracket(vec_neg(y), vec_neg(x))
+            if lhs != rhs:
+                fail(f"<x|y> = {lhs} but <-y|-x> = {rhs}")
 
 
 def _p3_order_bracket(cfg, s, failures):
@@ -281,71 +301,64 @@ def _p3_order_bracket(cfg, s, failures):
         y = s.vector(dim)
         if trial % 2:
             y = vec_oplus(x, y)  # bias towards comparable pairs
-        ordered = vec_leq(x, y)
-        nonneg = leq(ZERO, bracket(x, y))
-        if ordered != nonneg:
-            _fail(failures, trial, f"x <= y is {ordered} but <x|y> >= 0 is {nonneg}",
-                  "trop bracket x.vec y.vec", x=x, y=y)
+        with _trial(failures, trial, "trop bracket x.vec y.vec", x=x, y=y) as fail:
+            ordered = vec_leq(x, y)
+            nonneg = leq(ZERO, bracket(x, y))
+            if ordered != nonneg:
+                fail(f"x <= y is {ordered} but <x|y> >= 0 is {nonneg}")
 
 
 def _p4_metric_axioms(cfg, s, failures):
     for trial in range(cfg.trials):
         dim = s.dim(cfg.dim_range)
         x, y, z = (s.vector(dim) for _ in range(3))
-
-        def fail(description):
-            _fail(failures, trial, description, "trop metric x.vec y.vec", x=x, y=y, z=z)
-
-        dxy, dyx = hilbert(x, y), hilbert(y, x)
-        if hilbert(x, x) != ZERO:
-            fail(f"d(x,x) = {hilbert(x, x)} != 0")
-        if dxy != dyx:
-            fail(f"symmetry broken: {dxy} vs {dyx}")
-        if not leq(ZERO, dxy):
-            fail(f"negative distance {dxy}")
-        dxz, dyz = hilbert(x, z), hilbert(y, z)
-        if not leq(dxz, otimes(dxy, dyz)):
-            fail(f"triangle inequality broken: d(x,z)={dxz} > {dxy}+{dyz}")
-        lam, mu = s.finite_scalar(), s.finite_scalar()
-        if hilbert(scale(lam, x), scale(mu, y)) != dxy:
-            fail(f"not scaling invariant at lam={lam}, mu={mu}")
+        with _trial(failures, trial, "trop metric x.vec y.vec", x=x, y=y, z=z) as fail:
+            dxy, dyx = hilbert(x, y), hilbert(y, x)
+            if hilbert(x, x) != ZERO:
+                fail(f"d(x,x) = {hilbert(x, x)} != 0")
+            if dxy != dyx:
+                fail(f"symmetry broken: {dxy} vs {dyx}")
+            if not leq(ZERO, dxy):
+                fail(f"negative distance {dxy}")
+            dxz, dyz = hilbert(x, z), hilbert(y, z)
+            if not leq(dxz, otimes(dxy, dyz)):
+                fail(f"triangle inequality broken: d(x,z)={dxz} > {dxy}+{dyz}")
+            lam, mu = s.finite_scalar(), s.finite_scalar()
+            if hilbert(scale(lam, x), scale(mu, y)) != dxy:
+                fail(f"not scaling invariant at lam={lam}, mu={mu}")
 
 
 def _p5_duality_roundtrip(cfg, s, failures):
+    inverse = "trop dual --inverse A.mat y.vec"
     for trial in range(cfg.trials):
         rows, cols = s.dim(cfg.dim_range), s.dim(cfg.dim_range)
         a = s.matrix(rows, cols)
         x = s.span_member(a.row_vectors())
         y = s.span_member(a.col_vectors())
-        tx, ty = theta(a, x), theta_prime(a, y)
-        if tx != theta_oracle(a, x, ROW):
-            _fail(failures, trial, "theta(x) != A*(-x)^T", "trop dual A.mat x.vec",
-                  A=a, x=x, y=y)
-            continue
-        if ty != theta_oracle(a, y, COL):
-            _fail(failures, trial, "theta_prime(y) != (-y)^T*A",
-                  "trop dual --inverse A.mat y.vec", A=a, x=x, y=y)
-            continue
-        if theta_prime(a, tx) != x:
-            _fail(failures, trial, "theta_prime(theta(x)) != x on R(A)",
-                  "trop dual A.mat x.vec", A=a, x=x, y=y)
-            continue
-        if theta(a, ty) != y:
-            _fail(failures, trial, "theta(theta_prime(y)) != y on C(A)",
-                  "trop dual --inverse A.mat y.vec", A=a, x=x, y=y)
-            continue
-        fin = s.matrix(rows, cols, EntryPool.for_domain(Domain.FT))
-        xf = s.span_member(fin.row_vectors(), EntryPool.for_domain(Domain.FT))
-        img = theta(fin, xf)
-        if img != theta_oracle(fin, xf, ROW):
-            _fail(failures, trial, "theta(x) != A*(-x)^T on a finitary row-space member",
-                  "trop dual A.mat x.vec", A=fin, x=xf)
-        elif not all(e.is_finite for e in img.entries):
-            _fail(failures, trial, "duality image of a finitary row-space member is not finite",
-                  "trop dual A.mat x.vec", A=fin, x=xf)
-        elif theta_prime(fin, img) != xf:
-            _fail(failures, trial, "finitary round-trip broke", "trop dual A.mat x.vec",
-                  A=fin, x=xf)
+        with _trial(failures, trial, "trop dual A.mat x.vec", A=a, x=x, y=y) as fail:
+            tx, ty = theta(a, x), theta_prime(a, y)
+            if tx != theta_oracle(a, x, ROW):
+                fail("theta(x) != A*(-x)^T")
+                continue
+            if ty != theta_oracle(a, y, COL):
+                fail("theta_prime(y) != (-y)^T*A", inverse)
+                continue
+            if theta_prime(a, tx) != x:
+                fail("theta_prime(theta(x)) != x on R(A)")
+                continue
+            if theta(a, ty) != y:
+                fail("theta(theta_prime(y)) != y on C(A)", inverse)
+                continue
+            fin = s.matrix(rows, cols, EntryPool.for_domain(Domain.FT))
+            xf = s.span_member(fin.row_vectors(), EntryPool.for_domain(Domain.FT))
+            with _trial(failures, trial, "trop dual A.mat x.vec", A=fin, x=xf) as fail:
+                img = theta(fin, xf)
+                if img != theta_oracle(fin, xf, ROW):
+                    fail("theta(x) != A*(-x)^T on a finitary row-space member")
+                elif not all(e.is_finite for e in img.entries):
+                    fail("duality image of a finitary row-space member is not finite")
+                elif theta_prime(fin, img) != xf:
+                    fail("finitary round-trip broke")
 
 
 def _p6_anti_isomorphism(cfg, s, failures):
@@ -354,16 +367,15 @@ def _p6_anti_isomorphism(cfg, s, failures):
         m = s.matrix(rows, cols)
         x = s.span_member(m.row_vectors())
         y = s.span_member(m.row_vectors())
-        lhs = bracket(x, y)
-        rhs = bracket(theta(m, y), theta(m, x))
-        if lhs != rhs:
-            _fail(failures, trial, f"bracket not reversed: {lhs} vs {rhs}",
-                  "trop bracket x.vec y.vec", A=m, x=x, y=y)
-            continue
-        lam = s.finite_scalar()
-        if theta(m, scale(lam, x)) != scale(neg(lam), theta(m, x)):
-            _fail(failures, trial, f"anti-homogeneity broken at lam={lam}",
-                  "trop dual A.mat x.vec", A=m, x=x, y=y)
+        with _trial(failures, trial, "trop dual A.mat x.vec", A=m, x=x, y=y) as fail:
+            lhs = bracket(x, y)
+            rhs = bracket(theta(m, y), theta(m, x))
+            if lhs != rhs:
+                fail(f"bracket not reversed: {lhs} vs {rhs}", "trop bracket x.vec y.vec")
+                continue
+            lam = s.finite_scalar()
+            if theta(m, scale(lam, x)) != scale(neg(lam), theta(m, x)):
+                fail(f"anti-homogeneity broken at lam={lam}")
 
 
 def _p7_antitone(cfg, s, failures):
@@ -372,9 +384,9 @@ def _p7_antitone(cfg, s, failures):
         m = s.matrix(rows, cols)
         x = s.span_member(m.row_vectors())
         y = vec_oplus(x, s.span_member(m.row_vectors()))  # x <= y inside R(A)
-        if not vec_leq(theta(m, y), theta(m, x)):
-            _fail(failures, trial, "duality map is not order reversing",
-                  "trop dual A.mat x.vec", A=m, x=x, y=y)
+        with _trial(failures, trial, "trop dual A.mat x.vec", A=m, x=x, y=y) as fail:
+            if not vec_leq(theta(m, y), theta(m, x)):
+                fail("duality map is not order reversing")
 
 
 def _p8_isometry(cfg, s, failures):
@@ -383,14 +395,15 @@ def _p8_isometry(cfg, s, failures):
         m = s.matrix(rows, cols)
         x = s.span_member(m.row_vectors())
         y = s.span_member(m.row_vectors())
-        d1 = hilbert(x, y)
-        d2 = hilbert(theta(m, x), theta(m, y))
-        if d1 != d2:
-            _fail(failures, trial, f"duality map is not an isometry: {d1} vs {d2}",
-                  "trop metric x.vec y.vec", A=m, x=x, y=y)
+        with _trial(failures, trial, "trop metric x.vec y.vec", A=m, x=x, y=y) as fail:
+            d1 = hilbert(x, y)
+            d2 = hilbert(theta(m, x), theta(m, y))
+            if d1 != d2:
+                fail(f"duality map is not an isometry: {d1} vs {d2}")
 
 
 def _p9_changecoords(cfg, s, failures):
+    replay = "trop bracket a.vec b.vec"
     for trial in range(cfg.trials):
         dim = s.dim(cfg.dim_range)
         k = s.rng.randint(1, max(2, dim))
@@ -401,18 +414,17 @@ def _p9_changecoords(cfg, s, failures):
             return TropVector(span.membership(v)[1], ROW)
 
         a, b = s.vector(dim), s.vector(dim)
-        if not leq(bracket(a, b), bracket(coeff_vector(a), coeff_vector(b))):
-            _fail(failures, trial, "coordinate-change inequality broken",
-                  "trop bracket a.vec b.vec", a=a, b=b)
-            continue
-        am = s.span_member(gens)
-        bm = s.span_member(gens)
-        lhs = bracket(am, bm)
-        rhs = bracket(coeff_vector(am), coeff_vector(bm))
-        if lhs != rhs:
-            _fail(failures, trial,
-                  f"coordinate-change equality broken on span members: {lhs} vs {rhs}",
-                  "trop bracket a.vec b.vec", a=am, b=bm)
+        with _trial(failures, trial, replay, a=a, b=b) as fail:
+            if not leq(bracket(a, b), bracket(coeff_vector(a), coeff_vector(b))):
+                fail("coordinate-change inequality broken")
+                continue
+            am = s.span_member(gens)
+            bm = s.span_member(gens)
+            with _trial(failures, trial, replay, a=am, b=bm) as fail:
+                lhs = bracket(am, bm)
+                rhs = bracket(coeff_vector(am), coeff_vector(bm))
+                if lhs != rhs:
+                    fail(f"coordinate-change equality broken on span members: {lhs} vs {rhs}")
 
 
 def _p10_kernel_witness(cfg, s, failures):
@@ -431,17 +443,14 @@ def _p10_kernel_witness(cfg, s, failures):
                 break
         if z is None:
             continue  # row space filled everything we sampled; skip trial
-        try:
+        with _trial(failures, trial, B=b, z=z) as fail:
             x, y = kernel_witness(b, z)
-        except TropError as exc:
-            _fail(failures, trial, f"kernel witness construction failed: {exc}", B=b, z=z)
-            continue
-        bx = mat_mul(b, x.as_matrix())
-        by = mat_mul(b, y.as_matrix())
-        zx = mat_mul(z.as_matrix(), x.as_matrix())
-        zy = mat_mul(z.as_matrix(), y.as_matrix())
-        if bx != by or zx == zy:
-            _fail(failures, trial, "kernel witness identities do not hold", B=b, z=z)
+            bx = mat_mul(b, x.as_matrix())
+            by = mat_mul(b, y.as_matrix())
+            zx = mat_mul(z.as_matrix(), x.as_matrix())
+            zy = mat_mul(z.as_matrix(), y.as_matrix())
+            if bx != by or zx == zy:
+                fail("kernel witness identities do not hold")
 
 
 def _p11_landr_consistency(cfg, s, failures):
@@ -455,22 +464,19 @@ def _p11_landr_consistency(cfg, s, failures):
         if trial % 2:
             # bias towards positive instances: A = B*X is always <=_R B
             a = mat_mul(b, s.matrix(n, n, pool))
-
-        def fail(description):
-            _fail(failures, trial, description, "trop green A.mat B.mat --relation leq-r",
-                  A=a, B=b)
-
-        verdict = leq_R(a, b)
-        gens = b.col_vectors()
-        by_membership = all(_member_oracle(gens, a.col(j)) for j in range(n))
-        if verdict.holds != by_membership:
-            fail(f"principal-solution route says {verdict.holds}, membership route "
-                 f"says {by_membership}")
-            continue
-        if verdict.holds:
-            ((_, x),) = verdict.witnesses
-            if mat_mul(b, x) != a:
-                fail("returned witness does not re-multiply")
+        with _trial(failures, trial, "trop green A.mat B.mat --relation leq-r",
+                    A=a, B=b) as fail:
+            verdict = leq_R(a, b)
+            gens = b.col_vectors()
+            by_membership = all(_member_oracle(gens, a.col(j)) for j in range(n))
+            if verdict.holds != by_membership:
+                fail(f"principal-solution route says {verdict.holds}, membership route "
+                     f"says {by_membership}")
+                continue
+            if verdict.holds:
+                ((_, x),) = verdict.witnesses
+                if mat_mul(b, x) != a:
+                    fail("returned witness does not re-multiply")
 
 
 def _p12_inheritance(cfg, s, failures):
@@ -480,49 +486,44 @@ def _p12_inheritance(cfg, s, failures):
         n = s.dim(cfg.dim_range)
         a = s.matrix(n, n, ft)
         b = s.matrix(n, n, ft)
-        verdicts = [leq_R(a, b, domain=d).holds for d in (Domain.FT, Domain.T, Domain.TBAR)]
-        if len(set(verdicts)) != 1:
-            _fail(failures, trial, f"verdicts differ across domains: {verdicts}",
-                  "trop green A.mat B.mat --relation leq-r --domain ft", A=a, B=b)
-            continue
-        # witness transfer, finitary side: B*P = A with -inf entries in P
-        bf = s.matrix(n, n, ft)
-        cols = [list(c) for c in transpose(s.matrix(n, n, t)).entries]
-        for col in cols:
-            if all(e.is_neg_inf for e in col):
-                col[s.rng.randrange(n)] = s.finite_scalar()
-        p = transpose(TropMatrix(cols))
-        af = mat_mul(bf, p)
-        try:
-            p_ft = finitize_witness_ft(bf, af, p)
-        except TropError as exc:
-            _fail(failures, trial, f"finitize transfer failed: {exc}", B=bf, P=p)
-            continue
-        if mat_mul(bf, p_ft) != af or p_ft.domain() != Domain.FT:
-            _fail(failures, trial, "finitized witness is wrong", B=bf, P=p)
-            continue
-        # completed side: +inf entries only ever hit an all -inf column of B
-        rows = s.matrix(n, n, t).entries
-        kill = s.rng.randrange(n)
-        bt = TropMatrix(
-            [[NEG_INF if j == kill else rows[i][j] for j in range(n)] for i in range(n)]
-        )
-        rows = s.matrix(n, n, t).entries
-        pt = TropMatrix(
-            [
-                [POS_INF if i == kill and s.rng.random() < 0.6 else rows[i][j]
-                 for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        at = mat_mul(bt, pt)
-        try:
-            p_t = definitize_witness_t(bt, at, pt)
-        except TropError as exc:
-            _fail(failures, trial, f"definitize transfer failed: {exc}", B=bt, P=pt)
-            continue
-        if mat_mul(bt, p_t) != at or p_t.domain() > Domain.T:
-            _fail(failures, trial, "definitized witness is wrong", B=bt, P=pt)
+        with _trial(failures, trial, "trop green A.mat B.mat --relation leq-r --domain ft",
+                    A=a, B=b) as fail:
+            verdicts = [leq_R(a, b, domain=d).holds for d in (Domain.FT, Domain.T, Domain.TBAR)]
+            if len(set(verdicts)) != 1:
+                fail(f"verdicts differ across domains: {verdicts}")
+                continue
+            # witness transfer, finitary side: B*P = A with -inf entries in P
+            bf = s.matrix(n, n, ft)
+            cols = [list(c) for c in transpose(s.matrix(n, n, t)).entries]
+            for col in cols:
+                if all(e.is_neg_inf for e in col):
+                    col[s.rng.randrange(n)] = s.finite_scalar()
+            p = transpose(TropMatrix(cols))
+            with _trial(failures, trial, B=bf, P=p) as fail:
+                af = mat_mul(bf, p)
+                p_ft = finitize_witness_ft(bf, af, p)
+                if mat_mul(bf, p_ft) != af or p_ft.domain() != Domain.FT:
+                    fail("finitized witness is wrong")
+                    continue
+                # completed side: +inf entries only ever hit an all -inf column of B
+                rows = s.matrix(n, n, t).entries
+                kill = s.rng.randrange(n)
+                bt = TropMatrix(
+                    [[NEG_INF if j == kill else rows[i][j] for j in range(n)] for i in range(n)]
+                )
+                rows = s.matrix(n, n, t).entries
+                pt = TropMatrix(
+                    [
+                        [POS_INF if i == kill and s.rng.random() < 0.6 else rows[i][j]
+                         for j in range(n)]
+                        for i in range(n)
+                    ]
+                )
+                with _trial(failures, trial, B=bt, P=pt) as fail:
+                    at = mat_mul(bt, pt)
+                    p_t = definitize_witness_t(bt, at, pt)
+                    if mat_mul(bt, p_t) != at or p_t.domain() > Domain.T:
+                        fail("definitized witness is wrong")
 
 
 def _perm_scale_variant(s, a):
@@ -532,22 +533,16 @@ def _perm_scale_variant(s, a):
     return scale_columns(a, perm, [s.finite_scalar() for _ in perm])
 
 
-def _bridge_ok(v, a, b):
-    """The D bridge exists and re-verifies: R(bridge) = R(a), C(bridge) = C(b)."""
-    return (
+def _decide_d(fail, label, a, b):
+    """rel_D(a, b).holds, recording a failure if a positive verdict's
+    bridge does not re-verify: R(bridge) = R(a) and C(bridge) = C(b)."""
+    v = rel_D(a, b)
+    if v.holds and not (
         v.bridge is not None
         and span_equal(row_span(v.bridge), row_span(a))
         and span_equal(col_span(v.bridge), col_span(b))
-    )
-
-
-def _decide_d(failures, trial, label, a, b):
-    """rel_D(a, b).holds, recording a failure if a positive verdict's
-    bridge does not re-verify."""
-    v = rel_D(a, b)
-    if v.holds and not _bridge_ok(v, a, b):
-        _fail(failures, trial, f"bridge for {label} fails span equalities",
-              "trop green A.mat B.mat --relation d", A=a, B=b)
+    ):
+        fail(f"bridge for {label} fails span equalities", A=a, B=b)
     return v.holds
 
 
@@ -561,38 +556,30 @@ def _p13_d_positive(cfg, s, failures):
     rel_D(B, B^T).  Every positive verdict's bridge is re-verified.
     """
     pool = EntryPool.for_domain(Domain.T)
-    replay = "trop green A.mat B.mat --relation d"
     for trial in range(cfg.trials):
         n = s.dim(cfg.dim_range)
         a = s.matrix(n, n, pool)
         variant = _perm_scale_variant(s, a)
-        v = rel_D(a, variant)
-        if not v.holds:
-            _fail(failures, trial, "perm/scale variant not recognized as D-related",
-                  replay, A=a, B=variant)
-            continue
-        if not _bridge_ok(v, a, variant):
-            _fail(failures, trial, "bridge for perm/scale variant fails span equalities",
-                  replay, A=a, B=variant)
-            continue
-        at, bt = transpose(a), transpose(variant)
-        if not _decide_d(failures, trial, "transposed perm/scale pair", at, bt):
-            _fail(failures, trial, "transposed perm/scale pair not recognized as D-related",
-                  replay, A=at, B=bt)
-        verdict = _decide_d(failures, trial, "matrix vs its transpose", a, at)
-        for label, x, y in (
-            ("transpose vs its matrix", at, a),
-            ("perm/scale variant vs its transpose", variant, bt),
-        ):
-            other = _decide_d(failures, trial, label, x, y)
-            if other != verdict:
-                _fail(failures, trial,
-                      f"D verdict for matrix vs its transpose is {verdict}, "
-                      f"for {label} {other}",
-                      replay, A=a, B=at, V=variant)
-        if n == 2 and not verdict:
-            _fail(failures, trial, "2x2 matrix is not D-related to its transpose",
-                  replay, A=a, B=at)
+        with _trial(failures, trial, "trop green A.mat B.mat --relation d",
+                    A=a, B=variant) as fail:
+            if not _decide_d(fail, "perm/scale variant", a, variant):
+                fail("perm/scale variant not recognized as D-related")
+                continue
+            at, bt = transpose(a), transpose(variant)
+            if not _decide_d(fail, "transposed perm/scale pair", at, bt):
+                fail("transposed perm/scale pair not recognized as D-related", A=at, B=bt)
+            verdict = _decide_d(fail, "matrix vs its transpose", a, at)
+            for label, x, y in (
+                ("transpose vs its matrix", at, a),
+                ("perm/scale variant vs its transpose", variant, bt),
+            ):
+                other = _decide_d(fail, label, x, y)
+                if other != verdict:
+                    fail(f"D verdict for matrix vs its transpose is {verdict}, "
+                         f"for {label} {other}",
+                         A=a, B=at, V=variant)
+            if n == 2 and not verdict:
+                fail("2x2 matrix is not D-related to its transpose", A=a, B=at)
 
 
 def _p14_extension_calculus(cfg, s, failures):
@@ -609,36 +596,31 @@ def _p14_extension_calculus(cfg, s, failures):
         else:
             a2 = s.vector(dim, ROW, pool)
             b2 = s.vector(dim, ROW, pool)
-        canonical = extended_pair(a, b) == extended_pair(a2, b2)
-        direct = welldef_criterion(a, b, a2, b2)
-        if canonical != direct:
-            _fail(failures, trial,
-                  f"canonical-form equality is {canonical} but the direct large-lambda "
-                  f"criterion gives {direct}",
-                  a=a, b=b, a2=a2, b2=b2)
-            continue
-        # trichotomy of adjoined elements over a random T-span
-        k = s.rng.randint(1, max(2, dim))
-        gens = [s.vector(dim, COL, pool) for _ in range(k)]
-        span = ConvexSpan(gens)
-        coeffs = [s.scalar(tbar) for _ in range(k)]
-        x = span.combine(coeffs)
-        has_inf = any(e.is_pos_inf for e in x.entries)
-        if not has_inf:
-            if not span.member(x):
-                _fail(failures, trial, "+inf-free combination escaped the generating span",
-                      "trop member x.vec S.mat --orientation col",
-                      S=span.matrix, x=x)
+        with _trial(failures, trial, a=a, b=b, a2=a2, b2=b2) as fail:
+            canonical = extended_pair(a, b) == extended_pair(a2, b2)
+            direct = welldef_criterion(a, b, a2, b2)
+            if canonical != direct:
+                fail(f"canonical-form equality is {canonical} but the direct large-lambda "
+                     f"criterion gives {direct}")
                 continue
-        else:
-            apart = span.combine([ZERO if c.is_pos_inf else NEG_INF for c in coeffs])
-            bpart = span.combine([NEG_INF if c.is_pos_inf else c for c in coeffs])
-            if apart == zero_vector(dim, COL):
-                _fail(failures, trial, "element with +inf had a zero a-part")
-                continue
-            if extended_pair(apart, bpart) != x:
-                _fail(failures, trial, "inf*a + b decomposition does not reproduce x")
-                continue
+            # trichotomy of adjoined elements over a random T-span
+            k = s.rng.randint(1, max(2, dim))
+            gens = [s.vector(dim, COL, pool) for _ in range(k)]
+            span = ConvexSpan(gens)
+            coeffs = [s.scalar(tbar) for _ in range(k)]
+            x = span.combine(coeffs)
+            with _trial(failures, trial, S=span.matrix, x=x) as fail:
+                if not any(e.is_pos_inf for e in x.entries):
+                    if not span.member(x):
+                        fail("+inf-free combination escaped the generating span",
+                             "trop member x.vec S.mat --orientation col")
+                    continue
+                apart = span.combine([ZERO if c.is_pos_inf else NEG_INF for c in coeffs])
+                bpart = span.combine([NEG_INF if c.is_pos_inf else c for c in coeffs])
+                if apart == zero_vector(dim, COL):
+                    fail("element with +inf had a zero a-part")
+                elif extended_pair(apart, bpart) != x:
+                    fail("inf*a + b decomposition does not reproduce x")
     # well-definedness and linearity of the pushed-forward map, on
     # verified isomorphisms between constructed span pairs
     g_trials = max(1, cfg.trials // 10)
@@ -646,46 +628,41 @@ def _p14_extension_calculus(cfg, s, failures):
         n = s.rng.randint(2, 4)
         a_mat = s.matrix(n, n, pool)
         b_mat = _perm_scale_variant(s, a_mat)
-        verdict = rel_D(a_mat, b_mat)
-        if not verdict.holds or verdict.iso.k == 0:
-            continue  # a no is covered by P13; the zero span has nothing to adjoin
-        g = verdict.iso
-        xa = s.span_member(g.source, pool)
-        xb = s.span_member(g.source, pool)
-        mu1, mu2 = s.finite_scalar(), s.finite_scalar()
-        ya = vec_oplus(xa, scale(mu1, xa))
-        yb = vec_oplus(xb, scale(mu2, xa))
-        p1 = extended_pair(xa, xb)
-        p2 = extended_pair(ya, yb)
-        if p1 != p2:
-            _fail(failures, trial, "constructed equal decompositions disagree")
-            continue
-        img1 = extend_iso_pair(g, xa, xb)
-        img2 = extend_iso_pair(g, ya, yb)
-        if img1 != img2:
-            _fail(failures, trial,
-                  "extension of the isomorphism is not well-defined: equal elements "
-                  "map to different elements",
-                  A=a_mat, B=b_mat)
-            continue
-        # linearity: sums and TBAR scalings commute with the extension
-        za = s.span_member(g.source, pool)
-        zb = s.span_member(g.source, pool)
-        q1 = extend_iso_pair(g, za, zb)
-        added = extend_iso_pair(g, vec_oplus(xa, za), vec_oplus(xb, zb))
-        if added != vec_oplus(img1, q1):
-            _fail(failures, trial, "extension does not respect addition")
-            continue
-        lam = s.finite_scalar()
-        if extend_iso_pair(g, scale(lam, xa), scale(lam, xb)) != scale(lam, img1):
-            _fail(failures, trial, "extension does not respect finite scaling")
-            continue
-        zv = zero_vector(xa.dim, xa.orientation)
-        if extend_iso_pair(g, zv, zv) != scale(NEG_INF, img1):
-            _fail(failures, trial, "extension does not respect scaling by -inf")
-            continue
-        if extend_iso_pair(g, vec_oplus(xa, xb), zv) != scale(POS_INF, img1):
-            _fail(failures, trial, "extension does not respect scaling by +inf")
+        with _trial(failures, trial, A=a_mat, B=b_mat) as fail:
+            verdict = rel_D(a_mat, b_mat)
+            if not verdict.holds or verdict.iso.k == 0:
+                continue  # a no is covered by P13; the zero span has nothing to adjoin
+            g = verdict.iso
+            xa = s.span_member(g.source, pool)
+            xb = s.span_member(g.source, pool)
+            mu1, mu2 = s.finite_scalar(), s.finite_scalar()
+            ya = vec_oplus(xa, scale(mu1, xa))
+            yb = vec_oplus(xb, scale(mu2, xa))
+            if extended_pair(xa, xb) != extended_pair(ya, yb):
+                fail("constructed equal decompositions disagree")
+                continue
+            img1 = extend_iso_pair(g, xa, xb)
+            if extend_iso_pair(g, ya, yb) != img1:
+                fail("extension of the isomorphism is not well-defined: equal elements "
+                     "map to different elements")
+                continue
+            # linearity: sums and TBAR scalings commute with the extension
+            za = s.span_member(g.source, pool)
+            zb = s.span_member(g.source, pool)
+            q1 = extend_iso_pair(g, za, zb)
+            added = extend_iso_pair(g, vec_oplus(xa, za), vec_oplus(xb, zb))
+            if added != vec_oplus(img1, q1):
+                fail("extension does not respect addition")
+                continue
+            lam = s.finite_scalar()
+            if extend_iso_pair(g, scale(lam, xa), scale(lam, xb)) != scale(lam, img1):
+                fail("extension does not respect finite scaling")
+                continue
+            zv = zero_vector(xa.dim, xa.orientation)
+            if extend_iso_pair(g, zv, zv) != scale(NEG_INF, img1):
+                fail("extension does not respect scaling by -inf")
+            elif extend_iso_pair(g, vec_oplus(xa, xb), zv) != scale(POS_INF, img1):
+                fail("extension does not respect scaling by +inf")
 
 
 def span_key(span: ConvexSpan):
@@ -765,12 +742,11 @@ def _p15_oracle_agreement(cfg, s, failures):
             (s.rng.choice(all_mats), s.rng.choice(all_mats)) for _ in range(cfg.trials)
         )
     for trial, (a, b) in enumerate(pairs):
-        got = rel_D(a, b).holds
-        want = index.bridge(a, b) is not None
-        if got != want:
-            _fail(failures, trial,
-                  f"decision procedure says {got} but exhaustive bridge search says {want}",
-                  "trop green A.mat B.mat --relation d", A=a, B=b)
+        with _trial(failures, trial, "trop green A.mat B.mat --relation d", A=a, B=b) as fail:
+            got = rel_D(a, b).holds
+            want = index.bridge(a, b) is not None
+            if got != want:
+                fail(f"decision procedure says {got} but exhaustive bridge search says {want}")
 
 
 def _p16_bridge_net(cfg, s, failures):
@@ -787,11 +763,11 @@ def _p16_bridge_net(cfg, s, failures):
         # first grid matrix with that row (column) space
         a = index.row_reps[rk].matrix
         b = index.col_reps[ck].matrix
-        if not rel_D(a, b).holds:
-            _fail(failures, trial,
-                  "decision procedure says False but the grid bridge D has "
-                  "R(D) = R(A) and C(D) = C(B)",
-                  "trop green A.mat B.mat --relation d", A=a, B=b, D=d)
+        with _trial(failures, trial, "trop green A.mat B.mat --relation d",
+                    A=a, B=b, D=d) as fail:
+            if not rel_D(a, b).holds:
+                fail("decision procedure says False but the grid bridge D has "
+                     "R(D) = R(A) and C(D) = C(B)")
 
 
 PROPERTIES = {

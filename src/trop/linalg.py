@@ -97,11 +97,16 @@ class _Dense:
         return rows == other_rows
 
     def domain(self) -> Domain:
-        """The least domain holding every entry: the sentinels decide."""
-        rows = self._packed[1]
-        if any(_POS in row for row in rows):
-            return Domain.TBAR
-        return Domain.T if any(_NEG in row for row in rows) else Domain.FT
+        """The least domain holding every entry, in one pass: the
+        sentinels decide, and the first +inf ends it."""
+        found = Domain.FT
+        for row in self._packed[1]:
+            for e in row:
+                if e is _POS:
+                    return Domain.TBAR
+                if e is _NEG:
+                    found = Domain.T
+        return found
 
 
 class TropVector(_Dense):

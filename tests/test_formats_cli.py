@@ -15,7 +15,14 @@ from trop import formats, harness
 from trop.cli import main
 from trop.convex import ConvexSpan
 from trop.duality import IsoDescriptor, identity_descriptor
-from trop.errors import ParseError, TropError
+from trop.errors import (
+    DomainError,
+    ParseError,
+    PreconditionError,
+    SizeLimitError,
+    TropError,
+    VerificationError,
+)
 from trop.greens import RELATIONS, GreenVerdict, leq_R, rel_D
 from trop.linalg import (
     COL,
@@ -597,6 +604,75 @@ def test_counterexample_files_keep_every_failure_of_a_trial(tmp_path, monkeypatc
         for name, block in failure.artifacts:
             assert (out / f"{stem}_{name}").read_text() == block
     assert len(list(out.iterdir())) == 4 * len(stems)
+
+
+@pytest.mark.parametrize(
+    "pid, name, error, artifacts, replay",
+    [
+        ("P5", "theta", DomainError, ["A.mat", "x.vec", "y.vec"], "trop dual A.mat x.vec"),
+        ("P10", "kernel_witness", PreconditionError, ["B.mat", "z.vec"], ""),
+        ("P12", "finitize_witness_ft", PreconditionError, ["B.mat", "P.mat"], ""),
+        ("P16", "rel_D", VerificationError, ["A.mat", "B.mat", "D.mat"],
+         "trop green A.mat B.mat --relation d"),
+    ],
+)
+def test_an_error_inside_a_trial_is_that_trials_failure(
+    tmp_path, monkeypatch, pid, name, error, artifacts, replay
+):
+    # the code under test raising is a failing trial that keeps its
+    # inputs, not an error that ends the run without a report
+    def raising(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(harness, name, raising)
+    report = harness.run_property(harness.default_config(pid, trials=4))
+    assert [f.trial for f in report.failures] == [0, 1, 2, 3]
+    for failure in report.failures:
+        assert failure.description == f"{error.__name__}: injected"
+        assert [n for n, _ in failure.artifacts] == artifacts
+        assert failure.replay == replay
+    out = tmp_path / "out"
+    argv = ["check", "--property", pid, "--trials", "4", "--counterexamples", str(out)]
+    assert _run(argv)[:2] == (1, report.to_text())
+    for failure in report.failures:
+        stem = f"{pid.lower()}_trial{failure.trial}"
+        for n, block in failure.artifacts:
+            assert (out / f"{stem}_{n}").read_text() == block
+    assert len(list(out.iterdir())) == (len(artifacts) + 1) * 4
+
+
+def test_p13_re_verifies_every_bridge_through_one_path(monkeypatch):
+    # a yes whose bridge is missing fails re-verification on each pair,
+    # the perm/scale variant included, and the trial goes on
+    real = harness.rel_D
+    monkeypatch.setattr(harness, "rel_D", lambda a, b: real(a, b)._replace(bridge=None))
+    report = harness.run_property(harness.default_config("P13", trials=2))
+    first = report.failures[0]
+    assert first.description == "bridge for perm/scale variant fails span equalities"
+    assert [n for n, _ in first.artifacts] == ["A.mat", "B.mat"]
+    assert first.replay == "trop green A.mat B.mat --relation d"
+    labels = {f.description for f in report.failures if f.trial == 0}
+    assert "bridge for transposed perm/scale pair fails span equalities" in labels
+    assert all(f.description.endswith("fails span equalities") for f in report.failures)
+
+
+def test_cli_check_size_guard_and_setup_errors_end_the_run(monkeypatch):
+    # a guard's refusal inside a trial is not a verdict: identity-sized
+    # 9x9 draws have weak bases past 8, and the run ends with exit 2
+    argv = ["check", "--property", "P13", "--dims", "9:9", "--trials", "3"]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    _assert_one_line_error(err)
+    assert "guards at weak basis size <= 8" in err
+    # the bridge index refusing its own keys happens before any trial
+    monkeypatch.setattr(harness, "span_key", lambda span: 0)
+    monkeypatch.setattr(
+        harness, "_oracle_index", lambda grid, n: harness.BridgeOracleIndex((NEG_INF, ZERO), 1)
+    )
+    code, out, err = _run(["check", "--property", "P15", "--trials", "1"])
+    assert (code, out) == (2, "")
+    _assert_one_line_error(err)
+    assert "collided on unequal spans" in err
 
 
 def test_harness_records_keep_their_defaults_and_keywords():
