@@ -162,8 +162,6 @@ def _parse_dims(raw):
         lo, hi = int(lo), int(hi or lo)
     except ValueError:
         raise TropError(f"bad dimension range {raw!r} (expected lo:hi)") from None
-    if not 1 <= lo <= hi:
-        raise TropError(f"bad dimension range {raw!r} (expected 1 <= lo <= hi)")
     return lo, hi
 
 

@@ -294,13 +294,6 @@ def _d_search(tables_e, tables_f):
         return
 
 
-_UNCERTIFIED = {
-    "descriptor": "matched descriptor failed the row space check",
-    ROW: "bridge failed row space check",
-    COL: "bridge failed column space check",
-}
-
-
 def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -> GreenVerdict:
     """A D B for +inf-free square matrices: are the column spaces
     isomorphic as semimodules?
@@ -310,8 +303,10 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
     and the match, if any, a yes whose certificate runs over the same
     ints: R(E) = R(G) for G = F_sigma * diag lambda, then the bridge
     D = G * X (X the principal solution of E * X = A) with R(D) = R(A)
-    and C(D) = C(B).  Refutations are complete by construction.  A
-    declared domain is checked as for leq_R, and must not be TBAR.
+    and C(D) = C(B); ``DFrame.certify`` raises VerificationError at the
+    first of these checks that fails.  Refutations are complete by
+    construction.  A declared domain is checked as for leq_R, and must
+    not be TBAR.
     """
     dom = _validate_pair(a, b, domain)
     if dom > Domain.T:
@@ -342,9 +337,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
         if stage is not None:
             refuted.append((sigma, stage))
             continue
-        bridge, failed = frame.certify(sigma, lambdas)
-        if failed is not None:
-            raise VerificationError(f"rel_D: {_UNCERTIFIED[failed]}")
+        bridge = frame.certify(sigma, lambdas)
         basis_a, basis_b = (
             ConvexSpan([], n, COL) if m is None else col_span(m) for m in frame.bases()
         )

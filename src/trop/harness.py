@@ -818,6 +818,12 @@ def default_config(property_id, seed=0, trials=None, dim_range=None, pool=None):
     if trials is not None and trials < 0:
         raise TropError(f"trials must be >= 0, got {trials}")
     _, _, defaults = PROPERTIES[property_id]
+    if dim_range is not None and not (
+        isinstance(dim_range, (tuple, list))
+        and [d.__class__ for d in dim_range] == [int, int]
+        and 1 <= dim_range[0] <= dim_range[1]
+    ):
+        raise TropError(f"bad dimension range {dim_range!r} (expected ints 1 <= lo <= hi)")
     if dim_range is not None and defaults["dim_range"] is None:
         raise TropError(f"{property_id} checks fixed sizes and takes no dimension range")
     if pool is not None and defaults["domain"] is None:

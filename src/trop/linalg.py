@@ -45,14 +45,16 @@ X from ``_residuate``: the columns of A over the weak basis of C(A),
 the one caller besides ``residuate`` that keeps coefficients.  The
 certificate of a yes is three span checks: the descriptor's row
 spaces, then the bridge's row space against A and its column space
-against B.
+against B.  ``certify`` returns the bridge, or raises the verdict's
+VerificationError at the first check that fails, so the checks and
+their wording live in one place.
 """
 
 from itertools import compress
 from math import lcm
 from operator import le
 
-from .errors import ShapeError
+from .errors import ShapeError, VerificationError
 from .semiring import (
     NEG_INF,
     POS_INF,
@@ -246,7 +248,7 @@ def zero_vector(dim, orientation=ROW) -> TropVector:
 
 def pack(seqs):
     """Pack scalar sequences as ``(den, rows)`` over their least common
-    denominator."""
+    denominator: the one encoder of scalars into the packed form."""
     seqs = tuple(seqs)
     den = lcm(*{e.den for s in seqs for e in s})  # an infinity's den is 1
     return den, [
@@ -484,26 +486,23 @@ class DFrame:
         )
 
     def certify(self, sigma, lambdas):
-        """Check the match e_i -> lambdas_i * f_sigma(i), lambdas ints
-        over den, and build its bridge D = G * X, for G = F_sigma * diag
-        lambdas and X the principal solution of E * X = A.  Returns D
-        and the first check that fails, or None: "descriptor" for
-        R(E) != R(G), ROW for a column of A outside C(E) or for
-        R(D) != R(A), and COL for C(D) != C(B).  D is None when the
-        descriptor fails or X misses a column of A."""
+        """The bridge of the match e_i -> lambdas_i * f_sigma(i), lambdas
+        ints over den: D = G * X, for G = F_sigma * diag lambdas and X
+        the principal solution of E * X = A, once R(E) = R(G), R(D) =
+        R(A) and C(D) = C(B) hold.  The first check that fails raises
+        VerificationError with rel_D's message for it; a column of A
+        outside C(E) fails the row space check before D is built."""
         e, f = self._bases
         g = [tuple([n if n is _NEG else n + lam for n in f[s]]) for s, lam in zip(sigma, lambdas)]
         if not _same(list(zip(*e)), list(zip(*g))):
-            return None, "descriptor"
+            raise VerificationError("rel_D: matched descriptor failed the row space check")
         xs, outside = _residuate(e, self._cols[0])
-        if outside is not None:
-            return None, ROW
-        cols_d = [_combine(x, g, len(self._rows_a)) for x in xs]
-        rows_d = list(zip(*cols_d))
-        d = TropMatrix._of((self.den, rows_d))
-        if not _same(rows_d, self._rows_a):
-            return d, ROW
-        return d, (None if _same(cols_d, self._cols[1]) else COL)
+        cols_d = None if outside is not None else [_combine(x, g, len(self._rows_a)) for x in xs]
+        if cols_d is None or not _same(rows_d := list(zip(*cols_d)), self._rows_a):
+            raise VerificationError("rel_D: bridge failed row space check")
+        if not _same(cols_d, self._cols[1]):
+            raise VerificationError("rel_D: bridge failed column space check")
+        return TropMatrix._of((self.den, rows_d))
 
 
 def _t_values(ns):
@@ -550,11 +549,8 @@ def scale_columns(gens, sigma, lambdas):
 
 def scale(lam: TropScalar, x: TropVector) -> TropVector:
     """Tropical scaling: add lam to every entry."""
-    lam = _lift(lam)
-    den = lcm(x._packed[0], lam.den)  # an infinity's den is 1
-    c = _INF[k] if (k := lam.kind) in _INF else lam.num * (den // lam.den)
-    (xs,) = _rescale(x._packed, den)
-    return TropVector._of((den, [_combine((c,), (xs,), len(xs))]), x.orientation)
+    den, (coeffs,), (xs,) = _align(pack(((_lift(lam),),)), x._packed)
+    return TropVector._of((den, [_combine(coeffs, (xs,), len(xs))]), x.orientation)
 
 
 def vec_neg(x: TropVector) -> TropVector:

@@ -56,9 +56,16 @@ class TropScalar:
     __slots__ = ("kind", "num", "den")
 
     def __init__(self, kind, value=None):
-        self.kind = kind  # _NEG | _FIN | _POS
-        # value: an int or a Fraction when finite, else None
-        self.num, self.den = (0, 1) if value is None else (value.numerator, value.denominator)
+        """kind _FIN with a value that ``finite`` takes, or _NEG or _POS
+        with none; anything else raises DomainError."""
+        if kind.__class__ is int and kind == _FIN:
+            x = finite(value)
+            self.num, self.den = x.num, x.den
+        elif kind.__class__ is int and kind in (_NEG, _POS) and value is None:
+            self.num, self.den = 0, 1
+        else:
+            raise DomainError(f"no scalar of kind {kind!r} with value {value!r}")
+        self.kind = kind
 
     @property
     def value(self):

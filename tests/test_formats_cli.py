@@ -281,6 +281,23 @@ def test_cli_check_bad_dims_exit_code(dims, capsys):
     assert err.startswith("error: bad dimension range") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "dim_range", [(5, 2), (0, 2), (-1, 3), (1,), (1, 2, 3), (1.0, 2), (True, 2), ("1", "2"), 3]
+)
+def test_harness_rejects_bad_dimension_ranges(dim_range):
+    # the library holds the rule the cli's --dims relies on: before it,
+    # (5, 2) built a config whose first draw raised a bare ValueError and
+    # (0, 2) one whose run stopped at a ShapeError
+    with pytest.raises(TropError, match="^bad dimension range "):
+        harness.default_config("P1", dim_range=dim_range)
+
+
+def test_harness_takes_good_dimension_ranges():
+    for dim_range in [(1, 1), (2, 5), [3, 4]]:
+        cfg = harness.default_config("P1", trials=3, dim_range=dim_range)
+        assert cfg.dim_range == dim_range and harness.run_property(cfg).ok
+
+
 def test_cli_check_json(capsys):
     assert main(["check", "--property", "P3", "--trials", "10", "--seed", "3",
                  "--format", "json"]) == 0

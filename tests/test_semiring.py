@@ -446,3 +446,19 @@ def test_value_is_read_only():
             x.value = 1
     assert (TropScalar(0, Fraction(-6, 4)).num, TropScalar(0, Fraction(-6, 4)).den) == (-3, 2)
     assert TropScalar(0, 5) == finite(5) and TropScalar(1) == POS_INF
+    assert TropScalar(0, "3/2") == ratio(3, 2)  # the value is read through finite
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, 5), (1, 0), (-1, Fraction(1, 2)), (7,), (2, 3), (0,), (0, None), (0, True),
+     (0, 1.5), (0, Decimal("1.5")), (True,), (1.0,), (None,), ("0", 3)],
+    ids=repr,
+)
+def test_constructor_refuses_what_finite_refuses(args):
+    # a finite kind reads its value through finite, an infinity takes no
+    # value, and no other kind exists: each of these built a scalar that
+    # printed as a valid token (or, for an inexact value, raised
+    # AttributeError)
+    with pytest.raises(DomainError):
+        TropScalar(*args)
