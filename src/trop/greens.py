@@ -4,11 +4,13 @@ Order relations reduce to span inclusion and are decided exactly by
 principal solutions; every positive verdict carries a witness that is
 re-multiplied before being returned.  The D relation is decided by
 matching weak bases in ``_d_search``, over the exact ints of a
-``linalg.DFrame`` (A and B aligned once to a common denominator).  It
-yields one record per permutation sigma it tries, ``(sigma, stage,
-None)`` for a refutation or ``(sigma, None, lambdas)`` for the first
-match; ``rel_D`` words the refutations and certifies a match over the
-same frame, boxing only the scalings, the descriptor and the bridge.
+``linalg.DFrame`` (A and B aligned once to a common denominator): the
+two bracket tables up front, and the basis values and row-space weak
+bases only once a permutation passes both bracket stages.  It yields
+one record per permutation sigma it tries, ``(sigma, stage, None)`` for
+a refutation or ``(sigma, None, lambdas)`` for the first match;
+``rel_D`` words the refutations and certifies a match over the same
+frame, boxing only the scalings, the descriptor and the bridge.
 """
 
 import itertools
@@ -74,11 +76,11 @@ def _validate_pair(a: TropMatrix, b: TropMatrix, domain):
     return domain
 
 
-def _leq(relation, label, orientation, a, b, domain):
-    """A <= B on one side: C(A) within C(B), with witness X: B*X = A, or
-    for ROW R(A) within R(B), with Y: Y*B = A.  The witness is the
-    principal solution, and the verdict is exactly its equation."""
-    dom = _validate_pair(a, b, domain)
+def _leq(relation, label, orientation, a, b, dom):
+    """A <= B on one side, for a pair that _validate_pair has passed as
+    domain dom: C(A) within C(B), with witness X: B*X = A, or for ROW
+    R(A) within R(B), with Y: Y*B = A.  The witness is the principal
+    solution, and the verdict is exactly its equation."""
     x, bad = residuate(b, a, orientation)
     if bad is None:
         return GreenVerdict(relation, True, dom, witnesses=((label, x),))
@@ -89,27 +91,28 @@ def _leq(relation, label, orientation, a, b, domain):
 
 def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
     """A <=_R B: C(A) within C(B), with witness X: B*X = A."""
-    return _leq(LEQ_R, "X", COL, a, b, domain)
+    return _leq(LEQ_R, "X", COL, a, b, _validate_pair(a, b, domain))
 
 
 def leq_L(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
     """A <=_L B: R(A) within R(B), with witness Y: Y*B = A."""
-    return _leq(LEQ_L, "Y", ROW, a, b, domain)
+    return _leq(LEQ_L, "Y", ROW, a, b, _validate_pair(a, b, domain))
 
 
 def rel(a: TropMatrix, b: TropMatrix, which: str, domain=None) -> GreenVerdict:
-    """Two-sided equivalences R, L, H via the one-sided pre-orders."""
+    """Two-sided equivalences R, L, H via the one-sided pre-orders.  The
+    pair is validated once, and in either order it is the same check."""
     if which not in (REL_R, REL_L, REL_H):
         raise ValueError(f"rel expects one of r/l/h, got {which!r}")
+    dom = _validate_pair(a, b, domain)
     parts = []
     if which in (REL_R, REL_H):
-        parts.append((leq_R(a, b, domain), "X"))
-        parts.append((leq_R(b, a, domain), "X2"))
+        parts.append((_leq(LEQ_R, "X", COL, a, b, dom), "X"))
+        parts.append((_leq(LEQ_R, "X", COL, b, a, dom), "X2"))
     if which in (REL_L, REL_H):
-        parts.append((leq_L(a, b, domain), "Y"))
-        parts.append((leq_L(b, a, domain), "Y2"))
+        parts.append((_leq(LEQ_L, "Y", ROW, a, b, dom), "Y"))
+        parts.append((_leq(LEQ_L, "Y", ROW, b, a, dom), "Y2"))
     holds = all(v.holds for v, _ in parts)
-    dom = parts[0][0].domain
     if holds:
         witnesses = tuple((label, v.witnesses[0][1]) for v, label in parts)
         return GreenVerdict(which, True, dom, witnesses=witnesses)
@@ -248,8 +251,12 @@ def _lambdas(brackets, forest, e, f):
     return tuple(lam[j] for j in range(k))
 
 
-def _d_search(tables_e, tables_f):
-    """The D search over the int tables of two weak bases E and F.
+def _d_search(table_e, table_f, row_side):
+    """The D search over the int bracket tables of two weak bases E and
+    F, with ``row_side()`` giving, for E and for F, the basis values and
+    the row-space weak basis (``DFrame.rows``); it is called once, at
+    the first sigma that passes both bracket stages, and not at all if
+    none does.
 
     e_i -> lambda_i * f_sigma(i) extends to an isomorphism iff R(E) =
     R(F_sigma * diag lambda).  Weak bases are unique up to scaling and
@@ -261,10 +268,8 @@ def _d_search(tables_e, tables_f):
     test it fails; the first match yields (sigma, None, lambdas), ints
     over the tables' denominator, and ends the search.
     """
-    (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = tables_e, tables_f
-    k = len(grid_e)
-    pats_e = list(map(_pattern, rows_e))
-    patterns_e = sorted(pats_e)
+    k = len(table_e)
+    rows_e = None
     pairs = [(i, j) for i in range(k) for j in range(k)]
     for sigma in itertools.permutations(range(k)):
         if any(
@@ -281,6 +286,10 @@ def _d_search(tables_e, tables_f):
         ):
             yield sigma, "bracket differences are inconsistent", None
             continue
+        if rows_e is None:
+            (grid_e, rows_e), (grid_f, rows_f) = row_side()
+            pats_e = list(map(_pattern, rows_e))
+            patterns_e = sorted(pats_e)
         rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
         pats_s = list(map(_pattern, rows_s))
         forest = None
@@ -333,7 +342,7 @@ def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -
 
     # brackets between nonzero T vectors are never +inf
     refuted = []
-    for sigma, stage, lambdas in _d_search(*frame.tables()):
+    for sigma, stage, lambdas in _d_search(*frame.tables(), frame.rows):
         if stage is not None:
             refuted.append((sigma, stage))
             continue

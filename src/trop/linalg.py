@@ -36,7 +36,8 @@ they leave each target once it is covered.  ``same_span`` compares two
 generator matrices over one alignment.
 
 ``DFrame`` is the D relation's one frame: A and B aligned once, the
-weak bases of their column spaces, the D search's tables and the
+weak bases of their column spaces, the D search's bracket tables, its
+row side (built only when the search reaches the row stage) and the
 certificate of a match, all over the same ints.  It finds the weak
 bases by the one greedy that ``weak_basis_matrix`` runs, from verdicts
 only.  The search's bracket tables come from the bracket kernel,
@@ -460,19 +461,24 @@ class DFrame:
         return tuple(map(len, self._bases))
 
     def tables(self):
-        """The D search's tables of E and of F.  Each holds, for its
-        basis g_1..g_k, the values of the g_i, the k x k bracket table
-        <g_i|g_j>, and the weak basis of the row space of its matrix;
-        finite values are Python ints times den, and -inf is None."""
-        tables = []
+        """The D search's bracket tables of E and of F: for each basis
+        g_1..g_k, the k x k table <g_i|g_j>, finite values Python ints
+        times den and -inf None."""
+        return tuple(
+            [_t_values([_residual(g, h) for h in basis]) for g in basis] for basis in self._bases
+        )
+
+    def rows(self):
+        """The D search's row side of E and of F: for each basis
+        g_1..g_k, the values of the g_i and the weak basis of the row
+        space of its matrix, encoded as in ``tables``.  Each call runs
+        two weak-basis greedies, so the search asks for it once, at the
+        first permutation that passes both bracket stages."""
+        side = []
         for basis in self._bases:
             rows = list(zip(*basis))
-            tables.append((
-                list(map(_t_values, basis)),
-                [_t_values([_residual(g, h) for h in basis]) for g in basis],
-                [_t_values(rows[i]) for i in _basis_kept(rows)],
-            ))
-        return tuple(tables)
+            side.append((list(map(_t_values, basis)), [_t_values(rows[i]) for i in _basis_kept(rows)]))
+        return tuple(side)
 
     def scalars(self, ns):
         """Ints over den as scalars."""

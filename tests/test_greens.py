@@ -159,6 +159,26 @@ def test_rel_witnesses_reverify():
     assert mat_mul(a, labels["X2"]) == b
 
 
+@pytest.mark.parametrize("which", [REL_R, REL_L, REL_H])
+def test_rel_validates_the_pair_once(monkeypatch, which):
+    # rel checks shapes and the domain of (A, B) once and hands the
+    # domain to its one-sided decisions; a bad pair raises as before
+    a = TropMatrix([[ZERO, finite(1)], [NEG_INF, ZERO]])
+    calls, validate = [], greens._validate_pair
+
+    def counting_validate(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(greens, "_validate_pair", counting_validate)
+    assert rel(a, transpose(a), which).domain == Domain.T
+    assert len(calls) == 1
+    with pytest.raises(DomainError):
+        rel(a, identity(2), which, Domain.FT)
+    with pytest.raises(ShapeError):
+        rel(identity(3), a, which)
+
+
 def test_finitize_witness_example():
     b = TropMatrix([[ZERO, ZERO], [ZERO, ZERO]])
     p = TropMatrix([[finite(1), NEG_INF], [NEG_INF, finite(1)]])
@@ -484,6 +504,20 @@ STAGE_BRACKETS = "bracket differences are inconsistent"
 STAGE_ROWS = "the row-space weak bases differ"
 
 
+def _search(e, f):
+    """_d_search's records on two hand-built tables, handed over as
+    DFrame hands them (the bracket tables, then the row side on
+    request), and how many times it asked for the row side."""
+    (grid_e, table_e, rows_e), (grid_f, table_f, rows_f) = e, f
+    asked = []
+
+    def row_side():
+        asked.append(True)
+        return (grid_e, rows_e), (grid_f, rows_f)
+
+    return list(_d_search(table_e, table_f, row_side)), len(asked)
+
+
 @pytest.mark.parametrize(
     "table_e, stage",
     [
@@ -496,13 +530,15 @@ def test_d_search_names_the_first_stage_that_fails(table_e, stage):
     # F's brackets are all 0, and its row-space weak basis has two rows
     # to E's one: the first table fails all three stages, the second
     # the last two, the third only the rows; each sigma is named by its
-    # first failing stage, one record per sigma, in permutation order
+    # first failing stage, one record per sigma, in permutation order,
+    # and the row side is asked for once if a sigma reaches it, else never
     e = ([(0,)] * 3, table_e, [(0, 0, 0)])
     f = ([(0,)] * 3, [(0, 0, 0)] * 3, [(0, 0, 0), (0, 1, 2)])
-    assert list(_d_search(e, f)) == [(sigma, stage, None) for sigma in SIGMAS_3]
+    records = [(sigma, stage, None) for sigma in SIGMAS_3]
+    assert _search(e, f) == (records, int(stage == STAGE_ROWS))
     # with equal row-space weak bases, the third table matches at once
     if stage == STAGE_ROWS:
-        assert list(_d_search(e, f[:2] + (e[2],))) == [((0, 1, 2), None, (0, 0, 0))]
+        assert _search(e, f[:2] + (e[2],)) == ([((0, 1, 2), None, (0, 0, 0))], 1)
 
 
 def test_d_search_stops_at_the_first_match():
@@ -518,11 +554,11 @@ def test_d_search_stops_at_the_first_match():
         [(0, 0, None), (None, 0, None), (None, None, 0)],
         [(None, 0, None), (0, 0, None), (None, None, 0)],
     )
-    assert list(_d_search(e, f)) == [
+    assert _search(e, f) == ([
         ((0, 1, 2), STAGE_FINITE, None),
         ((0, 2, 1), STAGE_FINITE, None),
         ((1, 0, 2), None, (0, 0, 0)),
-    ]
+    ], 1)
 
 
 def test_d_search_sorted_patterns_force_one_row_basis_size():
@@ -539,8 +575,8 @@ def test_d_search_sorted_patterns_force_one_row_basis_size():
         [(0, None, None), (None, 0, None), (-6, None, 0)],
         [(-12, None, -6), (-2, 2, None), (0, -3, -6), (None, -6, None)],
     )
-    records = list(_d_search(e, f))
-    assert [sigma for sigma, _, _ in records] == SIGMAS_3
+    records, asked = _search(e, f)
+    assert asked == 1 and [sigma for sigma, _, _ in records] == SIGMAS_3
     assert [sigma for sigma, stage, _ in records if stage != STAGE_FINITE] == [(0, 2, 1)]
     assert records[1] == ((0, 2, 1), STAGE_ROWS, None)
     rows_s = [(w[0], w[2], w[1]) for w in f[2]]
@@ -561,7 +597,7 @@ def test_rel_d_words_the_search_records():
         if k != k_b:
             continue
         den = frame.den
-        records = list(_d_search(*frame.tables()))
+        records = list(_d_search(*frame.tables(), frame.rows))
         refuted = [f"sigma {sigma}: {stage}" for sigma, stage, _ in records if stage]
         seen.add(verdict.holds)
         if verdict.holds:
@@ -573,6 +609,112 @@ def test_rel_d_words_the_search_records():
             assert list(verdict.reasons) == refuted
             assert len(records) == math.factorial(k)
     assert seen == {True, False}
+
+
+def _reference_d_records(frame):
+    """The D search written plainly: the row side built up front, then
+    every permutation in lexicographic order through the three stages
+    in turn, up to the first match."""
+    table_e, table_f = frame.tables()
+    (grid_e, rows_e), (grid_f, rows_f) = frame.rows()
+    k = len(table_e)
+    records = []
+    for sigma in itertools.permutations(range(k)):
+        pairs = [(i, j, table_e[i][j], table_f[sigma[i]][sigma[j]])
+                 for i in range(k) for j in range(k)]
+        if any((x is None) != (y is None) for _, _, x, y in pairs):
+            records.append((sigma, STAGE_FINITE, None))
+            continue
+        brackets = [(j, 0) for j in range(k)]
+        if not all(_link(brackets, i, j, x - y) for i, j, x, y in pairs if x is not None):
+            records.append((sigma, STAGE_BRACKETS, None))
+            continue
+        rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
+        patterns = (list(map(_pattern, rows_e)), list(map(_pattern, rows_s)))
+        forest = None
+        if sorted(patterns[0]) == sorted(patterns[1]):
+            forest = _match_rows(brackets, rows_e, rows_s, range(len(rows_s)), patterns)
+        if forest is None:
+            records.append((sigma, STAGE_ROWS, None))
+            continue
+        lambdas = greens._lambdas(brackets, forest, grid_e, [grid_f[s] for s in sigma])
+        records.append((sigma, None, lambdas))
+        break
+    return records
+
+
+def test_d_search_equals_the_reference_enumeration():
+    # seeded pairs of equal weak-basis size, n 1-5: transposes, column
+    # perm/scale variants, two-sided variants and random pairs, over FT
+    # and T; the search builds the row side only when a sigma reaches
+    # the row stage, and its records equal the plain enumeration's
+    rng = random.Random(20261020)
+    samplers = [Sampler(rng, EntryPool.for_domain(d)) for d in (Domain.FT, Domain.T)]
+    families = (
+        lambda s, a, perm, lambdas: transpose(a),
+        lambda s, a, perm, lambdas: scale_columns(a, perm, lambdas),
+        lambda s, a, perm, lambdas: transpose(scale_columns(transpose(a), perm, lambdas)),
+        lambda s, a, perm, lambdas: s.matrix(a.rows, a.cols),
+    )
+    trial, compared, stages = 0, 0, set()
+    while compared < 520:
+        s = samplers[trial % 2]
+        n = s.dim((1, 5))
+        a = s.matrix(n, n)
+        perm = s.rng.sample(range(n), n)
+        b = families[trial % 4](s, a, perm, [s.finite_scalar() for _ in perm])
+        trial += 1
+        frame = DFrame(a, b)
+        k, k_b = frame.sizes
+        if k != k_b:
+            continue
+        asked = []
+
+        def row_side():
+            asked.append(True)
+            return frame.rows()
+
+        records = list(_d_search(*frame.tables(), row_side))
+        assert records == _reference_d_records(frame), (a, b)
+        reached = [stage for _, stage, _ in records if stage in (STAGE_ROWS, None)]
+        assert len(asked) == (1 if reached else 0)
+        stages.update(stage for _, stage, _ in records)
+        compared += 1
+    assert stages == {STAGE_FINITE, STAGE_BRACKETS, STAGE_ROWS, None}
+
+
+# A no at k = 3 in which every sigma fails bracket differences.
+BRACKET_REFUTED = TropMatrix([[-2, 1, 3], [3, 3, -3], [-1, -3, 0]])
+
+
+@pytest.mark.parametrize(
+    "a, b, greedies",
+    [
+        (BRACKET_REFUTED, transpose(BRACKET_REFUTED), 2),
+        (CONNECTED, CONNECTED, 4),
+        (parse_matrix("4 4\n0 1/2 -inf 1/2\n-inf -inf -inf -inf\n"
+                      "-inf -inf -1 -inf\n1/3 -inf 1 -1\n"),
+         parse_matrix("4 4\n-2 -inf -inf -1\n-1/3 1/3 -inf -inf\n"
+                      "0 -1/2 -inf -1\n-inf -1 -inf -inf\n"), 4),
+    ],
+    ids=["no-at-the-brackets", "yes", "no-at-the-rows"],
+)
+def test_rel_d_runs_the_row_greedies_only_when_a_sigma_reaches_them(monkeypatch, a, b, greedies):
+    # the weak bases of C(A) and C(B) take one greedy each; the weak
+    # bases of the row spaces of E and F take two more, only for a pair
+    # in which some sigma passes both bracket stages
+    calls, basis_kept = [], linalg._basis_kept
+
+    def counting_basis_kept(rows):
+        calls.append(len(rows))
+        return basis_kept(rows)
+
+    monkeypatch.setattr(linalg, "_basis_kept", counting_basis_kept)
+    verdict = rel_D(a, b)
+    assert len(calls) == greedies
+    assert verdict.holds == (a is CONNECTED)
+    if greedies == 2:
+        assert {reason.split(": ")[1] for reason in verdict.reasons} == {STAGE_BRACKETS}
 
 
 def test_rel_d_rejects_pos_inf():

@@ -468,7 +468,7 @@ def test_d_frame_matches_the_boxed_path():
         bases = [col_span(m).weak_basis() for m in (a, b)]
         assert frame.sizes == tuple(map(len, bases))
         assert frame.bases() == tuple(basis.matrix for basis in bases)
-        for basis, (grid, brackets, rows) in zip(bases, frame.tables()):
+        for basis, brackets, (grid, rows) in zip(bases, frame.tables(), frame.rows()):
             gens = basis.generators
             assert grid == [tuple(map(times_den, g.entries)) for g in gens]
             assert brackets == [tuple(times_den(bracket(g, h)) for h in gens) for g in gens]
