@@ -219,12 +219,13 @@ def _lambdas(brackets, forest, e, f):
     fixed one at the shift those rows force, and any other, a direct
     summand valid at every shift, at the least of lambda_c = 0 and the
     alignments of entries of e_j and f_j (the entries of f_sigma(j)),
-    alone or as differences across a fixed coordinate.
+    alone or as differences across a fixed coordinate.  The least
+    alignment of two vectors is min(e_j) - max(f_j) over their finite
+    entries, the least of all entry pairs in one pass over each.
     """
     k = len(e)
     comps = [_find(brackets, j)[0] for j in range(k)]
-    classes = [_find(forest, j)[0] for j in range(k)]
-    pot = [_find(forest, j)[1] for j in range(k)]
+    classes, pot = zip(*[_find(forest, j) for j in range(k)]) if k else ((), ())
     lam = {}
     for c in range(k):
         if c in lam:
@@ -233,20 +234,13 @@ def _lambdas(brackets, forest, e, f):
         comp = [j for j in range(k) if comps[j] == comps[c]]
         shift = lam[tied[0]] - pot[tied[0]] if tied else -pot[c]
         if lam and not tied:
-            shift = min(
-                [shift]
-                + [x - y - pot[j] for j in comp for x in e[j] for y in f[j]
-                   if x is not None and y is not None]
-                + [
-                    (ej - ejp) - (fj - fjp) - pot[j] + lam[jp]
-                    for j in comp
-                    for jp in lam
-                    for ej, ejp in zip(e[j], e[jp])
-                    if ej is not None and ejp is not None
-                    for fj, fjp in zip(f[j], f[jp])
-                    if fj is not None and fjp is not None
-                ]
-            )
+            origin = (0,) * len(e[c])  # fixed at lambda 0: differences across it are e_j, f_j
+            for j in comp:
+                for u, v, at in [(origin, origin, 0)] + [(e[jp], f[jp], lam[jp]) for jp in lam]:
+                    xs = [x - y for x, y in zip(e[j], u) if x is not None and y is not None]
+                    ys = [x - y for x, y in zip(f[j], v) if x is not None and y is not None]
+                    if xs and ys:
+                        shift = min(shift, min(xs) - max(ys) - pot[j] + at)
         lam.update((j, pot[j] + shift) for j in comp)
     return tuple(lam[j] for j in range(k))
 
@@ -271,6 +265,7 @@ def _d_search(table_e, table_f, row_side):
     k = len(table_e)
     rows_e = None
     pairs = [(i, j) for i in range(k) for j in range(k)]
+    finite_pairs = [(i, j) for i, j in pairs if table_e[i][j] is not None]
     for sigma in itertools.permutations(range(k)):
         if any(
             (table_e[i][j] is None) != (table_f[sigma[i]][sigma[j]] is None)
@@ -281,17 +276,16 @@ def _d_search(table_e, table_f, row_side):
         brackets = [(j, 0) for j in range(k)]
         if not all(
             _link(brackets, i, j, table_e[i][j] - table_f[sigma[i]][sigma[j]])
-            for i, j in pairs
-            if table_e[i][j] is not None
+            for i, j in finite_pairs
         ):
             yield sigma, "bracket differences are inconsistent", None
             continue
         if rows_e is None:
             (grid_e, rows_e), (grid_f, rows_f) = row_side()
-            pats_e = list(map(_pattern, rows_e))
+            pats_e, pats_f = list(map(_pattern, rows_e)), list(map(_pattern, rows_f))
             patterns_e = sorted(pats_e)
         rows_s = [tuple(w[s] for s in sigma) for w in rows_f]
-        pats_s = list(map(_pattern, rows_s))
+        pats_s = [tuple(p[s] for s in sigma) for p in pats_f]
         forest = None
         # not just a fast path: it forces equal row-basis sizes, which _match_rows does not
         if sorted(pats_s) == patterns_e:

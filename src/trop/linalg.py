@@ -463,9 +463,11 @@ class DFrame:
     def tables(self):
         """The D search's bracket tables of E and of F: for each basis
         g_1..g_k, the k x k table <g_i|g_j>, finite values Python ints
-        times den and -inf None."""
+        times den and -inf None; each kept g has a finite entry, so
+        <g|g> = 0 is written, not computed."""
         return tuple(
-            [_t_values([_residual(g, h) for h in basis]) for g in basis] for basis in self._bases
+            [_t_values([0 if h is g else _residual(g, h) for h in basis]) for g in basis]
+            for basis in self._bases
         )
 
     def rows(self):

@@ -346,6 +346,94 @@ def test_rel_d_direct_sum_scalings(a, b, lambdas):
     assert v.iso.lambdas == tuple(finite(Fraction(x)) for x in lambdas)
 
 
+def _entry_pair_lambdas(brackets, forest, e, f):
+    """_lambdas with the direct-summand shift as the least alignment of
+    every pair of finite entries, O(k^2 n^2); and, for each component
+    that took that shift, whether an alignment across a fixed
+    coordinate entered it."""
+    k = len(e)
+    comps = [greens._find(brackets, j)[0] for j in range(k)]
+    classes = [greens._find(forest, j)[0] for j in range(k)]
+    pot = [greens._find(forest, j)[1] for j in range(k)]
+    lam, summands = {}, []
+    for c in range(k):
+        if c in lam:
+            continue
+        tied = [jp for jp in lam if classes[jp] == classes[c]]
+        comp = [j for j in range(k) if comps[j] == comps[c]]
+        shift = lam[tied[0]] - pot[tied[0]] if tied else -pot[c]
+        if lam and not tied:
+            across = [
+                (ej - ejp) - (fj - fjp) - pot[j] + lam[jp]
+                for j in comp
+                for jp in lam
+                for ej, ejp in zip(e[j], e[jp])
+                if ej is not None and ejp is not None
+                for fj, fjp in zip(f[j], f[jp])
+                if fj is not None and fjp is not None
+            ]
+            shift = min(
+                [shift]
+                + [x - y - pot[j] for j in comp for x in e[j] for y in f[j]
+                   if x is not None and y is not None]
+                + across
+            )
+            summands.append(bool(across))
+        lam.update((j, pot[j] + shift) for j in comp)
+    return tuple(lam[j] for j in range(k)), summands
+
+
+def _block_diagonal(blocks):
+    """The T matrix with the given square blocks down its diagonal and
+    -inf elsewhere."""
+    n = sum(b.rows for b in blocks)
+    rows, at = [[NEG_INF] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[at + i][at:at + b.rows] = row
+        at += b.rows
+    return TropMatrix(rows)
+
+
+def test_lambdas_closed_form_equals_the_entry_pair_minimum(monkeypatch):
+    # seeded direct-sum frames: the 2 x 2 monomial pairs of
+    # test_rel_d_direct_sum_scalings; block-diagonal T pairs against the
+    # blocks swapped or a two-sided perm/scale variant; and two
+    # overlapping rays (their brackets -inf, their supports sharing a
+    # coordinate) against a two-sided variant.  Each match's lambdas
+    # equal the entry-pair minimum's, and the direct-summand shift is
+    # taken, with and without alignments across a fixed coordinate
+    lambdas, calls = greens._lambdas, []
+
+    def recorded(*args):
+        calls.append((args, lambdas(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(greens, "_lambdas", recorded)
+    s = Sampler(random.Random(20261021), EntryPool.for_domain(Domain.T))
+    for trial in range(400):
+        x, y, z, w = (s.finite_scalar() for _ in range(4))
+        blocks = [s.matrix(m, m) for m in (s.dim((1, 2)), s.dim((1, 2)))]
+        if trial % 4 == 0:
+            a = TropMatrix([[NEG_INF, x], [y, NEG_INF]])
+            b = TropMatrix([[z, NEG_INF], [NEG_INF, w]])
+        elif trial % 4 == 1:
+            a, b = _block_diagonal(blocks), _block_diagonal(blocks[::-1])
+        elif trial % 4 == 2:
+            a = _block_diagonal(blocks)
+            b = transpose(_perm_scale(s.rng, transpose(_perm_scale(s.rng, a))))
+        else:
+            a = TropMatrix([[x, NEG_INF, NEG_INF], [y, z, NEG_INF], [NEG_INF, w, NEG_INF]])
+            b = transpose(_perm_scale(s.rng, transpose(_perm_scale(s.rng, a))))
+        assert rel_D(a, b).holds
+    summands = []
+    for args, found in calls:
+        expected, taken = _entry_pair_lambdas(*args)
+        assert found == expected, args
+        summands += taken
+    assert len(calls) == 400 and summands.count(True) > 50 and summands.count(False) > 50
+
+
 def test_rel_d_row_matching_backtracks():
     # no two basis columns have a finite bracket, so no lambda
     # difference is known up front; B swaps the first two rows of A, and
