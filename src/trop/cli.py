@@ -17,21 +17,10 @@ from . import formats
 from .convex import col_span, row_span
 from .duality import theta, theta_prime
 from .errors import TropError
-from .greens import (
-    LEQ_L,
-    LEQ_R,
-    REL_D,
-    REL_H,
-    REL_L,
-    REL_R,
-    leq_L,
-    leq_R,
-    rel,
-    rel_D,
-)
+from .greens import MAX_BASIS, REL_D, RELATIONS, rel, rel_D
 from .harness import PROPERTIES, EntryPool, default_config, run_property
 from .linalg import COL, ROW, bracket, hilbert, mat_mul
-from .semiring import format_scalar, parse_domain
+from .semiring import format_domain, format_scalar, parse_domain
 
 
 def _read(path):
@@ -110,28 +99,23 @@ def _max_n_override():
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise TropError(f"TROP_MAX_N must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise TropError(f"TROP_MAX_N must be at least 1, got {raw!r}")
+    return value
 
 
 def cmd_green(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     domain = parse_domain(args.domain) if args.domain else None
-    relation = args.relation
-    if relation == LEQ_R:
-        verdict = leq_R(a, b, domain)
-    elif relation == LEQ_L:
-        verdict = leq_L(a, b, domain)
-    elif relation in (REL_R, REL_L, REL_H):
-        verdict = rel(a, b, relation, domain)
+    override = _max_n_override() if args.relation == REL_D else None
+    if override is None:
+        verdict = rel(a, b, args.relation, domain)
     else:
-        override = _max_n_override()
-        kwargs = {}
-        if override is not None:
-            kwargs = dict(max_n=override, max_basis=max(8, override))
-        verdict = rel_D(a, b, domain, **kwargs)
+        verdict = rel_D(a, b, domain, max_n=override, max_basis=max(MAX_BASIS, override))
     if args.witness:
         _write(args.witness, formats.format_verdict(verdict))
     if args.format == "json":
@@ -145,7 +129,7 @@ def _verdict_json(v):
     payload = {
         "relation": v.relation,
         "holds": v.holds,
-        "domain": v.domain.name.lower(),
+        "domain": format_domain(v.domain),
         "reasons": list(v.reasons),
         "witnesses": {label: formats.format_matrix(m) for label, m in v.witnesses},
     }
@@ -245,8 +229,7 @@ def build_parser():
     p = sub.add_parser("green", help="decide a Green's relation between two matrices")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--relation", required=True,
-                   choices=(LEQ_R, LEQ_L, REL_R, REL_L, REL_H, REL_D))
+    p.add_argument("--relation", required=True, choices=RELATIONS)
     p.add_argument("--domain", choices=("ft", "t", "tbar"))
     p.add_argument("--witness", help="write the verified witness to this file")
     p.add_argument("--format", choices=("text", "json"), default="text")

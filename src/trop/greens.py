@@ -1,8 +1,8 @@
 """Green's pre-orders and equivalences for square tropical matrices.
 
-Order relations reduce to span inclusion and are decided exactly by
-principal solutions; every positive verdict carries a witness that is
-re-multiplied before being returned.  The D relation is decided by
+Order relations reduce to span inclusion, decided exactly by the
+principal solutions ``_SIDES`` lists; certificates that products alone
+check are ROADMAP items 22 and 23.  The D relation is decided by
 matching weak bases in ``_d_search``, over the exact ints of a
 ``linalg.DFrame`` (A and B aligned once to a common denominator): the
 two bracket tables up front, and the basis values and row-space weak
@@ -33,7 +33,7 @@ from .linalg import (
     mat_mul,
     residuate,
 )
-from .semiring import Domain, ZERO, finite
+from .semiring import Domain, ZERO, finite, format_domain
 
 LEQ_R = "leq-r"
 LEQ_L = "leq-l"
@@ -42,6 +42,7 @@ REL_L = "l"
 REL_H = "h"
 REL_D = "d"
 RELATIONS = (LEQ_R, LEQ_L, REL_R, REL_L, REL_H, REL_D)
+MAX_N, MAX_BASIS = 10, 8  # rel_D's default guards on n and on the weak-basis size
 
 
 class GreenVerdict(
@@ -53,11 +54,10 @@ class GreenVerdict(
 ):
     """Outcome of a Green's relation test: an immutable named tuple.
 
-    witnesses holds labelled matrices; the defining equations are
-    X: B*X = A,   X2: A*X2 = B,   Y: Y*B = A,   Y2: Y2*A = B.
-    For the D relation the witness is an IsoDescriptor plus the bridge
-    matrix D with R(D) = R(A) and C(D) = C(B).  reasons explain a
-    negative verdict.
+    witnesses holds labelled matrices, the principal solutions of
+    ``_SIDES``.  For the D relation the witness is an IsoDescriptor plus
+    the bridge matrix D with R(D) = R(A) and C(D) = C(B).  reasons
+    explain a negative verdict.
     """
 
     __slots__ = ()
@@ -71,55 +71,57 @@ def _validate_pair(a: TropMatrix, b: TropMatrix, domain):
         return joined
     if joined > domain:
         raise DomainError(
-            f"matrix entries lie outside the declared domain {domain.name.lower()}"
+            f"matrix entries lie outside the declared domain {format_domain(domain)}"
         )
     return domain
 
 
-def _leq(relation, label, orientation, a, b, dom):
-    """A <= B on one side, for a pair that _validate_pair has passed as
-    domain dom: C(A) within C(B), with witness X: B*X = A, or for ROW
-    R(A) within R(B), with Y: Y*B = A.  The witness is the principal
-    solution, and the verdict is exactly its equation."""
-    x, bad = residuate(b, a, orientation)
-    if bad is None:
-        return GreenVerdict(relation, True, dom, witnesses=((label, x),))
-    side = "column" if orientation == COL else "row"
-    reason = f"{side} {bad + 1} of A is not in the {side} space of B"
-    return GreenVerdict(relation, False, dom, reasons=(reason,))
-
-
-def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
-    """A <=_R B: C(A) within C(B), with witness X: B*X = A."""
-    return _leq(LEQ_R, "X", COL, a, b, _validate_pair(a, b, domain))
-
-
-def leq_L(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
-    """A <=_L B: R(A) within R(B), with witness Y: Y*B = A."""
-    return _leq(LEQ_L, "Y", ROW, a, b, _validate_pair(a, b, domain))
+# The principal solutions each relation rests on, as (label,
+# orientation, swapped): X: B*X = A, Y: Y*B = A, and swapped X2: A*X2 = B,
+# Y2: Y2*A = B.  The covering pass that computes a solution proves its
+# equation, with no product run; a no names the first column (row) each
+# failing side misses, after its label if the relation has two or more.
+_SIDES = {
+    LEQ_R: (("X", COL, False),),
+    LEQ_L: (("Y", ROW, False),),
+    REL_R: (("X", COL, False), ("X2", COL, True)),
+    REL_L: (("Y", ROW, False), ("Y2", ROW, True)),
+    REL_H: (("X", COL, False), ("X2", COL, True), ("Y", ROW, False), ("Y2", ROW, True)),
+}
 
 
 def rel(a: TropMatrix, b: TropMatrix, which: str, domain=None) -> GreenVerdict:
-    """Two-sided equivalences R, L, H via the one-sided pre-orders.  The
-    pair is validated once, and in either order it is the same check."""
-    if which not in (REL_R, REL_L, REL_H):
-        raise ValueError(f"rel expects one of r/l/h, got {which!r}")
+    """The Green's relation named ``which``, one of ``RELATIONS``: D is
+    ``rel_D`` with its default guards, and every other name is decided
+    by the principal solutions ``_SIDES`` lists, the pair validated once."""
+    if which == REL_D:
+        return rel_D(a, b, domain)
+    if which not in _SIDES:
+        raise ValueError(f"rel expects one of {'/'.join(RELATIONS)}, got {which!r}")
     dom = _validate_pair(a, b, domain)
-    parts = []
-    if which in (REL_R, REL_H):
-        parts.append((_leq(LEQ_R, "X", COL, a, b, dom), "X"))
-        parts.append((_leq(LEQ_R, "X", COL, b, a, dom), "X2"))
-    if which in (REL_L, REL_H):
-        parts.append((_leq(LEQ_L, "Y", ROW, a, b, dom), "Y"))
-        parts.append((_leq(LEQ_L, "Y", ROW, b, a, dom), "Y2"))
-    holds = all(v.holds for v, _ in parts)
-    if holds:
-        witnesses = tuple((label, v.witnesses[0][1]) for v, label in parts)
-        return GreenVerdict(which, True, dom, witnesses=witnesses)
-    reasons = tuple(
-        f"{label}: {reason}" for v, label in parts if not v.holds for reason in v.reasons
-    )
-    return GreenVerdict(which, False, dom, reasons=reasons)
+    sides = _SIDES[which]
+    witnesses, reasons = [], []
+    for label, orientation, swapped in sides:
+        x, bad = residuate(a, b, orientation) if swapped else residuate(b, a, orientation)
+        if bad is None:
+            witnesses.append((label, x))
+            continue
+        side = "column" if orientation == COL else "row"
+        reason = f"{side} {bad + 1} of A is not in the {side} space of B"
+        reasons.append(f"{label}: {reason}" if len(sides) > 1 else reason)
+    if reasons:
+        return GreenVerdict(which, False, dom, reasons=tuple(reasons))
+    return GreenVerdict(which, True, dom, witnesses=tuple(witnesses))
+
+
+def leq_R(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
+    """A <=_R B: C(A) within C(B), with witness X."""
+    return rel(a, b, LEQ_R, domain)
+
+
+def leq_L(a: TropMatrix, b: TropMatrix, domain=None) -> GreenVerdict:
+    """A <=_L B: R(A) within R(B), with witness Y."""
+    return rel(a, b, LEQ_L, domain)
 
 
 def finitize_witness_ft(b: TropMatrix, a: TropMatrix, p: TropMatrix) -> TropMatrix:
@@ -297,7 +299,9 @@ def _d_search(table_e, table_f, row_side):
         return
 
 
-def rel_D(a: TropMatrix, b: TropMatrix, domain=None, *, max_n=10, max_basis=8) -> GreenVerdict:
+def rel_D(
+    a: TropMatrix, b: TropMatrix, domain=None, *, max_n=MAX_N, max_basis=MAX_BASIS
+) -> GreenVerdict:
     """A D B for +inf-free square matrices: are the column spaces
     isomorphic as semimodules?
 

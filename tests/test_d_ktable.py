@@ -17,7 +17,7 @@ def test_d_ktable_prints_a_row_per_k():
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     header, rule, *rows = proc.stdout.splitlines()
-    assert header == "| k | verdict | reason lines | best of 2 (ms) |"
+    assert header == "| k | verdict | reason lines | best of 15 (ms) |"
     assert rule == "|---|---|---|---|"
     rows = [ROW.fullmatch(line).groups()[:3] for line in rows]
     # every 2x2 matrix is D-related to its transpose; the k = 3 and

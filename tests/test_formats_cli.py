@@ -501,6 +501,13 @@ def test_cli_trop_max_n_environment(files, monkeypatch):
     assert code == 2 and out == ""
     _assert_one_line_error(err)
     assert "TROP_MAX_N must be an integer" in err
+    for raw in ("0", "-3"):
+        # below 1 every D pair would be refused at the n guard
+        monkeypatch.setenv("TROP_MAX_N", raw)
+        code, out, err = _run(argv)
+        assert code == 2 and out == ""
+        _assert_one_line_error(err)
+        assert f"TROP_MAX_N must be at least 1, got '{raw}'" in err
 
 
 def test_cli_check_negative_trials_exit_code():

@@ -906,9 +906,9 @@ def test_rel_d_is_an_equivalence_at_desk_scale():
     "call, error, message",
     [
         (
-            lambda: rel(identity(2), identity(2), "d"),
+            lambda: rel(identity(2), identity(2), "q"),
             ValueError,
-            "rel expects one of r/l/h, got 'd'",
+            "rel expects one of leq-r/leq-l/r/l/h/d, got 'q'",
         ),
         (
             lambda: finitize_witness_ft(TropMatrix([[0]]), TropMatrix([[0]]), TropMatrix([[POS_INF]])),
@@ -955,14 +955,12 @@ def _green_pair(s, trial):
 def green_verdict_digest(pairs=300):
     rng = random.Random(20261019)
     pools = [EntryPool.for_domain(d) for d in (Domain.FT, Domain.T, Domain.TBAR)]
-    deciders = {LEQ_R: leq_R, LEQ_L: leq_L, REL_D: rel_D}
     digest = hashlib.sha256()
     for trial in range(pairs):
         a, b = _green_pair(Sampler(rng, pools[trial % 3]), trial)
         for relation in RELATIONS:
-            decide = deciders.get(relation) or (lambda a, b: rel(a, b, relation))
             try:
-                text = format_verdict(decide(a, b))
+                text = format_verdict(rel(a, b, relation))
             except DomainError as exc:  # D over TBAR
                 text = f"error: {exc}\n"
             digest.update(text.encode())
@@ -971,3 +969,42 @@ def green_verdict_digest(pairs=300):
 
 def test_green_verdict_texts_are_pinned():
     assert green_verdict_digest() == GREEN_VERDICT_DIGEST
+
+
+def _two_sided(a, b, which):
+    """R, L or H composed from the one-sided verdicts of leq_R and leq_L
+    on (A, B) and (B, A), each part's reasons after its witness label."""
+    parts = []
+    if which in (REL_R, REL_H):
+        parts += [(leq_R(a, b), "X"), (leq_R(b, a), "X2")]
+    if which in (REL_L, REL_H):
+        parts += [(leq_L(a, b), "Y"), (leq_L(b, a), "Y2")]
+    dom = parts[0][0].domain
+    if all(v.holds for v, _ in parts):
+        witnesses = tuple((label, v.witnesses[0][1]) for v, label in parts)
+        return GreenVerdict(which, True, dom, witnesses=witnesses)
+    reasons = tuple(f"{label}: {r}" for v, label in parts if not v.holds for r in v.reasons)
+    return GreenVerdict(which, False, dom, reasons=reasons)
+
+
+def _outcome(decide, a, b):
+    """The verdict and its text, or the error a decider raises."""
+    try:
+        verdict = decide(a, b)
+    except TropError as exc:
+        return f"raise {type(exc).__name__}: {exc}"
+    return verdict, format_verdict(verdict)
+
+
+def test_rel_decides_every_relation_by_name():
+    # rel(a, b, name) is leq_R, leq_L, rel_D (with its default guards) or
+    # R/L/H composed from one-sided verdicts, on the digest's pair family
+    by_name = {LEQ_R: leq_R, LEQ_L: leq_L, REL_D: rel_D}
+    rng = random.Random(20261021)
+    pools = [EntryPool.for_domain(d) for d in (Domain.FT, Domain.T, Domain.TBAR)]
+    for trial in range(150):
+        a, b = _green_pair(Sampler(rng, pools[trial % 3]), trial)
+        for name in RELATIONS:
+            want = by_name.get(name) or (lambda a, b: _two_sided(a, b, name))
+            got = _outcome(lambda a, b: rel(a, b, name), a, b)
+            assert got == _outcome(want, a, b), (trial, name)

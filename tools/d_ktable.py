@@ -12,8 +12,9 @@ For each k, a fresh ``Random(20261020)`` draws k x k matrices A with
 integer entries in [-9, 9] until the weak basis of C(A) has k elements.
 It prints one table row per k: k, the verdict of ``rel_D(A, A^T)``,
 its number of reason lines (k! for a no over all of the k!
-permutations, none for a yes), and the best of 2 wall times in ms.
-All but the times is a pure function of K.
+permutations, none for a yes), and the best of CALLS = 15 wall times
+in ms: a fixed count, so that two checkouts' tables compare.  All but
+the times is a pure function of K.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from trop.linalg import TropMatrix, transpose
 
 SEED = 20261020
 LOW, HIGH = -9, 9
+CALLS = 15
 
 
 def draw(k):
@@ -43,12 +45,12 @@ def draw(k):
 
 
 def row(k):
-    """k, the verdict, its number of reason lines, and the best of 2
-    times in ms."""
+    """k, the verdict, its number of reason lines, and the best of
+    CALLS times in ms."""
     a = draw(k)
     b = transpose(a)
     times = []
-    for _ in range(2):
+    for _ in range(CALLS):
         start = time.perf_counter()
         verdict = rel_D(a, b)
         times.append(time.perf_counter() - start)
@@ -60,7 +62,7 @@ def main(argv=None):
     parser.add_argument("ks", type=int, nargs="*", default=[5, 6, 7, 8], metavar="K",
                         help="weak-basis sizes (default 5 6 7 8)")
     args = parser.parse_args(argv)
-    print("| k | verdict | reason lines | best of 2 (ms) |")
+    print(f"| k | verdict | reason lines | best of {CALLS} (ms) |")
     print("|---|---|---|---|")
     for k in args.ks:
         k, verdict, lines, ms = row(k)

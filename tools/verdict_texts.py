@@ -16,7 +16,7 @@ family i mod 4:
 - random: two independent draws.
 For each relation of ``greens.RELATIONS`` it prints a line
 ``== i family relation``, then the ``format_verdict`` text of the
-verdict, or ``raise Type: message`` for a TropError.
+verdict of ``greens.rel``, or ``raise Type: message`` for a TropError.
 """
 
 import argparse
@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from trop.errors import TropError
 from trop.formats import format_verdict
-from trop.greens import LEQ_L, LEQ_R, REL_D, RELATIONS, leq_L, leq_R, rel, rel_D
+from trop.greens import RELATIONS, rel
 from trop.harness import EntryPool, Sampler
 from trop.linalg import scale_columns, transpose
 from trop.semiring import Domain
@@ -47,8 +47,6 @@ FAMILIES = (
     ("random", lambda s, a: s.matrix(a.rows, a.cols)),
 )
 
-DECIDERS = {LEQ_R: leq_R, LEQ_L: leq_L, REL_D: rel_D}  # r, l and h go through rel
-
 
 def verdict_texts(pairs, seed=0):
     """The printed text, block by block."""
@@ -61,8 +59,7 @@ def verdict_texts(pairs, seed=0):
         for relation in RELATIONS:
             yield f"== {i} {family} {relation}\n"
             try:
-                decide = DECIDERS.get(relation)
-                yield format_verdict(decide(a, b) if decide else rel(a, b, relation))
+                yield format_verdict(rel(a, b, relation))
             except TropError as exc:
                 yield f"raise {type(exc).__name__}: {exc}\n"
 
