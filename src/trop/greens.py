@@ -5,12 +5,13 @@ principal solutions ``_SIDES`` lists; certificates that products alone
 check are ROADMAP items 22 and 23.  The D relation is decided by
 matching weak bases in ``_d_search``, over the exact ints of a
 ``linalg.DFrame`` (A and B aligned once to a common denominator): the
-two bracket tables up front, and the basis values and row-space weak
-bases only once a permutation passes both bracket stages.  It yields
-one record per permutation sigma it tries, ``(sigma, stage, None)`` for
-a refutation or ``(sigma, None, lambdas)`` for the first match;
-``rel_D`` words the refutations and certifies a match over the same
-frame, boxing only the scalings, the descriptor and the bridge.
+two bracket tables up front, read off the frame's weak-basis passes,
+and the basis values and row-space weak bases only once a permutation
+passes both bracket stages.  It yields one record per permutation
+sigma it tries, ``(sigma, stage, None)`` for a refutation or
+``(sigma, None, lambdas)`` for the first match; ``rel_D`` words the
+refutations and certifies a match over the same frame, boxing only the
+scalings, the descriptor and the bridge.
 """
 
 import itertools
@@ -266,7 +267,7 @@ def _d_search(table_e, table_f, row_side):
     """
     k = len(table_e)
     rows_e = None
-    pairs = [(i, j) for i in range(k) for j in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]  # both diagonals are 0
     finite_pairs = [(i, j) for i, j in pairs if table_e[i][j] is not None]
     for sigma in itertools.permutations(range(k)):
         if any(
@@ -309,7 +310,8 @@ def rel_D(
     frame: each refuted sigma becomes the reason ``sigma (..): stage``,
     and the match, if any, a yes whose certificate runs over the same
     ints: R(E) = R(G) for G = F_sigma * diag lambda, then the bridge
-    D = G * X (X the principal solution of E * X = A) with R(D) = R(A)
+    D = G * X (X the principal solution of E * X = A, read off the
+    frame's weak-basis pass over the columns of A) with R(D) = R(A)
     and C(D) = C(B); ``DFrame.certify`` raises VerificationError at the
     first of these checks that fails.  Refutations are complete by
     construction.  A declared domain is checked as for leq_R, and must

@@ -25,33 +25,38 @@ Span membership, weak bases, span equality, principal solutions and
 the duality maps share one kernel, ``_residuate``: it finds each
 target's principal coefficients and, in the same pass, whether they
 recombine to it, by the coordinates they cover (Cuninghame-Green's
-covering criterion), so no recombination is built.  ``dual_map``
+covering criterion), so no recombination is built; asked to, it also
+hands back each target's cover mask per generator.  ``dual_map``
 negates one target's coefficient row: theta_A(x)_i = -<A_i|x> and
 theta'_A(y)_j = -<A^j|y>, so A*(-x)^T and (-y)^T*A need no product,
 and the same pass's verdict is the duality map's membership test.
-Callers that read only the verdict (``in_span``, ``same_span``,
-``weak_basis_matrix`` and the weak bases and span checks of
-``DFrame``) stop at the verdict: they build no coefficient row, and
-they leave each target once it is covered.  ``same_span`` compares two
-generator matrices over one alignment.
+Callers that read only the verdict (``in_span`` and ``same_span``)
+stop at the verdict: they build no coefficient row, and they leave
+each target once it is covered.  ``same_span`` compares two generator
+matrices over one alignment, and answers yes with no pass at all when
+the two families hold the same projective points.  The greedy weak
+basis (``_greedy``, behind ``weak_basis_matrix``) is read off one
+all-pairs pass of a family over itself: each vector, in ascending
+order, is dropped iff the cover masks of the vectors still standing
+besides it cover it, and the pass's coefficients are the family's
+brackets.
 
 ``DFrame`` is the D relation's one frame: A and B aligned once, the
 weak bases of their column spaces, the D search's bracket tables, its
 row side (built only when the search reaches the row stage) and the
-certificate of a match, all over the same ints.  It finds the weak
-bases by the one greedy that ``weak_basis_matrix`` runs, from verdicts
-only.  The search's bracket tables come from the bracket kernel,
-``_residual``, one entry per pair of basis elements, and the bridge's
-X from ``_residuate``: the columns of A over the weak basis of C(A),
-the one caller besides ``residuate`` that keeps coefficients.  The
-certificate of a yes is three span checks: the descriptor's row
-spaces, then the bridge's row space against A and its column space
-against B.  ``certify`` returns the bridge, or raises the verdict's
-VerificationError at the first check that fails, so the checks and
-their wording live in one place.
+certificate of a match, all over the same ints.  One greedy pass over
+the columns of A and one over those of B give the weak bases E and F,
+and the rest is read off those passes: the bracket tables are their
+coefficients between kept vectors, and the bridge's X (the columns of
+A over E) and whether E recombines every column of A come from the
+pass over A.  The certificate of a yes is three span checks: the
+descriptor's row spaces, then the bridge's row space against A and its
+column space against B.  ``certify`` returns the bridge, or raises the
+verdict's VerificationError at the first check that fails, so the
+checks and their wording live in one place.
 """
 
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import le
 
@@ -249,8 +254,14 @@ def zero_vector(dim, orientation=ROW) -> TropVector:
 
 def pack(seqs):
     """Pack scalar sequences as ``(den, rows)`` over their least common
-    denominator: the one encoder of scalars into the packed form."""
+    denominator: the one encoder of scalars into the packed form.  One
+    sequence (a vector, or the scalar of ``scale``) takes a shorter
+    path, with no set of denominators and no loop over sequences."""
     seqs = tuple(seqs)
+    if len(seqs) == 1:
+        (s,) = seqs
+        den = lcm(*[e.den for e in s])
+        return den, [tuple([_INF[k] if (k := e.kind) in _INF else e.num * (den // e.den) for e in s])]
     den = lcm(*{e.den for s in seqs for e in s})  # an infinity's den is 1
     return den, [
         tuple([_INF[k] if (k := e.kind) in _INF else e.num * (den // e.den) for e in s])
@@ -314,13 +325,14 @@ def _combine(coeffs, rows, dim):
     return tuple(acc)
 
 
-def _residuate(grows, trows, rows=True):
+def _residuate(grows, trows, rows=True, covers=None):
     """Coefficient rows (<g_1|a_t>, ..., <g_k|a_t>) of aligned target rows
     over aligned generator rows, and the first target they do not
     recombine to (rows stop there), or None.  With rows false, the
     verdict only: the first target not covered, or None, with no
     coefficient row built and no generator tried once a target is
-    covered.
+    covered.  With rows true and a list covers, each target's cover
+    masks, one per generator, are appended to covers.
 
     max_g <g|a> g <= a always, so a recombines iff every coordinate
     with a_i != -inf is covered, in the same pass that finds each
@@ -335,7 +347,7 @@ def _residuate(grows, trows, rows=True):
     full = (1 << dim) - 1
     for t, a in enumerate(trows):
         need = full if _NEG not in a else sum(compress(bits, map(_NEG.__ne__, a)))
-        row, cover = [], 0
+        row, masks, cover = [], [], 0
         for g in grows:
             if not rows and cover == need:
                 break
@@ -349,19 +361,22 @@ def _residuate(grows, trows, rows=True):
                         tops |= bit
                     continue
                 if p is _POS or q is _NEG:
-                    c = _NEG
+                    c, ties, tops = _NEG, 0, 0
                     break
                 d = q - p
                 if d < c:
                     c, ties = d, bit
                 elif d == c:
                     ties |= bit
-            else:
-                cover |= pos if c is _POS else ties | tops
+            mask = pos if c is _POS else ties | tops
+            cover |= mask
             if rows:
                 row.append(c)
+                masks.append(mask)
         if rows:
             coeffs.append(tuple(row))
+            if covers is not None:
+                covers.append(masks)
         if cover != need:
             return (coeffs, t) if rows else t
     return (coeffs, None) if rows else None
@@ -412,7 +427,12 @@ def same_span(m1, m2, orientation=COL):
 
 
 def _same(rows1, rows2):
-    """Whether two aligned families span one set."""
+    """Whether two aligned families span one set: at once when they hold
+    the same projective points (each vector a finite multiple of one of
+    the other family), else by each side's vectors recombining from the
+    other's."""
+    if set(map(_normalized, rows1)) == set(map(_normalized, rows2)):
+        return True
     return _residuate(rows2, rows1, False) is None and _residuate(rows1, rows2, False) is None
 
 
@@ -422,38 +442,57 @@ def weak_basis_matrix(gens, orientation=COL):
     each, in ascending order, is dropped iff the others still standing
     recombine to it."""
     den, vecs = _spanning(gens, orientation)
-    kept = [vecs[i] for i in _basis_kept(vecs)]
+    kept = [vecs[i] for i in _greedy(vecs)[0]]
     if not kept:
         return None
     m = TropMatrix._of((den, kept))
     return m if orientation == ROW else transpose(m)
 
 
-def _basis_kept(rows):
-    """The greedy weak basis of aligned rows, as the indices kept, from
-    verdicts only."""
-    kept = list(range(len(rows)))
-    for t in range(len(rows)):
-        if _residuate([rows[j] for j in kept if j != t], [rows[t]], False) is None:
-            kept.remove(t)
-    return kept
+def _greedy(rows):
+    """The greedy weak basis of aligned rows from one all-pairs pass:
+    ``(kept, coeffs, covers)``, the indices kept, and coeffs[t][j] =
+    <rows_j|rows_t> with covers[t][j] its cover mask, as ``_residuate``
+    lists them.  Each row covers itself wholly (so the pass never stops
+    and covers[t][t] is the cover row t needs), and row t is dropped iff
+    the masks of the rows still standing besides it, kept ones before
+    it and all after it, cover it."""
+    covers = []
+    coeffs = _residuate(rows, rows, True, covers)[0]
+    kept = []
+    for t, masks in enumerate(covers):
+        if _union(masks, chain(kept, range(t + 1, len(rows)))) != masks[t]:
+            kept.append(t)
+    return kept, coeffs, covers
+
+
+def _union(masks, js):
+    """The cover of the masks at indices js."""
+    cover = 0
+    for j in js:
+        cover |= masks[j]
+    return cover
 
 
 class DFrame:
     """Two +inf-free n x n matrices A and B aligned once, to one common
     denominator den, for deciding and certifying A D B over the same
-    ints.  Building it finds the weak bases E of C(A) and F of C(B) by
-    the greedy of ``weak_basis_matrix``.  Each basis's bracket table
-    is ``_residual`` over its pairs of elements, and the principal
-    coefficients of the columns of A over E are the principal solution
-    X of E * X = A."""
+    ints.  Building it runs the greedy of ``weak_basis_matrix`` once on
+    the columns of A and once on those of B, which finds the weak bases
+    E of C(A) and F of C(B) and keeps each pass's coefficient table and
+    cover masks: the bracket tables <g_i|g_j> of E and of F, the
+    principal solution X of E * X = A (the columns of A over E) and
+    whether E recombines every column of A are all read off them."""
 
-    __slots__ = ("den", "_rows_a", "_cols", "_bases")
+    __slots__ = ("den", "_rows_a", "_cols", "_greedies", "_bases")
 
     def __init__(self, a, b):
         den, self._rows_a, rows_b = _align(a._packed, b._packed)
         self.den, self._cols = den, (list(zip(*self._rows_a)), list(zip(*rows_b)))
-        self._bases = tuple([[cols[i] for i in _basis_kept(cols)] for cols in self._cols])
+        self._greedies = tuple(map(_greedy, self._cols))
+        self._bases = tuple(
+            [cols[i] for i in kept] for cols, (kept, _, _) in zip(self._cols, self._greedies)
+        )
 
     @property
     def sizes(self):
@@ -462,24 +501,26 @@ class DFrame:
 
     def tables(self):
         """The D search's bracket tables of E and of F: for each basis
-        g_1..g_k, the k x k table <g_i|g_j>, finite values Python ints
-        times den and -inf None; each kept g has a finite entry, so
-        <g|g> = 0 is written, not computed."""
+        g_1..g_k, the k x k table <g_i|g_j> as lists, finite values
+        Python ints times den and -inf None, read off the greedy's
+        coefficient table.  Each kept g has a finite entry, so the
+        diagonal <g|g> is 0."""
         return tuple(
-            [_t_values([0 if h is g else _residual(g, h) for h in basis]) for g in basis]
-            for basis in self._bases
+            [[None if (c := coeffs[j][i]) is _NEG else c for j in kept] for i in kept]
+            for kept, coeffs, _ in self._greedies
         )
 
     def rows(self):
         """The D search's row side of E and of F: for each basis
         g_1..g_k, the values of the g_i and the weak basis of the row
-        space of its matrix, encoded as in ``tables``.  Each call runs
-        two weak-basis greedies, so the search asks for it once, at the
-        first permutation that passes both bracket stages."""
+        space of its matrix, finite values Python ints times den and
+        -inf None.  Each call runs two weak-basis greedies, so the
+        search asks for it once, at the first permutation that passes
+        both bracket stages."""
         side = []
         for basis in self._bases:
             rows = list(zip(*basis))
-            side.append((list(map(_t_values, basis)), [_t_values(rows[i]) for i in _basis_kept(rows)]))
+            side.append((list(map(_t_values, basis)), [_t_values(rows[i]) for i in _greedy(rows)[0]]))
         return tuple(side)
 
     def scalars(self, ns):
@@ -496,17 +537,20 @@ class DFrame:
     def certify(self, sigma, lambdas):
         """The bridge of the match e_i -> lambdas_i * f_sigma(i), lambdas
         ints over den: D = G * X, for G = F_sigma * diag lambdas and X
-        the principal solution of E * X = A, once R(E) = R(G), R(D) =
-        R(A) and C(D) = C(B) hold.  The first check that fails raises
+        the principal solution of E * X = A read off the frame's
+        coefficient table, once R(E) = R(G), R(D) = R(A) and C(D) = C(B)
+        hold.  The first check that fails raises
         VerificationError with rel_D's message for it; a column of A
         outside C(E) fails the row space check before D is built."""
         e, f = self._bases
         g = [tuple([n if n is _NEG else n + lam for n in f[s]]) for s, lam in zip(sigma, lambdas)]
         if not _same(list(zip(*e)), list(zip(*g))):
             raise VerificationError("rel_D: matched descriptor failed the row space check")
-        xs, outside = _residuate(e, self._cols[0])
-        cols_d = None if outside is not None else [_combine(x, g, len(self._rows_a)) for x in xs]
-        if cols_d is None or not _same(rows_d := list(zip(*cols_d)), self._rows_a):
+        kept, coeffs, covers = self._greedies[0]
+        if any(_union(masks, kept) != masks[t] for t, masks in enumerate(covers)):
+            raise VerificationError("rel_D: bridge failed row space check")
+        cols_d = [_combine([x[i] for i in kept], g, len(self._rows_a)) for x in coeffs]
+        if not _same(rows_d := list(zip(*cols_d)), self._rows_a):
             raise VerificationError("rel_D: bridge failed row space check")
         if not _same(cols_d, self._cols[1]):
             raise VerificationError("rel_D: bridge failed column space check")

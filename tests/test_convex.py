@@ -241,10 +241,10 @@ def test_verdict_only_covering_leaves_a_covered_target():
 
 
 def test_verdict_only_callers_build_no_coefficient_rows(monkeypatch):
-    # member, span_equal (same_span), weak_basis (weak_basis_matrix) and
-    # the weak bases and span checks of rel_D read only the kernel's
-    # verdict, so the kernel hands them no coefficient rows; member
-    # builds no matrix.  Only rel_D's X (A's columns over E) keeps rows
+    # member and span_equal (same_span) read only the kernel's verdict,
+    # so the kernel hands them no coefficient rows, and member builds no
+    # matrix.  weak_basis (weak_basis_matrix) is one all-pairs pass that
+    # keeps its rows, as are the weak bases of rel_D's frame and row side
     results, built = [], []
     residuate, of = linalg._residuate, TropMatrix._of
 
@@ -269,16 +269,143 @@ def test_verdict_only_callers_build_no_coefficient_rows(monkeypatch):
         assert span.member(a) is verdict
     assert not built
     assert span_equal(col_span(m), redundant) and not span_equal(row_span(m), row_span(identity(3)))
-    assert len(redundant.weak_basis()) == 3 and len(row_span(m).weak_basis()) == 2
     assert results and all(r is None or r.__class__ is int for r in results)
+
+    results.clear()
+    assert len(redundant.weak_basis()) == 3 and len(row_span(m).weak_basis()) == 2
+    assert [(len(r[0]), r[1]) for r in results] == [(4, None), (2, None)]
 
     results.clear()
     a = TropMatrix([[0, 1], [2, 0]])
     assert rel_D(a, transpose(a)).holds
-    with_rows = [r for r in results if r.__class__ is tuple]
-    # X keeps rows; the four weak bases (two trials each) and the three
-    # span checks do not
-    assert len(with_rows) == 1 and len(results) == 4 + 4 + 6 + 1
+    # the four weak bases keep rows; the certificate's three span checks
+    # find the same projective points on both sides and run no pass
+    assert [(len(r[0]), r[1]) for r in results] == [(2, None)] * 4
+
+
+_NEG, _POS = linalg._NEG, linalg._POS  # packed rows hold these very floats
+
+
+def _tbar_rows(rng, dim, count):
+    """count packed TBAR vectors over one denominator: both infinities,
+    mixed denominators, at times an all -inf vector and a duplicate."""
+    def entry():
+        r = rng.random()
+        return NEG_INF if r < 0.2 else POS_INF if r < 0.3 else finite(
+            Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+
+    vecs = [[entry() for _ in range(dim)] for _ in range(count)]
+    if rng.random() < 0.3:
+        vecs.append([NEG_INF] * dim)
+    if vecs and rng.random() < 0.3:
+        vecs.append(rng.choice(vecs))
+    return linalg.pack(vecs)[1]
+
+
+def _shifted(row, c):
+    return tuple([x if x.__class__ is float else x + c for x in row])
+
+
+def _two_passes(rows1, rows2):
+    residuate = linalg._residuate
+    return residuate(rows2, rows1, False) is None and residuate(rows1, rows2, False) is None
+
+
+def _counting_residuate(monkeypatch):
+    calls, residuate = [], linalg._residuate
+
+    def counting(*args):
+        calls.append(True)
+        return residuate(*args)
+
+    monkeypatch.setattr(linalg, "_residuate", counting)
+    return calls
+
+
+def test_same_answers_as_its_two_passes(monkeypatch):
+    # _same answers yes with no pass when both families hold the same
+    # projective points, and else by the two passes: over seeded TBAR
+    # families against rescaled permutations of themselves (with +inf
+    # entries, which only match themselves), with a redundant max of two
+    # vectors added, with a vector dropped, and against fresh families
+    rng = random.Random(20261022)
+    calls = _counting_residuate(monkeypatch)
+    seen = set()
+    for _ in range(600):
+        dim = rng.randint(1, 5)
+        rows1 = _tbar_rows(rng, dim, rng.randint(0, 4))
+        rows2 = [_shifted(row, rng.randint(-5, 5)) for row in rows1]
+        rng.shuffle(rows2)
+        how = rng.choice(("rescaled", "redundant", "dropped", "fresh"))
+        if how == "redundant" and rows1:
+            u, v = rng.choice(rows1), rng.choice(rows1)
+            rows2.append(tuple(map(max, u, _shifted(v, rng.randint(-2, 2)))))
+        elif how == "dropped" and rows2:
+            rows2.pop()
+        elif how == "fresh":
+            rows2 = _tbar_rows(rng, dim, rng.randint(0, 4))
+        expected = _two_passes(rows1, rows2)
+        calls.clear()
+        assert linalg._same(rows1, rows2) is expected
+        assert linalg._same(rows2, rows1) is expected
+        seen.add((expected, bool(calls)))
+    # shortcut yes, two-pass yes and two-pass no all occur
+    assert seen == {(True, False), (True, True), (False, True)}
+
+
+SAME_CASES = {
+    # each vector a finite multiple of one of the other family: no pass
+    "rescaled permutation": (
+        [(0, 1, _NEG), (_NEG, _NEG, _NEG), (2, _POS, 0)],
+        [(2, _POS, 0), (-3, -2, _NEG), (_NEG, _NEG, _NEG)],
+        0,
+    ),
+    # the max of (0, 1, -inf) and 1 * (-inf, 0, 2) is in both spans
+    "redundant max-combination": (
+        [(0, 1, _NEG), (_NEG, 0, 2)],
+        [(0, 1, _NEG), (_NEG, 0, 2), (0, 1, 3)],
+        2,
+    ),
+    # a +inf-bearing vector is left as it is by _normalized
+    "+inf-bearing rescaling": ([(1, _POS)], [(2, _POS)], 2),
+}
+
+
+@pytest.mark.parametrize("case", SAME_CASES)
+def test_same_shortcut_cases(monkeypatch, case):
+    rows1, rows2, passes = SAME_CASES[case]
+    assert _two_passes(rows1, rows2)
+    calls = _counting_residuate(monkeypatch)
+    assert linalg._same(rows1, rows2)
+    assert len(calls) == passes
+
+
+def _reference_kept(rows):
+    """The greedy weak basis of packed rows from boxed verdicts alone:
+    each row, in ascending order, dropped iff the rows still standing
+    besides it recombine to it, by the scalar reference.  The ints are
+    read over den 1: scaling every value by den keeps every verdict."""
+    vecs = [TropVector([linalg._box(n, 1) for n in row], COL) for row in rows]
+    kept = list(range(len(rows)))
+    for t in range(len(rows)):
+        if ref_member([vecs[j].entries for j in kept if j != t], vecs[t]):
+            kept.remove(t)
+    return kept
+
+
+def test_greedy_keeps_the_verdict_only_greedy_and_tables_every_pair():
+    # the greedy read off one all-pairs pass keeps what the verdict-only
+    # greedy keeps, and its coefficient table is every pair's bracket
+    rng = random.Random(20261023)
+    sizes = set()
+    for _ in range(300):
+        rows = _tbar_rows(rng, rng.randint(1, 6), rng.randint(0, 6))
+        kept, coeffs, covers = linalg._greedy(rows)
+        assert kept == _reference_kept(rows)
+        assert coeffs == [tuple(linalg._residual(g, a) for g in rows) for a in rows]
+        assert len(covers) == len(rows) and all(len(masks) == len(rows) for masks in covers)
+        sizes.add((len(rows), len(kept)))
+    assert any(k < n for n, k in sizes) and any(0 < k == n for n, k in sizes)
 
 
 def test_span_equal_aligns_once_and_builds_no_coefficient_matrix(monkeypatch):

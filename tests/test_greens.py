@@ -461,14 +461,15 @@ def test_rel_d_scalings_leave_the_common_denominator(mu, lam):
 
 def _drop_the_second_generator(monkeypatch, cols):
     """Make the greedy weak basis of exactly these aligned columns keep
-    only its first generator."""
-    basis_kept = linalg._basis_kept
+    only its first generator, its coefficient table and masks as they
+    are."""
+    greedy = linalg._greedy
 
     def drop_the_second(rows):
-        kept = basis_kept(rows)
-        return kept[:1] if rows == cols else kept
+        kept, coeffs, covers = greedy(rows)
+        return (kept[:1] if rows == cols else kept), coeffs, covers
 
-    monkeypatch.setattr(linalg, "_basis_kept", drop_the_second)
+    monkeypatch.setattr(linalg, "_greedy", drop_the_second)
 
 
 def test_rel_d_certifies_that_the_weak_basis_spans_c_b(monkeypatch):
@@ -531,17 +532,11 @@ def test_rel_d_certifies_the_bridge_row_space(monkeypatch):
         rel_D(CONNECTED, CONNECTED)
 
 
-def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
-    # a yes at n = k = 3 like d-disconnected's (-inf diagonal, every
-    # bracket -inf, B the reversal of A's scaled columns): the frame is
-    # the one alignment of A and B, and the IsoDescriptor the verdict
-    # returns only stores its four fields.  The weak bases of C(A), C(B)
-    # and of the row spaces of E and F run 3 trials each; X takes one
-    # (the search's two bracket tables come from the bracket kernel, not
-    # this one), and the certificate runs 6: two each for R(E) = R(G),
-    # R(D) = R(A) and C(D) = C(B)
+def _kernel_calls(monkeypatch):
+    """The names of the _align and _residuate calls made from here on,
+    with "certify" marking the start of DFrame.certify."""
     calls = []
-    align, residuate = linalg._align, linalg._residuate
+    align, residuate, certify = linalg._align, linalg._residuate, linalg.DFrame.certify
 
     def counting_align(p, q):
         calls.append("_align")
@@ -551,16 +546,47 @@ def test_rel_d_yes_aligns_once_and_certifies_with_six_residuations(monkeypatch):
         calls.append("_residuate")
         return residuate(grows, trows, *args)
 
+    def marking_certify(frame, sigma, lambdas):
+        calls.append("certify")
+        return certify(frame, sigma, lambdas)
+
+    monkeypatch.setattr(linalg, "_align", counting_align)
+    monkeypatch.setattr(linalg, "_residuate", counting_residuate)
+    monkeypatch.setattr(linalg.DFrame, "certify", marking_certify)
+    return calls
+
+
+def test_rel_d_yes_aligns_once_and_runs_one_pass_per_weak_basis(monkeypatch):
+    # a yes at n = k = 3 like d-disconnected's (-inf diagonal, every
+    # bracket -inf, B the reversal of A's scaled columns): the frame is
+    # the one alignment of A and B, and the IsoDescriptor the verdict
+    # returns only stores its four fields.  The weak bases of C(A) and
+    # C(B) take one all-pairs pass each, which also gives the bracket
+    # tables and X, and the row side takes one pass for each of E and F.
+    # Each family the certificate compares holds the same projective
+    # points as the other, so its three span checks run no pass
     rng = random.Random(20261022)
     a = TropMatrix([[NEG_INF if r == c else finite(rng.randint(-9, 9)) for c in range(3)]
                     for r in range(3)])
     b = stack([scale(finite(rng.randint(-9, 9)), a.col(j)) for j in (2, 1, 0)])
-    monkeypatch.setattr(linalg, "_align", counting_align)
-    monkeypatch.setattr(linalg, "_residuate", counting_residuate)
+    calls = _kernel_calls(monkeypatch)
     verdict = rel_D(a, b)
     assert verdict.holds and len(verdict.iso.sigma) == 3
-    assert calls.count("_align") == 1
-    assert calls.count("_residuate") == 12 + 1 + 6
+    assert calls == ["_align"] + ["_residuate"] * (2 + 2) + ["certify"]
+
+
+def test_rel_d_yes_with_a_redundant_column_certifies_with_six_residuations(monkeypatch):
+    # the first column of A is the max of its other two, and the first
+    # column of B a max of rescalings of its other two, so k = 2 at
+    # n = 3; R(E) and R(G), R(D) and R(A), and C(D) and C(B) each hold
+    # two families of different projective points, and each check
+    # falls back to its two passes
+    a = parse_matrix("3 3\n1 -inf 1\n2 2 -inf\n0 -inf 0\n")
+    b = parse_matrix("3 3\n-inf -inf -inf\n1 2 -inf\n0 -inf 0\n")
+    calls = _kernel_calls(monkeypatch)
+    verdict = rel_D(a, b)
+    assert verdict.holds and len(verdict.iso.sigma) == 2
+    assert calls == ["_align"] + ["_residuate"] * (2 + 2) + ["certify"] + ["_residuate"] * 6
 
 
 def test_rel_d_needs_row_space_weak_bases_of_one_size():
@@ -791,13 +817,13 @@ def test_rel_d_runs_the_row_greedies_only_when_a_sigma_reaches_them(monkeypatch,
     # the weak bases of C(A) and C(B) take one greedy each; the weak
     # bases of the row spaces of E and F take two more, only for a pair
     # in which some sigma passes both bracket stages
-    calls, basis_kept = [], linalg._basis_kept
+    calls, greedy = [], linalg._greedy
 
-    def counting_basis_kept(rows):
+    def counting_greedy(rows):
         calls.append(len(rows))
-        return basis_kept(rows)
+        return greedy(rows)
 
-    monkeypatch.setattr(linalg, "_basis_kept", counting_basis_kept)
+    monkeypatch.setattr(linalg, "_greedy", counting_greedy)
     verdict = rel_D(a, b)
     assert len(calls) == greedies
     assert verdict.holds == (a is CONNECTED)

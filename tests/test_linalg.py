@@ -471,7 +471,7 @@ def test_d_frame_matches_the_boxed_path():
         for basis, brackets, (grid, rows) in zip(bases, frame.tables(), frame.rows()):
             gens = basis.generators
             assert grid == [tuple(map(times_den, g.entries)) for g in gens]
-            assert brackets == [tuple(times_den(bracket(g, h)) for h in gens) for g in gens]
+            assert brackets == [[times_den(bracket(g, h)) for h in gens] for g in gens]
             row_basis = col_span(stack(gens, ROW)).weak_basis().generators if gens else ()
             assert rows == [tuple(map(times_den, u.entries)) for u in row_basis]
 
