@@ -57,7 +57,7 @@ class ConvexSpan:
             raise ShapeError("empty span needs explicit dim and orientation")
         elif orientation not in (ROW, COL):
             raise ShapeError(f"orientation must be {ROW!r} or {COL!r}, got {orientation!r}")
-        elif dim < 1:
+        elif dim.__class__ is not int or dim < 1:
             raise ShapeError(f"span dim must be at least 1, got {dim}")
         self.matrix = stack(generators, orientation) if generators else None
         self.dim = dim

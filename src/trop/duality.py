@@ -108,7 +108,7 @@ class IsoDescriptor(namedtuple("IsoDescriptor", "source target sigma lambdas")):
         k = len(source)
         if not (len(target) == len(sigma) == len(lambdas) == k):
             raise ShapeError("descriptor parts must have equal length")
-        if sorted(sigma) != list(range(k)):
+        if any(i.__class__ is not int for i in sigma) or sorted(sigma) != list(range(k)):
             raise ShapeError("sigma must be a permutation of 0..k-1")
         for lam in lambdas:
             if not (isinstance(lam, TropScalar) and lam.is_finite):

@@ -21,8 +21,9 @@ integral), so packed forms are compared only over a common
 denominator.  Other modules hand this one vectors and matrices and
 never see the packed form.
 
-Span membership, weak bases, span equality, principal solutions and
-the duality maps share one kernel, ``_residuate``: it finds each
+The bracket, the Hilbert metric, span membership, weak bases, span
+equality, principal solutions and the duality maps share one kernel,
+``_residuate``, the package's one bracket implementation: it finds each
 target's principal coefficients and, in the same pass, whether they
 recombine to it, by the coordinates they cover (Cuninghame-Green's
 covering criterion), so no recombination is built; asked to, it also
@@ -254,14 +255,8 @@ def zero_vector(dim, orientation=ROW) -> TropVector:
 
 def pack(seqs):
     """Pack scalar sequences as ``(den, rows)`` over their least common
-    denominator: the one encoder of scalars into the packed form.  One
-    sequence (a vector, or the scalar of ``scale``) takes a shorter
-    path, with no set of denominators and no loop over sequences."""
+    denominator: the one encoder of scalars into the packed form."""
     seqs = tuple(seqs)
-    if len(seqs) == 1:
-        (s,) = seqs
-        den = lcm(*[e.den for e in s])
-        return den, [tuple([_INF[k] if (k := e.kind) in _INF else e.num * (den // e.den) for e in s])]
     den = lcm(*{e.den for s in seqs for e in s})  # an infinity's den is 1
     return den, [
         tuple([_INF[k] if (k := e.kind) in _INF else e.num * (den // e.den) for e in s])
@@ -295,20 +290,6 @@ def _rescale(packed, den):
     if f == 1:
         return packed[1]
     return [tuple([n if n.__class__ is float else n * f for n in row]) for row in packed[1]]
-
-
-def _residual(x, y):
-    """<x|y> = min_i (y_i - x_i), where x_i = -inf or y_i = +inf bounds
-    nothing and, failing that, x_i = +inf or y_i = -inf gives -inf."""
-    best = _POS
-    for p, q in zip(x, y):
-        if p is _NEG or q is _POS:
-            continue
-        if p is _POS or q is _NEG:
-            return _NEG
-        if q - p < best:
-            best = q - p
-    return best
 
 
 def _combine(coeffs, rows, dim):
@@ -638,13 +619,15 @@ def vec_leq(x: TropVector, y: TropVector) -> bool:
 def bracket(x: TropVector, y: TropVector) -> TropScalar:
     """Residuation bracket <x|y>: the greatest lam with lam*x <= y.
 
-    Computed by the closed form -(max_i x_i * (-y_i)), which agrees with
+    Defined by the closed form -(max_i x_i * (-y_i)), which agrees with
     the defining maximum for all TBAR entries, including the exceptional
-    products involving both infinities.
+    products involving both infinities, and computed by ``_residuate``,
+    the kernel every decider uses, as y's one coefficient over x.
     """
     _check_same_shape(x, y, orientation_too=False)
     den, (xs,), (ys,) = _align(x._packed, y._packed)
-    return _box(_residual(xs, ys), den)
+    ((c,),), _ = _residuate((xs,), (ys,))  # one target's row is whole, covered or not
+    return _box(c, den)
 
 
 def _normalized(xs):
@@ -675,4 +658,6 @@ def hilbert(x: TropVector, y: TropVector) -> TropScalar:
     den, (xs,), (ys,) = _align(x._packed, y._packed)
     if _normalized(xs) == _normalized(ys):
         return ZERO
-    return neg(otimes(_box(_residual(xs, ys), den), _box(_residual(ys, xs), den)))
+    ((c,),), _ = _residuate((xs,), (ys,))
+    ((d,),), _ = _residuate((ys,), (xs,))
+    return neg(otimes(_box(c, den), _box(d, den)))

@@ -200,7 +200,9 @@ def test_residuate_rows_are_the_brackets_of_each_pair(data):
     _, rows = linalg.pack(gens + targets)
     grows, trows = rows[: len(gens)], rows[len(gens) :]
     coeffs, bad = linalg._residuate(grows, trows)
-    assert coeffs == [tuple(linalg._residual(g, a) for g in grows) for a in trows[: len(coeffs)]]
+    assert _boxed(coeffs) == [
+        tuple(ref_coeffs(_boxed(grows), a)) for a in _boxed(trows[: len(coeffs)])
+    ]
     refuted = [
         t for t, a in enumerate(targets)
         if not ref_member(_cols(*gens), TropVector(a, COL))
@@ -380,12 +382,30 @@ def test_same_shortcut_cases(monkeypatch, case):
     assert len(calls) == passes
 
 
+def test_bracket_runs_one_pass_and_hilbert_none_on_scalings(monkeypatch):
+    # the bracket is the kernel's one coefficient, and the Hilbert metric
+    # takes its two brackets from the kernel unless the vectors are finite
+    # scalings of each other
+    calls = _counting_residuate(monkeypatch)
+    x, y = vector([0, 2, NEG_INF]), vector([1, 0, 5], COL)
+    assert linalg.bracket(x, y) == finite(-2) and len(calls) == 1
+    calls.clear()
+    assert linalg.hilbert(x, scale(finite(Fraction(1, 3)), x)) == ZERO and not calls
+    assert linalg.hilbert(vector([0, 2]), vector([1, 0])) == finite(3) and len(calls) == 2
+
+
+def _boxed(rows):
+    """Packed rows boxed over den 1: scaling every value by den keeps
+    every verdict and scales every bracket by den, so the scalar
+    reference reads packed ints exactly."""
+    return [tuple([linalg._box(n, 1) for n in row]) for row in rows]
+
+
 def _reference_kept(rows):
     """The greedy weak basis of packed rows from boxed verdicts alone:
     each row, in ascending order, dropped iff the rows still standing
-    besides it recombine to it, by the scalar reference.  The ints are
-    read over den 1: scaling every value by den keeps every verdict."""
-    vecs = [TropVector([linalg._box(n, 1) for n in row], COL) for row in rows]
+    besides it recombine to it, by the scalar reference."""
+    vecs = [TropVector(row, COL) for row in _boxed(rows)]
     kept = list(range(len(rows)))
     for t in range(len(rows)):
         if ref_member([vecs[j].entries for j in kept if j != t], vecs[t]):
@@ -402,7 +422,7 @@ def test_greedy_keeps_the_verdict_only_greedy_and_tables_every_pair():
         rows = _tbar_rows(rng, rng.randint(1, 6), rng.randint(0, 6))
         kept, coeffs, covers = linalg._greedy(rows)
         assert kept == _reference_kept(rows)
-        assert coeffs == [tuple(linalg._residual(g, a) for g in rows) for a in rows]
+        assert _boxed(coeffs) == [tuple(ref_coeffs(_boxed(rows), a)) for a in _boxed(rows)]
         assert len(covers) == len(rows) and all(len(masks) == len(rows) for masks in covers)
         sizes.add((len(rows), len(kept)))
     assert any(k < n for n, k in sizes) and any(0 < k == n for n, k in sizes)
@@ -828,6 +848,8 @@ def test_empty_span_checks_orientation_and_dim():
     "call, message",
     [
         (lambda: ConvexSpan([]), "empty span needs explicit dim and orientation"),
+        # 2.0 compares as 2, but would format as "0 2.0" and build no zero vector
+        (lambda: ConvexSpan([], 2.0, COL), "span dim must be at least 1, got 2.0"),
         (lambda: span_00_01().combine([ZERO]), "expected 2 coefficients"),
         (
             lambda: span_equal(col_span(identity(2)), row_span(identity(2))),

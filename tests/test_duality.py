@@ -637,6 +637,12 @@ def _one_generator(orientation):
             ShapeError,
             "sigma must be a permutation of 0..k-1",
         ),
+        pytest.param(  # floats that sort equal to 0..k-1 index no tuple and format as 1.0 2.0
+            lambda: IsoDescriptor(_two_generators(), _two_generators(), (0.0, 1.0), (ZERO, ZERO)),
+            ShapeError,
+            "sigma must be a permutation of 0..k-1",
+            id="float sigma",
+        ),
         (
             lambda: IsoDescriptor(_two_generators(), _two_generators(), (1, 0), (ZERO, NEG_INF)),
             DomainError,
